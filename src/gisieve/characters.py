@@ -19,10 +19,15 @@ The transform of interest is the finite Fourier coefficient
 whose modulus, for prime-power moduli, is pinned by an exact local case
 analysis (local_prediction below).  fhat depends mildly on which
 generator of the modulus ideal is used inside F; the magnitude does not.
+
+Over all characters at once, fhat is one fftn of F placed on the
+discrete-log grid Z/n_1 x ... x Z/n_r (CharGroup.transform), and each
+group finds the conductors of all its characters in one pass.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -31,12 +36,10 @@ import numpy as np
 
 from .expsums import _exp_table, f_sum_values
 from .gauss import (
-    ONE,
     DomainError,
     GIdeal,
     GaussianInt,
     UNIT_IDEAL,
-    euler_phi,
     factor,
     factor_int,
     gcd,
@@ -46,6 +49,7 @@ from .gauss import (
     reduce_pair,
     residue_box,
     unit_residues,
+    unit_table,
 )
 
 __all__ = [
@@ -157,7 +161,6 @@ class CharGroup:
         self.residues = unit_residues(element)
         box = residue_box(element)
         keys = [(r.re, r.im) for r in self.residues]
-        pos = {k: i for i, k in enumerate(keys)}
 
         def mul(u, v):
             return reduce_pair(u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0], box)
@@ -182,10 +185,17 @@ class CharGroup:
         # dlog matrix in residue enumeration order, pre-scaled to /exponent
         scale = [self.exponent // n for n in self.gen_orders]
         self._dlog = {k: v for k, v in table.items()}
-        self._dlog_matrix = np.array(
-            [[v * s for v, s in zip(table[k], scale)] for k in keys], dtype=np.int64
-        ).reshape(len(keys), len(gens))
-        self._pos = pos
+        logs = np.array([table[k] for k in keys], dtype=np.int64).reshape(len(keys), len(gens))
+        self._dlog_matrix = logs * np.array(scale, dtype=np.int64)
+        # position of each residue's log vector in the C-order flattened grid
+        self._grid = self.gen_orders or (1,)
+        self._flat = logs @ np.array(
+            [math.prod(self.gen_orders[i + 1 :]) for i in range(len(gens))], dtype=np.int64
+        )
+        units = unit_table(element)
+        self._box_index = units.y * box[0] + units.x
+        self._fhat: dict[GaussianInt, np.ndarray] = {}
+        self._conductors: tuple[GIdeal, ...] | None = None
 
     # -- basic views ---------------------------------------------------------
 
@@ -212,15 +222,79 @@ class CharGroup:
 
     def characters(self) -> Iterator["DirichletChar"]:
         """All phi(c) characters, exponent vectors in lexicographic order."""
-        def rec(i):
-            if i == len(self.gen_orders):
-                yield ()
-                return
-            for a in range(self.gen_orders[i]):
-                for rest in rec(i + 1):
-                    yield (a,) + rest
-        for exps in rec(0):
+        for exps in itertools.product(*(range(n) for n in self.gen_orders)):
             yield DirichletChar(self, exps)
+
+    def index(self, exps: Sequence[int]) -> int:
+        """Position of the character with these (reduced) exponents in characters()."""
+        i = 0
+        for a, n in zip(exps, self.gen_orders):
+            i = i * n + a
+        return i
+
+    # -- transforms over all characters ---------------------------------------
+
+    def transform(self, values: np.ndarray) -> np.ndarray:
+        """(1/phi) sum_a conj(chi(a)) values[a] for every chi, in characters() order.
+
+        values are given on the residues; placed on the log grid, the sum
+        over a is one fftn (the C-order flatten is the lexicographic order).
+        """
+        grid = np.zeros(self.order, dtype=np.complex128)
+        grid[self._flat] = values
+        return np.fft.fftn(grid.reshape(self._grid)).ravel() / self.order
+
+    def inverse_transform(self, fhat: np.ndarray) -> np.ndarray:
+        """sum_chi fhat[chi] chi(a) for every residue a: the inverse of transform."""
+        grid = np.fft.ifftn(np.reshape(fhat, self._grid)).ravel() * self.order
+        return grid[self._flat]
+
+    def fhat_table(self, element: GaussianInt | None = None) -> np.ndarray:
+        """fhat(chi) for every chi in characters() order, with F(.; element).
+
+        element is any generator of the modulus (default the group's own);
+        each table is computed once and is read-only.
+        """
+        c = self.element if element is None else element
+        if c not in self._fhat:
+            table = self.transform(f_sum_values(c))
+            table.setflags(write=False)
+            self._fhat[c] = table
+        return self._fhat[c]
+
+    def conductors(self) -> tuple[GIdeal, ...]:
+        """The conductor of every character, in characters() order.
+
+        For each divisor d in ideal_divisors order, the characters still
+        unresolved whose weights vanish on {a = 1 mod d} get conductor d;
+        the modulus itself resolves every character that is left.
+        """
+        if self._conductors is not None:
+            return self._conductors
+        L = self.exponent
+        exps = np.array(
+            list(itertools.product(*(range(n) for n in self.gen_orders))), dtype=np.int64
+        ).reshape(self.order, len(self.gen_orders))
+        units = unit_table(self.element)
+        found: list[GIdeal | None] = [None] * self.order
+        open_ = np.arange(self.order)
+        for d in ideal_divisors(self.modulus):
+            rx, ry = reduce_pair(units.x - 1, units.y, residue_box(d.gen))
+            sub = self._dlog_matrix[(rx == 0) & (ry == 0)].T
+            # characters x subgroup in row blocks of bounded size
+            step = max(1, (1 << 20) // sub.shape[1])
+            trivial = np.concatenate([
+                ~((exps[open_[i : i + step]] @ sub) % L).any(axis=1)
+                for i in range(0, len(open_), step)
+            ])
+            for j in open_[trivial].tolist():
+                found[j] = d
+            open_ = open_[~trivial]
+            if not len(open_):
+                break
+        assert not len(open_), "the modulus itself resolves every character"
+        self._conductors = tuple(found)
+        return self._conductors
 
     def value_matrix(self) -> np.ndarray:
         """Matrix X[j, i] = chi_j(alpha_i) over all characters/residues."""
@@ -234,12 +308,11 @@ class CharGroup:
 class DirichletChar:
     """A character of (Z[i]/(c))^x given by exponents against the group basis."""
 
-    __slots__ = ("group", "exps", "_conductor")
+    __slots__ = ("group", "exps")
 
     def __init__(self, group: CharGroup, exps: tuple[int, ...]):
         self.group = group
         self.exps = exps
-        self._conductor: GIdeal | None = None
 
     # -- algebra ----------------------------------------------------------
 
@@ -277,29 +350,32 @@ class DirichletChar:
             return 0j
         return complex(_exp_table(self.group.exponent)[w])
 
-    def values_on_residues(self) -> np.ndarray:
+    def _residue_weights(self) -> np.ndarray:
         L = self.group.exponent
-        idx = (self.group._dlog_matrix @ np.array(self.exps, dtype=np.int64)) % L
-        return _exp_table(L)[idx]
+        return (self.group._dlog_matrix @ np.array(self.exps, dtype=np.int64)) % L
+
+    def values_on_residues(self) -> np.ndarray:
+        return _exp_table(self.group.exponent)[self._residue_weights()]
+
+    def weights_at(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """weight() at the points x + iy, all coprime to the modulus.
+
+        Each point is reduced into the modulus box and read from a dense
+        box-index -> weight array.
+        """
+        grp = self.group
+        box = residue_box(grp.element)
+        dense = np.zeros(box[0] * box[2], dtype=np.int64)
+        dense[grp._box_index] = self._residue_weights()
+        rx, ry = reduce_pair(x, y, box)
+        return dense[ry * box[0] + rx]
 
     # -- conductor and classification -------------------------------------
 
     def conductor(self) -> GIdeal:
         """Smallest ideal d | (c) such that chi factors through (Z[i]/d)^x."""
-        if self._conductor is not None:
-            return self._conductor
         grp = self.group
-        for d in ideal_divisors(grp.modulus):
-            dg = d.gen
-            ok = True
-            for a in grp.residues:
-                if reduce_mod(a - ONE, dg).is_zero() and self.weight(a) != 0:
-                    ok = False
-                    break
-            if ok:
-                self._conductor = d
-                return d
-        raise AssertionError("conductor search failed (modulus always works)")
+        return grp.conductors()[grp.index(self.exps)]
 
     def char_class(self) -> str:
         """One of 'trivial', 'primitive', 'semi-primitive', 'mixed'.
@@ -343,8 +419,7 @@ def f_sum_hat(chi: DirichletChar, element: GaussianInt | None = None) -> complex
     c = grp.element if element is None else element
     if GIdeal.of(c) != grp.modulus:
         raise DomainError("element generates a different ideal than the character modulus")
-    values = f_sum_values(c)
-    return complex(np.conj(chi.values_on_residues()) @ values / grp.order)
+    return complex(grp.fhat_table(c)[grp.index(chi.exps)])
 
 
 class MagnitudePrediction:
@@ -415,12 +490,12 @@ def twisted_mult_residual(chi1: DirichletChar, chi2: DirichletChar) -> complex:
     if not is_coprime(c1, c2):
         raise DomainError("moduli must be coprime")
     c = c1 * c2
-    values = f_sum_values(c)
-    acc = 0j
-    for a, fv in zip(unit_residues(c), values):
-        acc += (chi1(a) * chi2(a)).conjugate() * fv
-    phi = euler_phi(GIdeal.of(c))
-    lhs = acc / phi
+    units = unit_table(c)
+    phase = (
+        _exp_table(chi1.group.exponent)[chi1.weights_at(units.x, units.y)]
+        * _exp_table(chi2.group.exponent)[chi2.weights_at(units.x, units.y)]
+    )
+    lhs = np.conj(phase) @ f_sum_values(c) / len(phase)
     rhs = (
         chi1(c2).conjugate()
         * chi2(c1).conjugate()

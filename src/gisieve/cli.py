@@ -177,9 +177,7 @@ def _suite_mellin(max_norm: float, tol: float) -> SuiteResult:
     for ideal in ideals_up_to_norm(max_norm):
         grp = char_group(ideal.gen)
         values = f_sum_values(grp.element)
-        matrix = grp.value_matrix()
-        fhat = np.conj(matrix) @ values / grp.order
-        recon = fhat @ matrix
+        recon = grp.inverse_transform(grp.fhat_table())
         res = float(np.max(np.abs(recon - values)))
         worst = max(worst, res)
         checked += 1
@@ -193,8 +191,7 @@ def _suite_parseval(max_norm: float, tol: float) -> SuiteResult:
     for ideal in ideals_up_to_norm(max_norm):
         grp = char_group(ideal.gen)
         values = f_sum_values(grp.element)
-        matrix = grp.value_matrix()
-        fhat = np.conj(matrix) @ values / grp.order
+        fhat = grp.fhat_table()
         res = abs(
             float(np.sum(np.abs(fhat) ** 2))
             - float(np.sum(np.abs(values) ** 2)) / grp.order
@@ -225,26 +222,41 @@ def _suite_twisted(max_norm: float, tol: float) -> SuiteResult:
     return SuiteResult("twisted", checked, worst, fails)
 
 
-def _suite_lemma(max_norm: float, tol: float) -> SuiteResult:
-    worst, checked, fails = 0.0, 0, []
+def _lemma_pass(max_norm: float, tol: float) -> tuple[SuiteResult, list[tuple]]:
+    """|fhat| against the case formulas: the suite verdict and the
+    lemma-check report row of every character, in one pass."""
+    worst, fails, rows = 0.0, [], []
     for ideal in prime_power_ideals_up_to_norm(max_norm):
         grp = char_group(ideal.gen)
-        for chi in grp.characters():
+        for chi, fhat in zip(grp.characters(), grp.fhat_table().tolist()):
             pred = local_prediction(chi)
-            got = abs(f_sum_hat(chi))
-            checked += 1
+            got = abs(fhat)
             if pred.is_bound:
                 res = max(0.0, got - pred.value)
             else:
                 res = abs(got - pred.value)
             worst = max(worst, res)
+            rel = "<=" if pred.is_bound else "="
             if res > tol:
-                rel = "<=" if pred.is_bound else "="
                 fails.append(
                     f"modulus {grp.element} exps {chi.exps}: |fhat| = {got:.6f}, "
                     f"case formula says {rel} {pred.value:.6f}"
                 )
-    return SuiteResult("lemma", checked, worst, fails)
+            rows.append(
+                (
+                    str(grp.element),
+                    ":".join(map(str, chi.exps)),
+                    chi.char_class(),
+                    got,
+                    rel + _fmt_value(pred.value, True),
+                    "ok" if res <= tol else "MISMATCH",
+                )
+            )
+    return SuiteResult("lemma", len(rows), worst, fails), rows
+
+
+def _suite_lemma(max_norm: float, tol: float) -> SuiteResult:
+    return _lemma_pass(max_norm, tol)[0]
 
 
 def _suite_selberg(max_norm: float, tol: float) -> SuiteResult:
@@ -439,28 +451,7 @@ def _cmd_charsum(args) -> int:
 
 
 def _cmd_lemma_check(args) -> int:
-    result = _suite_lemma(args.max_norm, args.tolerance)
-    rows = []
-    for ideal in prime_power_ideals_up_to_norm(args.max_norm):
-        grp = char_group(ideal.gen)
-        for chi in grp.characters():
-            pred = local_prediction(chi)
-            got = abs(f_sum_hat(chi))
-            ok = (
-                got <= pred.value + args.tolerance
-                if pred.is_bound
-                else abs(got - pred.value) <= args.tolerance
-            )
-            rows.append(
-                (
-                    str(grp.element),
-                    ":".join(map(str, chi.exps)),
-                    chi.char_class(),
-                    got,
-                    ("<=" if pred.is_bound else "=") + _fmt_value(pred.value, True),
-                    "ok" if ok else "MISMATCH",
-                )
-            )
+    result, rows = _lemma_pass(args.max_norm, args.tolerance)
     cfg = _base_config(
         args, _quadrature(args), max_norm=args.max_norm, characters=result.checked
     )

@@ -12,6 +12,8 @@ Every exponent Re((...)*conj(c))/N(c) is an exact rational with integer
 numerator, so each value is a sum of N(c)-th roots of unity looked up in
 a shared table.  Two expressions that agree in the algebra then agree
 numerically to ~1e-13, which is what lets the identity tests run at 1e-9.
+The table of F over all units (f_sum_values) is one FFT of such
+roots per modulus and agrees with the direct sums to ~1e-12.
 
 For a unit modulus the quotient is the zero ring, its one residue class
 is invertible, and every sum degenerates to the single term 1.
@@ -34,9 +36,11 @@ from .gauss import (
     gcd,
     ideal_divisors,
     is_coprime,
-    mod_inverse,
     moebius,
+    reduce_pair,
+    residue_box,
     unit_residues,
+    unit_table,
 )
 
 __all__ = [
@@ -70,20 +74,23 @@ def root_of_unity(num: int, den: int) -> complex:
 @lru_cache(maxsize=2048)
 def _unit_pairs(c: GaussianInt) -> tuple[tuple[GaussianInt, GaussianInt], ...]:
     """(alpha, alpha^{-1} mod c) for each unit residue, in enumeration order."""
-    return tuple((a, mod_inverse(a, c)) for a in unit_residues(c))
+    units = unit_table(c)
+    inverses = zip(units.inv_x.tolist(), units.inv_y.tolist())
+    return tuple(zip(unit_residues(c), (GaussianInt(x, y) for x, y in inverses)))
 
 
 def kloosterman(m: GaussianInt, n: GaussianInt, c: GaussianInt) -> complex:
     """S(m, n; c).  Accumulation follows the fixed residue order."""
     if c.is_zero():
         raise DomainError("Kloosterman sum needs a nonzero modulus")
+    pairs = _unit_pairs(c)  # rejects moduli too large before the N(c)-long table is built
     big_n = c.norm
     tab = _exp_table(big_n)
     cbar = c.conj()
     mc = m * cbar
     nc = n * cbar
     total = 0j
-    for a, ainv in _unit_pairs(c):
+    for a, ainv in pairs:
         total += tab[((a * mc).re + (ainv * nc).re) % big_n]
     return complex(total)
 
@@ -92,42 +99,45 @@ def f_sum(w: GaussianInt, c: GaussianInt) -> complex:
     """F(w; c) = S(w^2, 1; c) * e[2w/c] for gcd(w, c) = (1)."""
     if not is_coprime(w, c):
         raise DomainError(f"f_sum needs gcd(w, c) = (1); got w={w}, c={c}")
+    value = kloosterman(w * w, ONE, c)  # first, for its modulus-size check
     big_n = c.norm
     twist = _exp_table(big_n)[(2 * (w * c.conj()).re) % big_n]
-    return complex(kloosterman(w * w, ONE, c) * twist)
+    return complex(value * twist)
 
 
-def f_sum_values(c: GaussianInt, chunk: int = 256) -> np.ndarray:
+@lru_cache(maxsize=1024)
+def f_sum_values(c: GaussianInt) -> np.ndarray:
     """F(alpha; c) for every unit residue alpha, in enumeration order.
 
-    Vectorized over the shared exponential table:
-    S(a^2, 1; c) = sum_b e[(b*a^2 + b^{-1})/c] has exponent
-    Re(b*cbar)*Re(a^2) - Im(b*cbar)*Im(a^2) + Re(b^{-1}*cbar)  (mod N(c)).
+    One additive Fourier transform gives S(m, 1; c) for every m at once.
+    With (d, e, g) = residue_box(c), Z[i]/(c) is Z/d x Z/g in the
+    coordinates X = (x - y e/g) mod d, Y = y, and for mc = m * conj(c)
+
+        e[a m / c] = exp(2 pi i (k1 X / d + k2 Y / g)),
+        k1 = Re(mc)/g mod d,   k2 = ((e/g) Re(mc) - Im(mc))/d mod g.
+
+    So S(m, 1; c) = N(c) * ifft2(h)[k1, k2] with h = e[b^{-1}/c] at the
+    units b and 0 elsewhere; F(a; c) reads it at m = a^2 and multiplies
+    by e[2a/c].  The result is cached and read-only.
     """
-    pairs = _unit_pairs(c)
+    units = unit_table(c)
+    box = residue_box(c)
+    d, e, g = box
     big_n = c.norm
     tab = _exp_table(big_n)
-    cbar = c.conj()
-    bc = [b * cbar for b, _ in pairs]
-    p_arr = np.array([x.re for x in bc], dtype=np.int64)
-    q_arr = np.array([x.im for x in bc], dtype=np.int64)
-    r_arr = np.array([(binv * cbar).re for _, binv in pairs], dtype=np.int64)
-
-    sq = [a * a for a, _ in pairs]
-    s_arr = np.array([x.re for x in sq], dtype=np.int64)
-    t_arr = np.array([x.im for x in sq], dtype=np.int64)
-    tw_idx = np.array([(2 * (a * cbar).re) % big_n for a, _ in pairs], dtype=np.int64)
-
-    out = np.empty(len(pairs), dtype=np.complex128)
-    for lo in range(0, len(pairs), chunk):
-        hi = min(lo + chunk, len(pairs))
-        idx = (
-            p_arr[:, None] * s_arr[None, lo:hi]
-            - q_arr[:, None] * t_arr[None, lo:hi]
-            + r_arr[:, None]
-        ) % big_n
-        out[lo:hi] = tab[idx].sum(axis=0)
-    return out * tab[tw_idx]
+    x, y = units.x, units.y
+    # Re(z * conj(c)) = re(z) c.re + im(z) c.im,  Im(z * conj(c)) = im(z) c.re - re(z) c.im
+    h = np.zeros((d, g), dtype=np.complex128)
+    h[(x - y * (e // g)) % d, y] = tab[(units.inv_x * c.re + units.inv_y * c.im) % big_n]
+    s = np.fft.ifft2(h) * big_n
+    sx, sy = reduce_pair(x * x - y * y, 2 * x * y, box)
+    mr = sx * c.re + sy * c.im
+    mi = sy * c.re - sx * c.im
+    k1 = (mr // g) % d
+    k2 = (((e // g) * (mr % big_n) - mi) % big_n) // d  # (e/g) Re(mc) - Im(mc) is 0 mod d
+    out = s[k1, k2] * tab[(2 * (x * c.re + y * c.im)) % big_n]
+    out.setflags(write=False)
+    return out
 
 
 def selberg_residual(m: GaussianInt, n: GaussianInt, c: GaussianInt) -> complex:

@@ -14,7 +14,8 @@ the Hermite box of the lattice spanned by c and i*c:
 which makes every reduction exact integer arithmetic and gives a fixed,
 deterministic enumeration order used by all downstream sums.
 
-Everything here is pure and exact; floats never appear.
+Everything here is pure and exact; floats never appear.  The unit table
+works on int64 arrays, whose products stay exact below MAX_UNIT_NORM.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ import re as _re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -224,7 +227,7 @@ def _ext_gcd_int(x: int, y: int) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def residue_box(c: GaussianInt) -> tuple[int, int, int]:
     """(d, e, g): the lattice c*Z[i] has Hermite basis (d, 0), (e, g).
 
@@ -250,14 +253,16 @@ def reduce_mod(z: GaussianInt, c: GaussianInt) -> GaussianInt:
     return GaussianInt(x, y)
 
 
-def reduce_pair(x: int, y: int, box: tuple[int, int, int]) -> tuple[int, int]:
-    """Tuple-level reduce_mod for hot loops (same box convention)."""
+def reduce_pair(x, y, box: tuple[int, int, int]):
+    """Tuple-level reduce_mod for hot loops (same box convention).
+
+    x and y may be ints or int64 arrays; arrays are not modified.
+    """
     d, e, g = box
     k = y // g
-    x -= k * e
-    y -= k * g
-    x -= (x // d) * d
-    return x, y
+    x = x - k * e
+    y = y - k * g
+    return x - (x // d) * d, y
 
 
 def residues(c: GaussianInt) -> list[GaussianInt]:
@@ -266,18 +271,71 @@ def residues(c: GaussianInt) -> list[GaussianInt]:
     return [GaussianInt(x, y) for y in range(g) for x in range(d)]
 
 
-@lru_cache(maxsize=4096)
+#: Unit-table arithmetic multiplies box coordinates in int64; every
+#: product stays below 2 N(c)^2, which is exact for N(c) below this.
+MAX_UNIT_NORM = 2**31
+
+
+class UnitTable(NamedTuple):
+    """The unit residues of c and their inverses as read-only int64 arrays,
+    in the raster order of residues(c)."""
+
+    x: np.ndarray
+    y: np.ndarray
+    inv_x: np.ndarray
+    inv_y: np.ndarray
+
+
+@lru_cache(maxsize=1024)
+def unit_table(c: GaussianInt) -> UnitTable:
+    """Units mod c and their inverses, by exact int64 array arithmetic.
+
+    A residue a is a unit when no Gaussian prime p | c divides it, i.e.
+    when a*conj(p) is not 0 mod N(p).  The inverses are a^(phi - 1) by
+    square-and-multiply, each product reduced into the Hermite box.  For
+    a unit modulus the single class [0] is its own inverse.
+    """
+    if c.is_zero():
+        raise DomainError("zero modulus")
+    if c.norm >= MAX_UNIT_NORM:
+        raise DomainError(
+            f"modulus norm {c.norm} is too large for exact unit arithmetic "
+            f"(needs N(c) < {MAX_UNIT_NORM})"
+        )
+    box = residue_box(c)
+    d, _, g = box
+    y, x = np.divmod(np.arange(d * g, dtype=np.int64), d)
+    unit = np.ones(d * g, dtype=bool)
+    for p, _ in factor(c).factors:
+        q, n = p.gen, p.norm
+        unit &= ((x * q.re + y * q.im) % n != 0) | ((y * q.re - x * q.im) % n != 0)
+    x, y = x[unit], y[unit]
+
+    def mul(ax, ay, bx, by):
+        return reduce_pair(ax * bx - ay * by, ax * by + ay * bx, box)
+
+    inv_x, inv_y = reduce_pair(np.ones_like(x), np.zeros_like(y), box)
+    bx, by, k = x, y, len(x) - 1
+    while k:
+        if k & 1:
+            inv_x, inv_y = mul(inv_x, inv_y, bx, by)
+        bx, by = mul(bx, by, bx, by)
+        k >>= 1
+    table = UnitTable(x, y, inv_x, inv_y)
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=1024)
 def unit_residues(c: GaussianInt) -> tuple[GaussianInt, ...]:
     """Residues coprime to c, in the same deterministic order.
 
     For a unit modulus the quotient is the zero ring and its single class
     [0] counts as invertible, so the result is (0,) of length 1 = phi((1)).
     """
-    if c.is_zero():
-        raise DomainError("zero modulus")
-    if c.is_unit():
-        return (ZERO,)
-    return tuple(r for r in residues(c) if is_coprime(r, c))
+    units = unit_table(c)
+    return tuple(GaussianInt(x, y) for x, y in zip(units.x.tolist(), units.y.tolist()))
 
 
 def mod_inverse(a: GaussianInt, c: GaussianInt) -> GaussianInt:
@@ -351,7 +409,7 @@ class Factorization(NamedTuple):
         return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def factor_int(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of a positive rational integer by trial division."""
     if n <= 0:
@@ -379,7 +437,7 @@ def _sqrt_minus_one(p: int) -> int:
     raise AssertionError(f"no nonresidue found mod {p}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _gaussian_primes_above(p: int) -> tuple[GaussianInt, ...]:
     """Canonical Gaussian primes dividing the rational prime p."""
     if p == 2:
@@ -391,7 +449,7 @@ def _gaussian_primes_above(p: int) -> tuple[GaussianInt, ...]:
     return tuple(sorted({pi, canonical_associate(pi.conj())}, key=lambda z: (z.re, z.im)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def factor(z: GaussianInt) -> Factorization:
     """Factor z into a unit times canonical Gaussian prime powers."""
     if z.is_zero():

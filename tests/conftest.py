@@ -1,4 +1,5 @@
-"""Shared pytest configuration: hypothesis profile and criterion summary.
+"""Shared pytest configuration: hypothesis profile, criterion summary,
+and the moduli that the transform-engine tests draw from.
 
 The acceptance tests register one line per criterion through
 ``record_criterion``; a terminal-summary hook replays them at the end of
@@ -6,7 +7,10 @@ the run so the pass/fail state of every criterion is visible even when
 pytest captures per-test output.
 """
 
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, example, settings
+from hypothesis import strategies as st
+
+from gisieve.gauss import GaussianInt
 
 settings.register_profile(
     "suite",
@@ -33,3 +37,45 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in sorted(set(CRITERION_LINES)):
             terminalreporter.line(line)
+
+
+# ---------------------------------------------------------------------------
+# Moduli for the transform engine
+# ---------------------------------------------------------------------------
+
+
+def ramified_power(k: int) -> GaussianInt:
+    """(1+i)^k."""
+    z = GaussianInt(1, 0)
+    for _ in range(k):
+        z = z * GaussianInt(1, 1)
+    return z
+
+
+#: Moduli whose residue boxes or unit groups are unusual: g > 1 with e != 0
+#: (3+3i, 6+3i, 8+8i), the powers (1+i)^k for k <= 8 (k = 0 is the unit
+#: modulus), inert times split primes, and the unit i.
+EDGE_MODULI = (
+    GaussianInt(3, 3),
+    GaussianInt(6, 3),
+    GaussianInt(8, 8),
+    *(ramified_power(k) for k in range(9)),
+    GaussianInt(3, 6),    # 3 * (1+2i)
+    GaussianInt(14, 7),   # 7 * (2+i)
+    GaussianInt(9, 6),    # 3 * (3+2i)
+    GaussianInt(0, 1),
+)
+
+_small = st.integers(min_value=-7, max_value=7)
+
+#: Random nonzero moduli of norm <= 98 plus every edge modulus.
+engine_moduli = st.one_of(
+    st.sampled_from(EDGE_MODULI), st.builds(GaussianInt, _small, _small)
+).filter(lambda z: not z.is_zero())
+
+
+def with_edge_moduli(test):
+    """Make a hypothesis test over engine_moduli run every edge modulus."""
+    for c in EDGE_MODULI:
+        test = example(c)(test)
+    return test

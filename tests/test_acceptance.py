@@ -77,6 +77,7 @@ def test_criterion_01_prime_power_case_formulas():
 
 
 def test_criterion_02_twisted_multiplicativity():
+    t0 = time.monotonic()
     rng = np.random.default_rng(2)
     small = [i.gen for i in ideals_up_to_norm(100) if i.norm >= 2]
     pool = [i.gen for i in ideals_up_to_norm(5000) if i.norm >= 2]
@@ -96,12 +97,13 @@ def test_criterion_02_twisted_multiplicativity():
         worst = max(worst, abs(twisted_mult_residual(chi1, chi2)))
         biggest = max(biggest, c1.norm * c2.norm)
         pairs += 1
+    elapsed = time.monotonic() - t0
     passed = worst < 1e-9
     record_criterion(
         2,
         passed,
         f"twisted multiplicativity on {pairs} random coprime pairs "
-        f"(largest product norm {biggest}): worst residual {worst:.2e}",
+        f"(largest product norm {biggest}): worst residual {worst:.2e}, {elapsed:.0f}s",
     )
     assert passed, f"worst residual {worst:.2e} >= 1e-9"
 
@@ -143,12 +145,14 @@ def test_criterion_03_selberg_and_shift_identities():
 
 
 def test_criterion_04_mellin_inversion_and_parseval():
+    t0 = time.monotonic()
     results = verify_all(200.0, 1e-9, ["mellin", "parseval"])
+    elapsed = time.monotonic() - t0
     passed = all(r.passed for r in results)
     detail = ", ".join(
         f"{r.name}: {r.checked} checks, worst {r.worst:.2e}" for r in results
     )
-    record_criterion(4, passed, f"all moduli of norm <= 200: {detail}")
+    record_criterion(4, passed, f"all moduli of norm <= 200: {detail}, {elapsed:.0f}s")
     for r in results:
         assert r.passed, f"{r.name} failures: {r.failures[:5]}"
 

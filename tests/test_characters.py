@@ -3,10 +3,11 @@
 Includes an independent transform oracle (characters applied to the
 brute-force F table from test_expsums) and a frozen truth table for
 |fhat| at the powers of (1+i), where the values were established by
-that brute-force route.
+that brute-force route.  The all-at-once fhat tables and conductors are
+checked against the per-character dot product and conductor search they
+replaced.
 """
 
-import cmath
 import math
 
 import numpy as np
@@ -24,11 +25,13 @@ from gisieve.characters import (
 )
 from gisieve.expsums import f_sum_values
 from gisieve.gauss import (
+    ONE,
     DomainError,
     GaussianInt,
     GIdeal,
     UNIT_IDEAL,
     euler_phi,
+    ideal_divisors,
     ideals_up_to_norm,
     is_coprime,
     prime_power_ideals_up_to_norm,
@@ -36,7 +39,8 @@ from gisieve.gauss import (
     unit_residues,
 )
 
-from test_expsums import brute_kloosterman
+from conftest import engine_moduli, ramified_power, with_edge_moduli
+from test_expsums import _brute_f_table, _loop_f_table
 
 small = st.integers(min_value=-7, max_value=7)
 moduli = st.builds(GaussianInt, small, small).filter(lambda z: z.norm > 1)
@@ -134,6 +138,27 @@ def test_char_classes_partition():
     assert seen <= {"trivial", "primitive", "semi-primitive", "mixed"}
 
 
+def _search_conductor(chi):
+    """The first divisor d of the modulus, in ideal_divisors order, on whose
+    subgroup {a = 1 mod d} every weight of chi vanishes."""
+    grp = chi.group
+    for d in ideal_divisors(grp.modulus):
+        if all(
+            chi.weight(a) == 0 for a in grp.residues if reduce_mod(a - ONE, d.gen).is_zero()
+        ):
+            return d
+    raise AssertionError("the modulus itself always works")
+
+
+@with_edge_moduli
+@given(engine_moduli)
+def test_conductors_against_search(c):
+    grp = char_group(c)
+    assert [chi.conductor() for chi in grp.characters()] == [
+        _search_conductor(chi) for chi in grp.characters()
+    ]
+
+
 def test_conductor_factors_through():
     # the quadratic character mod (2+i) lifts to modulus (2+i)(1+i):
     # its conductor is (2+i) again
@@ -146,17 +171,6 @@ def test_conductor_factors_through():
 # ---------------------------------------------------------------------------
 # The transform against an independent oracle
 # ---------------------------------------------------------------------------
-
-
-def _brute_f_table(c):
-    """F(a; c) for unit residues a, in the library's residue order,
-    but with values assembled from the brute-force Kloosterman sum."""
-    out = []
-    for a in unit_residues(c):
-        s = brute_kloosterman(a * a, GaussianInt(1, 0), c)
-        num = 2 * (a.re * c.re + a.im * c.im)
-        out.append(s * cmath.exp(2j * cmath.pi * (num % c.norm) / c.norm))
-    return np.array(out)
 
 
 @pytest.mark.parametrize(
@@ -178,6 +192,30 @@ def test_f_hat_against_brute_force(c):
     for chi in grp.characters():
         direct = complex(np.conj(chi.values_on_residues()) @ brute / grp.order)
         assert abs(f_sum_hat(chi) - direct) < 1e-9
+
+
+@with_edge_moduli
+@given(engine_moduli)
+def test_f_hat_table_against_dot_product(c):
+    grp = char_group(c)
+    for element in (c, c.times_i()):
+        values = _loop_f_table(element)
+        table = grp.fhat_table(element)
+        for chi, got in zip(grp.characters(), table):
+            direct = complex(np.conj(chi.values_on_residues()) @ values / grp.order)
+            assert abs(got - direct) < 1e-10
+            assert f_sum_hat(chi, element=element) == got
+        assert np.max(np.abs(grp.inverse_transform(table) - values)) < 1e-10
+
+
+@given(moduli, moduli)
+def test_weights_at_matches_scalar_weight(c, k):
+    # chi evaluated at the unit residues of a multiple c*k of its modulus
+    chi = list(char_group(c).characters())[-1]
+    points = [a for a in unit_residues(c * k) if is_coprime(a, c)]
+    x = np.array([a.re for a in points], dtype=np.int64)
+    y = np.array([a.im for a in points], dtype=np.int64)
+    assert chi.weights_at(x, y).tolist() == [chi.weight(a) for a in points]
 
 
 @given(moduli, st.integers(min_value=0, max_value=3))
@@ -233,16 +271,9 @@ RAMIFIED_TRUTH = {
 }
 
 
-def _ramified_power(k):
-    z = GaussianInt(1, 0)
-    for _ in range(k):
-        z = z * GaussianInt(1, 1)
-    return z
-
-
 @pytest.mark.parametrize("k", sorted(RAMIFIED_TRUTH))
 def test_ramified_truth_table(k):
-    grp = char_group(_ramified_power(k))
+    grp = char_group(ramified_power(k))
     seen = {}
     for chi in grp.characters():
         cond = chi.conductor()
@@ -259,7 +290,7 @@ def test_ramified_nonzero_counts():
     # k = 6 has just the quadratic one of conductor exponent 2; k = 8 adds
     # the two non-quadratic characters of conductor exponent 4
     for k, expect, count, kstars in ((6, 8.0, 1, {2}), (8, 16.0, 3, {2, 4})):
-        grp = char_group(_ramified_power(k))
+        grp = char_group(ramified_power(k))
         big = [
             chi
             for chi in grp.characters()

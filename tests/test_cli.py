@@ -248,6 +248,12 @@ def test_bad_gaussian_literal(capsys):
     assert "kloosterman" in capsys.readouterr().err
 
 
+def test_modulus_too_large_for_unit_arithmetic(capsys):
+    # N(46341) = 2147488281 could overflow the int64 unit arithmetic
+    assert run(["kloosterman", "--m", "1", "--n", "1", "--c", "46341"]) == 2
+    assert "too large" in capsys.readouterr().err
+
+
 def test_bad_complex_literal(capsys):
     assert run(["bessel", "--z", "wibble"]) == 2
     assert "not a complex literal" in capsys.readouterr().err

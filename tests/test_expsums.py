@@ -2,7 +2,9 @@
 
 The brute-force oracle below shares nothing with the library internals:
 residues are found by scanning an integer box, inverses by scanning,
-and phases are assembled from integer data directly.
+and phases are assembled from integer data directly.  The F table, which
+the library builds with one FFT, is also checked against the direct
+O(phi^2) double sum that it replaced.
 """
 
 import cmath
@@ -13,7 +15,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import EDGE_MODULI, engine_moduli, with_edge_moduli
 from gisieve.expsums import (
+    _exp_table,
     e_additive,
     f_sum,
     f_sum_values,
@@ -91,6 +95,37 @@ def brute_kloosterman(m, n, c):
         num = (zm[0] + zn[0]) * c.re + (zm[1] + zn[1]) * c.im
         total += cmath.exp(2j * cmath.pi * (num % big_n) / big_n)
     return total
+
+
+def _brute_f_table(c):
+    """F(a; c) for unit residues a, in the library's residue order,
+    but with values assembled from the brute-force Kloosterman sum."""
+    out = []
+    for a in unit_residues(c):
+        s = brute_kloosterman(a * a, GaussianInt(1, 0), c)
+        num = 2 * (a.re * c.re + a.im * c.im)
+        out.append(s * cmath.exp(2j * cmath.pi * (num % c.norm) / c.norm))
+    return np.array(out)
+
+
+def _loop_f_table(c):
+    """F(a; c) for unit residues a by the direct double sum
+    S(a^2, 1; c) = sum_b e[(b a^2 + b^{-1})/c], whose exponent is
+    Re(b cbar) Re(a^2) - Im(b cbar) Im(a^2) + Re(b^{-1} cbar)  (mod N(c)),
+    with inverses from the scalar extended Euclid."""
+    units = unit_residues(c)
+    invs = [a if c.is_unit() else mod_inverse(a, c) for a in units]
+    big_n = c.norm
+    tab = _exp_table(big_n)
+    cbar = c.conj()
+    p_arr = np.array([(b * cbar).re for b in units], dtype=np.int64)
+    q_arr = np.array([(b * cbar).im for b in units], dtype=np.int64)
+    r_arr = np.array([(binv * cbar).re for binv in invs], dtype=np.int64)
+    s_arr = np.array([(a * a).re for a in units], dtype=np.int64)
+    t_arr = np.array([(a * a).im for a in units], dtype=np.int64)
+    tw_idx = np.array([(2 * (a * cbar).re) % big_n for a in units], dtype=np.int64)
+    idx = (p_arr[:, None] * s_arr[None, :] - q_arr[:, None] * t_arr[None, :] + r_arr[:, None]) % big_n
+    return tab[idx].sum(axis=0) * tab[tw_idx]
 
 
 @pytest.mark.parametrize(
@@ -188,6 +223,43 @@ def test_f_sum_values_match_scalar(c):
     assert table.shape == (len(units),)
     for idx in (0, len(units) // 2, len(units) - 1):
         assert abs(table[idx] - f_sum(units[idx], c)) < 1e-10
+
+
+@with_edge_moduli
+@given(engine_moduli)
+def test_f_table_against_loop_oracle(c):
+    table = f_sum_values(c)
+    assert not table.flags.writeable  # the cached table is shared
+    assert np.max(np.abs(table - _loop_f_table(c))) < 1e-10
+
+
+@pytest.mark.parametrize("c", [c for c in EDGE_MODULI if c.norm <= 50])
+def test_f_table_against_brute_force(c):
+    assert np.max(np.abs(f_sum_values(c) - _brute_f_table(c))) < 1e-10
+
+
+def test_f_table_accuracy_against_fsum():
+    # F at every 97th unit, summed term by term with exactly rounded math.fsum
+    c = GaussianInt(90, 27)
+    big_n = c.norm
+    units = unit_residues(c)
+    invs = [mod_inverse(b, c) for b in units]
+    cbar = c.conj()
+    table = f_sum_values(c)
+    worst = 0.0
+    for i in range(0, len(units), 97):
+        a = units[i]
+        m = a * a * cbar
+        k = np.array(
+            [((b * m).re + (binv * cbar).re) % big_n for b, binv in zip(units, invs)],
+            dtype=np.float64,
+        )
+        s = complex(
+            math.fsum(np.cos(2.0 * np.pi * k / big_n)), math.fsum(np.sin(2.0 * np.pi * k / big_n))
+        )
+        want = s * cmath.exp(2j * cmath.pi * ((2 * (a * cbar).re) % big_n) / big_n)
+        worst = max(worst, abs(table[i] - want))
+    assert worst <= 1e-11
 
 
 @given(moduli, gints)

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import engine_moduli, with_edge_moduli
+from gisieve import characters, expsums, gauss
 from gisieve.gauss import (
     DomainError,
     Factorization,
@@ -37,6 +39,7 @@ from gisieve.gauss import (
     residues,
     squarefree_split,
     unit_residues,
+    unit_table,
 )
 
 small = st.integers(min_value=-9, max_value=9)
@@ -197,6 +200,37 @@ def test_mod_inverse(c):
 def test_mod_inverse_rejects_noncoprime():
     with pytest.raises(NotInvertibleError):
         mod_inverse(GaussianInt(1, 1), GaussianInt(2, 0))
+
+
+@with_edge_moduli
+@given(engine_moduli)
+def test_unit_table_against_gcd_and_euclid(c):
+    # the numpy mask and the power-map inverses against gcd and extended Euclid
+    if c.is_unit():
+        assert unit_residues(c) == (ZERO,)
+        return
+    assert unit_residues(c) == tuple(r for r in residues(c) if is_coprime(r, c))
+    table = unit_table(c)
+    inverses = [GaussianInt(x, y) for x, y in zip(table.inv_x.tolist(), table.inv_y.tolist())]
+    assert inverses == [mod_inverse(a, c) for a in unit_residues(c)]
+
+
+def test_unit_table_rejects_norm_that_could_overflow():
+    big = GaussianInt(46341, 0)  # N = 2147488281 >= 2^31
+    assert big.norm >= gauss.MAX_UNIT_NORM
+    with pytest.raises(DomainError):
+        unit_table(big)
+
+
+def test_module_caches_are_bounded():
+    caches = {
+        f"{module.__name__}.{name}": obj
+        for module in (gauss, expsums, characters)
+        for name, obj in vars(module).items()
+        if hasattr(obj, "cache_parameters") and obj.__module__ == module.__name__
+    }
+    assert "gisieve.expsums.f_sum_values" in caches
+    assert [name for name, obj in caches.items() if obj.cache_parameters()["maxsize"] is None] == []
 
 
 # ---------------------------------------------------------------------------
