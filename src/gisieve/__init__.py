@@ -17,7 +17,6 @@ from .gauss import (
     mod_inverse,
     moebius,
     multiplicative_functions,
-    squarefree_split,
     unit_residues,
 )
 

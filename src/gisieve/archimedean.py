@@ -44,8 +44,6 @@ __all__ = [
     "reciprocal_gamma",
     "bessel_j",
     "bessel_kernel",
-    "half_trace",
-    "trace_shift",
     "kernels",
     "KernelValues",
     "plancherel_integral",
@@ -276,16 +274,6 @@ def bessel_kernel(pt: SpectralPoint, z: complex) -> float:
         ts = np.array([t])
     vals = _bessel_kernel_grid(ts, int(pt.p), z)
     return float(vals.mean())
-
-
-def half_trace(r: float, omega: float) -> complex:
-    """cosh(r) cos(omega) + i sinh(r) sin(omega) = cosh(r + i omega)."""
-    return cmath.cosh(complex(r, omega))
-
-
-def trace_shift(r: float, omega: float) -> complex:
-    """2 (half_trace(r, omega) - 1); the phase offset left after centering."""
-    return 2.0 * (half_trace(r, omega) - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +524,7 @@ def _geometric_integral(z: complex, tf: TestFunction, cfg: QuadratureConfig, wei
             r_nodes, r_wts = _panel_rule(lo, hi, n_r, cfg.gl_order)
             kv_r = kernels(tf, r_nodes, 0.0, cfg.theta_q_cut)
             cosh_r, sinh_r = np.cosh(r_nodes), np.sinh(r_nodes)
-            # phase(r, w) = 2 Re(z * half_trace) = 2(x cosh r cos w - y sinh r sin w)
+            # phase(r, w) = 2 Re(z cosh(r + iw)) = 2(x cosh r cos w - y sinh r sin w)
             n_block = max(1, _OMEGA_CHUNK // max(1, r_nodes.size))
             for s in range(0, w_nodes.size, n_block):
                 sl = slice(s, s + n_block)
@@ -564,7 +552,7 @@ def bessel_integral_deriv(
 ) -> float:
     """Kernel integral via differentiated smoothing kernels.
 
-    -iint cos(2 Re(z half_trace(r, w))) (k''(r) theta(w) + k(r) theta''(w));
+    -iint cos(2 Re(z cosh(r + iw))) (k''(r) theta(w) + k(r) theta''(w));
     valid for every z, no series restriction.
     """
     return _geometric_integral(z, tf, cfg, weighted=False)
@@ -575,7 +563,7 @@ def bessel_integral_weighted(
 ) -> float:
     """Kernel integral with the derivatives moved onto the cosine.
 
-    |2z|^2 iint cos(2 Re(z half_trace)) (sinh^2 r + sin^2 w) k theta; the
+    |2z|^2 iint cos(2 Re(z cosh(r + iw))) (sinh^2 r + sin^2 w) k theta; the
     |2z|^2 prefactor exhibits the quadratic small-z bound directly.
     """
     return _geometric_integral(z, tf, cfg, weighted=True)

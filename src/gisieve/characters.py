@@ -42,7 +42,6 @@ from .gauss import (
     UNIT_IDEAL,
     factor,
     factor_int,
-    gcd,
     ideal_divisors,
     is_coprime,
     reduce_mod,
@@ -60,7 +59,6 @@ __all__ = [
     "f_sum_hat",
     "local_prediction",
     "twisted_mult_residual",
-    "average_f_hat",
 ]
 
 
@@ -503,27 +501,3 @@ def twisted_mult_residual(chi1: DirichletChar, chi2: DirichletChar) -> complex:
         * f_sum_hat(chi2)
     )
     return complex(lhs - rhs)
-
-
-def average_f_hat(max_norm: float, gamma: float, mode: str = "trivial") -> float:
-    """sum over N(c) <= max_norm of N(c)^gamma * (|fhat| mass in `mode`).
-
-    mode='trivial' takes the trivial character of each modulus;
-    mode='semi-primitive' sums |fhat| over the semi-primitive characters.
-    Used to probe the C^{max(1+gamma, 0)} scaling experimentally.
-    """
-    from .gauss import ideals_up_to_norm
-
-    if mode not in ("trivial", "semi-primitive"):
-        raise DomainError(f"unknown mode {mode!r}")
-    total = 0.0
-    for ideal in ideals_up_to_norm(max_norm):
-        grp = char_group(ideal.gen)
-        w = float(ideal.norm) ** gamma
-        if mode == "trivial":
-            total += w * abs(f_sum_hat(grp.trivial_character()))
-        else:
-            for chi in grp.characters():
-                if chi.char_class() == "semi-primitive":
-                    total += w * abs(f_sum_hat(chi))
-    return total

@@ -45,7 +45,6 @@ from .gauss import (
 
 __all__ = [
     "e_additive",
-    "root_of_unity",
     "kloosterman",
     "f_sum",
     "f_sum_values",
@@ -64,11 +63,6 @@ def e_additive(z: complex) -> complex:
 def _exp_table(n: int) -> np.ndarray:
     """exp(2*pi*i*k/n) for k = 0..n-1; the shared root-of-unity table."""
     return np.exp(2j * np.pi * np.arange(n) / n)
-
-
-def root_of_unity(num: int, den: int) -> complex:
-    """exp(2*pi*i*num/den) via the shared table (exact modular exponent)."""
-    return complex(_exp_table(den)[num % den])
 
 
 @lru_cache(maxsize=2048)

@@ -24,7 +24,7 @@ import math
 import re as _re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -508,17 +508,6 @@ def moebius(n: GIdeal) -> int:
     return multiplicative_functions(n).mu
 
 
-def squarefree_split(d: GIdeal) -> tuple[GIdeal, GIdeal]:
-    """d = d1 * d2^2 with d1 squarefree; returns (d1, d2)."""
-    d1 = d2 = UNIT_IDEAL
-    for p, e in factor(d.gen).factors:
-        if e % 2:
-            d1 = d1 * p
-        if e // 2:
-            d2 = d2 * GIdeal.of(p.gen ** (e // 2))
-    return d1, d2
-
-
 # ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------
@@ -534,15 +523,6 @@ def ideals_up_to_norm(limit: float) -> list[GIdeal]:
         bmax = math.isqrt(int(limit) - a * a)
         out.extend(GIdeal(GaussianInt(a, b)) for b in range(bmax + 1))
     out.sort()
-    return out
-
-
-def elements_up_to_norm(limit: float) -> list[GaussianInt]:
-    """All nonzero Gaussian integers of norm <= limit (all four associates)."""
-    out = []
-    for ideal in ideals_up_to_norm(limit):
-        z = ideal.gen
-        out.extend((z, z.times_i(), -z, -z.times_i()))
     return out
 
 

@@ -28,16 +28,13 @@ required (the argument of F, the twist e[mn theta/c], the character and
 lambda values); summing over canonical associates is what makes the
 Groessencharakter parity condition moot.
 
-Randomized trials are independent jobs executed on a thread pool sized
-by SIEVE_LAB_THREADS and merged deterministically by trial index, so a
-report is a pure function of (parameters, seed).
+Randomized trials run in trial-index order, each from its own seed key,
+so a report is a pure function of (parameters, seed).
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, TypeVar
 
@@ -48,7 +45,6 @@ from .expsums import e_additive, f_sum
 from .gauss import (
     DomainError,
     GaussianInt,
-    GIdeal,
     ideals_up_to_norm,
     is_coprime,
 )
@@ -59,7 +55,6 @@ __all__ = [
     "DESK_CAPS",
     "ExperimentReport",
     "make_report",
-    "thread_count",
     "run_trials",
     "random_sign_sequence",
     "quad_form",
@@ -80,6 +75,8 @@ DESK_CAPS = {"modulus_norm": 1000.0, "sequence_norm": 100.0, "trials": 100}
 
 
 def _check_caps(force: bool, **named: float) -> None:
+    if named.get("trials", 1) < 1:
+        raise DomainError("trials must be >= 1")
     if force:
         return
     for name, value in named.items():
@@ -165,29 +162,15 @@ def make_report(
 
 
 # ---------------------------------------------------------------------------
-# Work queue
+# Trials
 # ---------------------------------------------------------------------------
 
 R = TypeVar("R")
 
 
-def thread_count() -> int:
-    """Worker count: SIEVE_LAB_THREADS if set, else a small default."""
-    env = os.environ.get("SIEVE_LAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise DomainError(f"SIEVE_LAB_THREADS = {env!r} is not an integer") from exc
-    return min(4, os.cpu_count() or 1)
-
-
 def run_trials(task: Callable[[int], R], trials: int) -> list[R]:
-    """Run task(0..trials-1) on the pool; results merged by trial index."""
-    if trials <= 0:
-        return []
-    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-        return list(pool.map(task, range(trials)))
+    """[task(0), ..., task(trials - 1)], in index order."""
+    return [task(index) for index in range(trials)]
 
 
 def random_sign_sequence(

@@ -50,7 +50,6 @@ from .archimedean import (
     TestFunction,
     _panel_rule,
     bessel_integral_weighted,
-    complex_gamma,
     plancherel_integral,
     small_z_bound_constant,
 )
@@ -76,15 +75,11 @@ __all__ = [
     "eisenstein_weight",
     "eisenstein_sieve_sum",
     "kuznetsov_geometric",
-    "gamma_factor",
-    "analytic_conductor",
     "POLE_BAND_HALF_WIDTH",
     "DEFAULT_ZETA_CUTOFF",
     "DEFAULT_WEIGHT_CUTOFF",
     "IDEAL_DENSITY",
     "ZETA_EULER_CONSTANT",
-    "CSV_HEADER",
-    "csv_row",
 ]
 
 
@@ -524,39 +519,3 @@ def kuznetsov_geometric(
     )
     tail = prefactor * 4.0 * _divisor_tail_over_ideals(float(max(c_norm_max, 0)))
     return KuznetsovGeometric(diagonal, term, tail)
-
-
-# ---------------------------------------------------------------------------
-# Gamma factors
-# ---------------------------------------------------------------------------
-
-
-def gamma_factor(s: complex, t: float, p: int) -> complex:
-    """Gamma(s) Gamma(s + it + |p|) Gamma(s - it + |p|)."""
-    return (
-        complex_gamma(complex(s))
-        * complex_gamma(complex(s) + 1j * t + abs(p))
-        * complex_gamma(complex(s) - 1j * t + abs(p))
-    )
-
-
-def analytic_conductor(s: complex, t: float, p: int) -> float:
-    """|s| * |s + it + |p|| * |s - it + |p||."""
-    s = complex(s)
-    return abs(s) * abs(s + 1j * t + abs(p)) * abs(s - 1j * t + abs(p))
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-
-CSV_HEADER = "quantity,params,value_re,value_im,error"
-
-
-def csv_row(
-    quantity: str, params: Mapping[str, object], value: complex, error: float
-) -> str:
-    """One stable CSV row: parameters serialized as sorted key=value pairs."""
-    blob = ";".join(f"{k}={params[k]}" for k in sorted(params))
-    v = complex(value)
-    return f"{quantity},{blob},{v.real!r},{v.imag!r},{float(error)!r}"

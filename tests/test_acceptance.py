@@ -34,7 +34,7 @@ from gisieve.archimedean import (
     plancherel_integral_quadrature,
 )
 from gisieve.characters import char_group, twisted_mult_residual
-from gisieve.cli import verify_all
+from gisieve.verify import verify_all
 from gisieve.expsums import selberg_residual, shift_vanishing_residual, weil_ratio
 from gisieve.gauss import GaussianInt, ideals_up_to_norm, is_coprime
 from gisieve.sievelab import (

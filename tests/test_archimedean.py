@@ -4,7 +4,6 @@ mpmath supplies the independent oracles for gamma and Bessel values;
 finite differences supply them for the kernel second derivatives.
 """
 
-import cmath
 import math
 
 import mpmath
@@ -27,13 +26,11 @@ from gisieve.archimedean import (
     bessel_j,
     bessel_kernel,
     complex_gamma,
-    half_trace,
     kernels,
     plancherel_integral,
     plancherel_integral_quadrature,
     reciprocal_gamma,
     small_z_bound_constant,
-    trace_shift,
     with_refinement_error,
 )
 
@@ -182,14 +179,6 @@ def test_test_function_validation():
     tf = TestFunction(2.0, 3.0)
     assert tf.h(0.0, 0) == pytest.approx(1.0)
     assert tf.h(2.0, 3) == pytest.approx(math.exp(-2.0))
-
-
-def test_half_trace_and_shift():
-    assert half_trace(0.7, 0.3) == pytest.approx(cmath.cosh(0.7 + 0.3j), abs=1e-15)
-    assert trace_shift(0.0, 0.0) == 0.0
-    assert trace_shift(0.5, -0.2) == pytest.approx(
-        2.0 * (cmath.cosh(0.5 - 0.2j) - 1.0), abs=1e-15
-    )
 
 
 def test_kernel_second_derivatives_by_finite_differences():

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from gisieve.characters import (
     CharGroup,
     char_group,
-    average_f_hat,
     f_sum_hat,
     local_prediction,
     twisted_mult_residual,
@@ -367,19 +366,3 @@ def test_twisted_needs_coprime():
     g = char_group(GaussianInt(2, 0))
     with pytest.raises(DomainError):
         twisted_mult_residual(g.trivial_character(), g.trivial_character())
-
-
-# ---------------------------------------------------------------------------
-# Averages
-# ---------------------------------------------------------------------------
-
-
-def test_average_f_hat_modes():
-    t0 = average_f_hat(20.0, 0.0, "trivial")
-    assert t0 > 0.0
-    s0 = average_f_hat(20.0, 0.0, "semi-primitive")
-    assert s0 >= 0.0
-    # positive gamma upweights large moduli
-    assert average_f_hat(20.0, 0.5, "trivial") > t0
-    with pytest.raises(DomainError):
-        average_f_hat(20.0, 0.0, "bogus")

@@ -259,6 +259,35 @@ def test_bad_complex_literal(capsys):
     assert "not a complex literal" in capsys.readouterr().err
 
 
+def test_zero_trials_is_domain_error(capsys):
+    assert run(["quadform", "--trials", "0"]) == 2
+    assert "gisieve quadform: trials must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["zeta", "--s", "nan"], "'nan'"),
+        (["zeta", "--s", "2", "--cutoff", "inf"], "--cutoff"),
+        (["bessel", "--z", "nan"], "'nan'"),
+        (["bessel", "--z", "1", "--T", "inf"], "--T"),
+        (["verify", "--max-norm", "nan"], "--max-norm"),
+        (["lemma-check", "--tolerance", "nan"], "--tolerance"),
+    ],
+)
+def test_non_finite_numbers_are_usage_errors(capsys, argv, named):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "finite" in err
+
+
+def test_exps_matching_no_character(capsys):
+    assert run(["charsum", "--c", "5", "--exps", "9,9"]) == 2
+    err = capsys.readouterr().err
+    assert "--exps 9,9 matches no character mod 5" in err
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert "usage:" in capsys.readouterr().out

@@ -22,7 +22,6 @@ from gisieve.expsums import (
     f_sum,
     f_sum_values,
     kloosterman,
-    root_of_unity,
     selberg_residual,
     shift_vanishing_residual,
     weil_ratio,
@@ -309,13 +308,6 @@ def test_e_additive_uses_real_part():
     assert e_additive(0.5 + 7.3j) == pytest.approx(-1.0)
     assert e_additive(1.0 + 0.0j) == pytest.approx(1.0)
     assert e_additive(0.25) == pytest.approx(1j)
-
-
-def test_root_of_unity_exact():
-    assert root_of_unity(0, 8) == 1.0 + 0.0j
-    assert root_of_unity(4, 8) == pytest.approx(-1.0)
-    assert root_of_unity(1, 8) == pytest.approx(cmath.exp(1j * cmath.pi / 4))
-    assert root_of_unity(9, 8) == root_of_unity(1, 8)  # reduced mod den
 
 
 def test_divisor_structure_used_by_selberg():

@@ -23,7 +23,6 @@ from gisieve.gauss import (
     divides,
     divisor_count,
     divmod_nearest,
-    elements_up_to_norm,
     euler_phi,
     exact_div,
     factor,
@@ -37,7 +36,6 @@ from gisieve.gauss import (
     prime_power_ideals_up_to_norm,
     reduce_mod,
     residues,
-    squarefree_split,
     unit_residues,
     unit_table,
 )
@@ -306,14 +304,6 @@ def test_phi_sum(z):
     assert sum(euler_phi(d) for d in ideal_divisors(n)) == n.norm
 
 
-@given(nonzero)
-def test_squarefree_split(z):
-    d = GIdeal.of(z)
-    d1, d2 = squarefree_split(d)
-    assert d1 * d2 * d2 == d
-    assert d1 == UNIT_IDEAL or moebius(d1) != 0
-
-
 # ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------
@@ -338,13 +328,6 @@ def test_ideals_up_to_norm(limit):
     for n in ideals:
         assert 1 <= n.norm <= limit
         assert n.gen == canonical_associate(n.gen)
-
-
-@pytest.mark.parametrize("limit", [1, 10, 100])
-def test_elements_up_to_norm(limit):
-    elems = elements_up_to_norm(limit)
-    assert len(elems) == 4 * len(ideals_up_to_norm(limit))
-    assert len(set(elems)) == len(elems)
 
 
 def test_prime_power_ideals():

@@ -1,7 +1,6 @@
 """Tests for the desk-scale experiment layer.
 
-Covers the report dataclass and its consistency guard, the trial-pool
-plumbing, random sign sequences, and the three experiment families.  The
+Covers the report dataclass and its consistency guard, the trial loop, random sign sequences, and the three experiment families.  The
 quadratic form is checked against an independent residue-level oracle
 (own Euclid gcd, own canonical-generator scan, Kloosterman sums from the
 first-principles helper in test_expsums); the hybrid sieve sum is
@@ -37,7 +36,6 @@ from gisieve.sievelab import (
     quad_form_experiment,
     random_sign_sequence,
     run_trials,
-    thread_count,
 )
 from gisieve.spectral import CoefficientSequence, eisenstein_sieve_sum
 from test_expsums import brute_kloosterman
@@ -112,31 +110,24 @@ def test_report_json_round_trip():
 # ---------------------------------------------------------------------------
 
 
-def test_thread_count_env_override(monkeypatch):
-    monkeypatch.setenv("SIEVE_LAB_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("SIEVE_LAB_THREADS", "0")
-    assert thread_count() == 1
-    monkeypatch.setenv("SIEVE_LAB_THREADS", "")
-    assert 1 <= thread_count() <= 4
-    monkeypatch.delenv("SIEVE_LAB_THREADS")
-    assert 1 <= thread_count() <= 4
-
-
-def test_thread_count_rejects_junk(monkeypatch):
-    monkeypatch.setenv("SIEVE_LAB_THREADS", "many")
-    with pytest.raises(DomainError, match="'many' is not an integer"):
-        thread_count()
-
-
-def test_run_trials_merges_in_index_order(monkeypatch):
-    monkeypatch.setenv("SIEVE_LAB_THREADS", "3")
+def test_run_trials_merges_in_index_order():
     assert run_trials(lambda i: i * i, 17) == [i * i for i in range(17)]
 
 
 def test_run_trials_empty():
     assert run_trials(lambda i: i, 0) == []
     assert run_trials(lambda i: i, -3) == []
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+@pytest.mark.parametrize("force", [False, True])
+def test_experiments_need_at_least_one_trial(trials, force):
+    with pytest.raises(DomainError, match="trials must be >= 1"):
+        quad_form_experiment(ONE, 1.0, 0.0, 2.0, 2.0, 2.0, trials, force=force)
+    with pytest.raises(DomainError, match="trials must be >= 1"):
+        hybrid_experiment(2.0, 1.0, 5.0, trials, force=force)
+    with pytest.raises(DomainError, match="trials must be >= 1"):
+        eisenstein_experiment(2.0, 1.0, 5.0, trials, force=force)
 
 
 # ---------------------------------------------------------------------------

@@ -31,17 +31,13 @@ from gisieve.gauss import (
     is_coprime,
 )
 from gisieve.spectral import (
-    CSV_HEADER,
     CoefficientSequence,
     ExcludedPointError,
     POLE_BAND_HALF_WIDTH,
     PoleError,
-    analytic_conductor,
     angular_character,
-    csv_row,
     eisenstein_sieve_sum,
     eisenstein_weight,
-    gamma_factor,
     hecke_zeta,
     kuznetsov_geometric,
     tau_s_p,
@@ -380,34 +376,3 @@ def test_kuznetsov_rejects_zero_frequency():
     tf = TestFunction(1.0, 1.0)
     with pytest.raises(DomainError):
         kuznetsov_geometric(GaussianInt(0, 0), GaussianInt(1, 0), tf, 10)
-
-
-# ---------------------------------------------------------------------------
-# Archimedean factors and reporting helpers
-# ---------------------------------------------------------------------------
-
-
-def test_gamma_factor_against_mpmath():
-    s, t, p = 0.75 + 0.1j, 1.3, 2
-    want = complex(
-        mpmath.gamma(s) * mpmath.gamma(s + 1j * t + abs(p)) * mpmath.gamma(s - 1j * t + abs(p))
-    )
-    assert gamma_factor(s, t, p) == pytest.approx(want, rel=1e-12)
-
-
-def test_analytic_conductor():
-    assert analytic_conductor(0.5, 0.0, 0) == pytest.approx(0.125)
-    assert analytic_conductor(0.5, 10.0, 0) > analytic_conductor(0.5, 1.0, 0)
-    assert analytic_conductor(0.5, 1.0, 5) > analytic_conductor(0.5, 1.0, 0)
-
-
-def test_csv_row_shape():
-    assert CSV_HEADER.split(",") == ["quantity", "params", "value_re", "value_im", "error"]
-    row = csv_row("zeta", {"s": 2.0, "p": 0}, complex(1.5, 0.0), 1e-8)
-    cells = row.split(",")
-    assert cells[0] == "zeta"
-    assert cells[1] == "p=0;s=2.0"  # parameters sorted by name
-    assert float(cells[2]) == 1.5
-    assert float(cells[4]) == 1e-8
-    # deterministic under re-rendering
-    assert row == csv_row("zeta", {"p": 0, "s": 2.0}, complex(1.5, 0.0), 1e-8)
