@@ -1,9 +1,10 @@
-"""Archimedean side: gamma, Bessel kernels, and the smoothing integrals.
+"""Archimedean side: the Bessel kernel and the smoothing integrals.
 
 Everything here is plain double-precision numerics.  The Bessel function of
-complex order is evaluated by its power series only (|z| <= 12); the two
-"geometric" representations of the kernel integral cover every large-|z|
-need, so no asymptotic expansions are required.
+complex order is evaluated by its power series only (|z| <= 12), for a
+whole array of orders at once; the two "geometric" representations of the
+kernel integral cover every large-|z| need, so no asymptotic expansions are
+required.
 
 The kernel integral of a test function exp(-(t/T)^2 - (p/P)^2) is computed
 three independent ways:
@@ -16,10 +17,11 @@ three independent ways:
                  the weight (sinh^2 r + sin^2 omega) and a |2z|^2 prefactor.
 
 The three agree to ~1e-6 relative; the weighted form makes the quadratic
-small-z bound explicit.  Oscillatory quadrature uses Gauss-Legendre panels
-graded so that each panel sees a bounded amount of phase; grading follows
-the local frequency 2|z| cosh(r), which dominates the phase derivative in
-both the r and omega directions.
+small-z bound explicit, and its constant B is the closed form of the
+weight's integral against the smoothing kernels.  Oscillatory quadrature
+uses Gauss-Legendre panels graded so that each panel sees a bounded amount
+of phase; grading follows the local frequency 2|z| cosh(r), which dominates
+the phase derivative in both the r and omega directions.
 """
 
 from __future__ import annotations
@@ -37,13 +39,8 @@ from .gauss import DomainError
 __all__ = [
     "PoleError",
     "SeriesRangeError",
-    "SpectralPoint",
     "TestFunction",
     "QuadratureConfig",
-    "complex_gamma",
-    "reciprocal_gamma",
-    "bessel_j",
-    "bessel_kernel",
     "kernels",
     "KernelValues",
     "plancherel_integral",
@@ -59,7 +56,7 @@ __all__ = [
 
 
 class PoleError(ValueError):
-    """Gamma evaluated at a non-positive integer."""
+    """A function evaluated at its pole: zeta(s, 0) at s = 1 (see spectral)."""
 
 
 class SeriesRangeError(ValueError):
@@ -68,13 +65,13 @@ class SeriesRangeError(ValueError):
 
 SERIES_RADIUS = 12.0
 
-# Spectral parameters closer to zero than this are nudged to +-T_EPS and
-# averaged; the kernel has a removable singularity at t = 0.
+# Spectral parameters closer to zero than this are nudged to T_EPS; the
+# kernel has a removable singularity at t = 0.
 T_EPS = 1e-4
 
 
 # ---------------------------------------------------------------------------
-# gamma
+# reciprocal gamma
 
 
 # Lanczos approximation, g = 607/128, 15 coefficients (Godfrey's set).
@@ -98,36 +95,6 @@ _LANCZOS_C = np.array(
         0.36899182659531622704e-5,
     ]
 )
-
-
-def _lanczos_positive(z: complex) -> complex:
-    # requires Re(z) >= 0.5
-    acc = _LANCZOS_C[0]
-    for i in range(1, 15):
-        acc += _LANCZOS_C[i] / (z - 1 + i)
-    w = z + _LANCZOS_G - 0.5
-    return math.sqrt(2.0 * math.pi) * w ** (z - 0.5) * cmath.exp(-w) * acc
-
-
-def complex_gamma(z: complex) -> complex:
-    """Gamma(z) by Lanczos approximation plus reflection (~14 digits)."""
-    z = complex(z)
-    if z.imag == 0.0 and z.real == int(z.real) and z.real <= 0.0:
-        raise PoleError(f"gamma pole at {z}")
-    if z.real >= 0.5:
-        return _lanczos_positive(z)
-    # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
-    return math.pi / (cmath.sin(math.pi * z) * _lanczos_positive(1.0 - z))
-
-
-def reciprocal_gamma(z: complex) -> complex:
-    """1/Gamma(z); entire, exactly zero at non-positive integers."""
-    z = complex(z)
-    if z.imag == 0.0 and z.real == int(z.real) and z.real <= 0.0:
-        return 0.0
-    if z.real >= 0.5:
-        return 1.0 / _lanczos_positive(z)
-    return cmath.sin(math.pi * z) * _lanczos_positive(1.0 - z) / math.pi
 
 
 def _reciprocal_gamma_array(z: np.ndarray) -> np.ndarray:
@@ -159,49 +126,6 @@ def _reciprocal_gamma_array(z: np.ndarray) -> np.ndarray:
 # Bessel functions of complex order, series regime
 
 
-def _bessel_series(mu: complex, z: complex, log_half_z: complex) -> complex:
-    """Power series sum_k (-1)^k (z/2)^(mu+2k) / (k! Gamma(mu+k+1)).
-
-    The caller supplies log(z/2) so that branch choices (needed for the
-    kernel's evenness) stay explicit.
-    """
-    term = cmath.exp(mu * log_half_z) * reciprocal_gamma(mu + 1)
-    total = term
-    ratio_num = -cmath.exp(2 * log_half_z)  # -(z/2)^2
-    quarter = abs(ratio_num)
-    for k in range(600):
-        term = term * ratio_num / ((k + 1) * (mu + k + 1))
-        total += term
-        denom = (k + 2) * abs(mu + k + 2)
-        if denom > 2.0 * quarter:
-            # geometric tail with ratio <= 1/2 from here on
-            rho = quarter / denom
-            tail = abs(term) * rho / (1.0 - rho)
-            if tail <= 1e-13 * max(abs(total), abs(term), 1e-290):
-                return total
-    raise SeriesRangeError(f"series for J_{mu}({z}) did not settle")
-
-
-def bessel_j(mu: complex, z: complex) -> complex:
-    """J_mu(z) by power series; principal branch of (z/2)^mu; |z| <= 12."""
-    mu = complex(mu)
-    z = complex(z)
-    if abs(z) > SERIES_RADIUS:
-        raise SeriesRangeError(f"|z| = {abs(z):.3f} beyond series radius")
-    if mu.imag == 0.0 and mu.real == int(mu.real):
-        m = int(mu.real)
-        if m < 0:
-            val = bessel_j(-m, z)
-            return -val if m % 2 else val
-        if z == 0:
-            return 1.0 + 0.0j if m == 0 else 0.0 + 0.0j
-    elif z == 0:
-        if mu.real > 0:
-            return 0.0 + 0.0j
-        raise DomainError("J_mu(0) undefined for Re(mu) <= 0, mu not 0")
-    return _bessel_series(mu, z, cmath.log(z / 2.0))
-
-
 def _bessel_series_array(mu: np.ndarray, z: complex, log_half_z: complex) -> np.ndarray:
     """Series evaluation for an array of orders sharing one argument."""
     mu = np.asarray(mu, dtype=complex)
@@ -227,24 +151,15 @@ def _bessel_series_array(mu: np.ndarray, z: complex, log_half_z: complex) -> np.
 # spectral kernel
 
 
-@dataclass(frozen=True)
-class SpectralPoint:
-    """A point (t, p) of the spectral plane: t real, p an integer weight."""
-
-    t: float
-    p: int
-
-
-def _kernel_from_products(a: np.ndarray, sinh_pi_t: np.ndarray) -> np.ndarray:
-    return -4.0 * math.pi**2 * a.imag / sinh_pi_t
-
-
 def _bessel_kernel_grid(t: np.ndarray, p: int, z: complex) -> np.ndarray:
     """Kernel values for an array of t at fixed integer p and argument z.
 
-    Uses J_{it+p}(z) J_{it-p}(zbar) with the zbar factor evaluated on the
-    reflected branch conj(log z); this keeps the kernel exactly even in z.
-    Entries with |t| < T_EPS must have been nudged by the caller.
+    The kernel (2 pi^2 / sin(pi it)) (J_{-it,-p}(z) - J_{it,p}(z)) is
+    evaluated in the manifestly real form
+    -4 pi^2 Im(J_{it+p}(z) J_{it-p}(zbar)) / sinh(pi t), with the zbar
+    factor on the reflected branch conj(log z); this keeps the kernel
+    exactly even in z.  Entries with |t| < T_EPS must have been nudged by
+    the caller.
     """
     lz = cmath.log(z / 2.0)
     mu1 = 1j * t + p
@@ -252,28 +167,7 @@ def _bessel_kernel_grid(t: np.ndarray, p: int, z: complex) -> np.ndarray:
     a = _bessel_series_array(mu1, z, lz) * _bessel_series_array(
         mu2, z.conjugate(), lz.conjugate()
     )
-    return _kernel_from_products(a, np.sinh(math.pi * t))
-
-
-def bessel_kernel(pt: SpectralPoint, z: complex) -> float:
-    """The real-valued Bessel kernel at spectral point (t, p), argument z.
-
-    Equals (2 pi^2 / sin(pi it)) (J_{-it,-p}(z) - J_{it,p}(z)) written in the
-    manifestly real form -4 pi^2 Im(J_{it+p}(z) J_{it-p}(zbar)) / sinh(pi t);
-    the removable singularity at t = 0 is filled by offset averaging.
-    """
-    z = complex(z)
-    if z == 0:
-        raise DomainError("kernel undefined at z = 0")
-    if abs(z) > SERIES_RADIUS:
-        raise SeriesRangeError(f"|z| = {abs(z):.3f} beyond series radius")
-    t = float(pt.t)
-    if abs(t) < T_EPS:
-        ts = np.array([T_EPS, -T_EPS])
-    else:
-        ts = np.array([t])
-    vals = _bessel_kernel_grid(ts, int(pt.p), z)
-    return float(vals.mean())
+    return -4.0 * math.pi**2 * a.imag / np.sinh(math.pi * t)
 
 
 # ---------------------------------------------------------------------------
@@ -350,19 +244,12 @@ class QuadratureConfig:
     gl_order: int = 16
 
     def __post_init__(self) -> None:
-        numeric = (
-            self.t_cut,
-            self.p_cut,
-            self.r_cut,
-            self.theta_q_cut,
-            self.t_panels,
-            self.r_base_panels,
-            self.omega_base_panels,
-            self.phase_rad_per_panel,
-            self.gl_order,
-        )
-        if any(v <= 0 for v in numeric):
-            raise DomainError("quadrature config values must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise DomainError(f"quadrature config {f.name} = {value!r} is not finite")
+            if value <= 0:
+                raise DomainError("quadrature config values must be positive")
 
     def refined(self) -> "QuadratureConfig":
         """Same truncations, every panel width halved."""
@@ -569,24 +456,14 @@ def bessel_integral_weighted(
     return _geometric_integral(z, tf, cfg, weighted=True)
 
 
-def small_z_bound_constant(
-    tf: TestFunction, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> float:
-    """B with |kernel integral(z)| <= B |z|^2 for all z (|cos| <= 1)."""
-    total = 0.0
-    for a, b, n_r, n_w in _graded_r_cells(0.0, tf, cfg):
-        w_nodes, w_wts = _panel_rule(-math.pi / 2.0, math.pi / 2.0, n_w, cfg.gl_order)
-        kv_w = kernels(tf, 0.0, w_nodes, cfg.theta_q_cut)
-        sin2 = np.sin(w_nodes) ** 2
-        for lo, hi in ((a, b), (-b, -a)):
-            r_nodes, r_wts = _panel_rule(lo, hi, n_r, cfg.gl_order)
-            kv_r = kernels(tf, r_nodes, 0.0, cfg.theta_q_cut)
-            sinh2 = np.sinh(r_nodes) ** 2
-            block = (sinh2[:, None] + sin2[None, :]) * np.multiply.outer(
-                kv_r.k, kv_w.theta
-            )
-            total += float(r_wts @ block @ w_wts)
-    return 4.0 * total
+def small_z_bound_constant(tf: TestFunction) -> float:
+    """B with |kernel integral(z)| <= B |z|^2 for all z (|cos| <= 1).
+
+    B = 4 iint (sinh^2 r + sin^2 w) k(r) theta(w) = 2 pi^2 (e^{1/T^2} - e^{-1/P^2}),
+    since k and theta each integrate to pi while k against cosh 2r gives
+    pi e^{1/T^2} and theta against cos 2w gives pi e^{-1/P^2}.
+    """
+    return 2.0 * math.pi**2 * (math.exp(1.0 / tf.T**2) - math.exp(-1.0 / tf.P**2))
 
 
 def with_refinement_error(fn, cfg: QuadratureConfig = DEFAULT_QUADRATURE):

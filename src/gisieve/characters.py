@@ -44,10 +44,8 @@ from .gauss import (
     factor_int,
     ideal_divisors,
     is_coprime,
-    reduce_mod,
     reduce_pair,
     residue_box,
-    unit_residues,
     unit_table,
 )
 
@@ -156,9 +154,9 @@ class CharGroup:
             raise DomainError("zero modulus")
         self.element = element
         self.modulus = GIdeal.of(element)
-        self.residues = unit_residues(element)
+        units = unit_table(element)
         box = residue_box(element)
-        keys = [(r.re, r.im) for r in self.residues]
+        keys = list(zip(units.x.tolist(), units.y.tolist()))
 
         def mul(u, v):
             return reduce_pair(u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0], box)
@@ -182,7 +180,6 @@ class CharGroup:
         self.exponent = math.lcm(*self.gen_orders) if gens else 1
         # dlog matrix in residue enumeration order, pre-scaled to /exponent
         scale = [self.exponent // n for n in self.gen_orders]
-        self._dlog = {k: v for k, v in table.items()}
         logs = np.array([table[k] for k in keys], dtype=np.int64).reshape(len(keys), len(gens))
         self._dlog_matrix = logs * np.array(scale, dtype=np.int64)
         # position of each residue's log vector in the C-order flattened grid
@@ -190,8 +187,9 @@ class CharGroup:
         self._flat = logs @ np.array(
             [math.prod(self.gen_orders[i + 1 :]) for i in range(len(gens))], dtype=np.int64
         )
-        units = unit_table(element)
-        self._box_index = units.y * box[0] + units.x
+        # box index y*d + x -> position in residue order, -1 off the units
+        self._position = np.full(box[0] * box[2], -1, dtype=np.int64)
+        self._position[units.y * box[0] + units.x] = np.arange(len(keys))
         self._fhat: dict[GaussianInt, np.ndarray] = {}
         self._conductors: tuple[GIdeal, ...] | None = None
 
@@ -199,13 +197,20 @@ class CharGroup:
 
     @property
     def order(self) -> int:
-        return len(self.residues)
+        return len(self._flat)
+
+    def _positions(self, x, y):
+        """Residue-order positions of the points x + iy (-1 if not coprime)."""
+        box = residue_box(self.element)
+        rx, ry = reduce_pair(x, y, box)
+        return self._position[ry * box[0] + rx]
 
     def dlog(self, z: GaussianInt) -> tuple[int, ...] | None:
         """Exponent vector of z against the stored generators, or None."""
-        r = reduce_mod(z, self.element)
-        key = (r.re, r.im)
-        return self._dlog.get(key)
+        pos = int(self._positions(z.re, z.im))
+        if pos < 0:
+            return None
+        return tuple((self._dlog_matrix[pos] * self.gen_orders // self.exponent).tolist())
 
     # -- characters ------------------------------------------------------
 
@@ -358,15 +363,10 @@ class DirichletChar:
     def weights_at(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """weight() at the points x + iy, all coprime to the modulus.
 
-        Each point is reduced into the modulus box and read from a dense
-        box-index -> weight array.
+        Each point is reduced into the modulus box and read through the
+        group's box-index -> residue-position array.
         """
-        grp = self.group
-        box = residue_box(grp.element)
-        dense = np.zeros(box[0] * box[2], dtype=np.int64)
-        dense[grp._box_index] = self._residue_weights()
-        rx, ry = reduce_pair(x, y, box)
-        return dense[ry * box[0] + rx]
+        return self._residue_weights()[self.group._positions(x, y)]
 
     # -- conductor and classification -------------------------------------
 

@@ -39,7 +39,6 @@ from .gauss import (
     moebius,
     reduce_pair,
     residue_box,
-    unit_residues,
     unit_table,
 )
 
@@ -65,28 +64,27 @@ def _exp_table(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(n) / n)
 
 
-@lru_cache(maxsize=2048)
-def _unit_pairs(c: GaussianInt) -> tuple[tuple[GaussianInt, GaussianInt], ...]:
-    """(alpha, alpha^{-1} mod c) for each unit residue, in enumeration order."""
-    units = unit_table(c)
-    inverses = zip(units.inv_x.tolist(), units.inv_y.tolist())
-    return tuple(zip(unit_residues(c), (GaussianInt(x, y) for x, y in inverses)))
-
-
 def kloosterman(m: GaussianInt, n: GaussianInt, c: GaussianInt) -> complex:
-    """S(m, n; c).  Accumulation follows the fixed residue order."""
+    """S(m, n; c).  Accumulation follows the fixed residue order.
+
+    With mc = m * conj(c) and nc = n * conj(c) reduced mod N(c), the
+    exponent of each term is Re(a mc) + Re(a^{-1} nc) mod N(c); every
+    int64 product stays below N(c)^2 < 2^62.
+    """
     if c.is_zero():
         raise DomainError("Kloosterman sum needs a nonzero modulus")
-    pairs = _unit_pairs(c)  # rejects moduli too large before the N(c)-long table is built
+    units = unit_table(c)  # rejects moduli too large before the N(c)-long table is built
     big_n = c.norm
-    tab = _exp_table(big_n)
     cbar = c.conj()
     mc = m * cbar
     nc = n * cbar
-    total = 0j
-    for a, ainv in pairs:
-        total += tab[((a * mc).re + (ainv * nc).re) % big_n]
-    return complex(total)
+    k = (
+        units.x * (mc.re % big_n)
+        - units.y * (mc.im % big_n)
+        + units.inv_x * (nc.re % big_n)
+        - units.inv_y * (nc.im % big_n)
+    ) % big_n
+    return complex(np.cumsum(_exp_table(big_n)[k])[-1])
 
 
 def f_sum(w: GaussianInt, c: GaussianInt) -> complex:

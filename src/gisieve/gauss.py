@@ -327,7 +327,6 @@ def unit_table(c: GaussianInt) -> UnitTable:
     return table
 
 
-@lru_cache(maxsize=1024)
 def unit_residues(c: GaussianInt) -> tuple[GaussianInt, ...]:
     """Residues coprime to c, in the same deterministic order.
 

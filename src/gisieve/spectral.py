@@ -120,7 +120,7 @@ def angular_character(n: GIdeal, p: int) -> complex:
     return cmath.exp(4j * p * math.atan2(g.im, g.re))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _divisor_geometry(n: GIdeal) -> tuple[np.ndarray, np.ndarray]:
     """Per divisor d of n (with e = n/d): arg(d) - arg(e) and log(N(d)/N(e)).
 
@@ -285,7 +285,7 @@ def hecke_zeta(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _weight_cached(t: float, p: int, cutoff: float) -> float:
     z = hecke_zeta(1.0 + 2j * t, 2 * p, cutoff, smoothed=True).value
     return 1.0 / abs(z) ** 2
@@ -426,16 +426,11 @@ class KuznetsovGeometric(NamedTuple):
     tail_bound: float
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2048)
 def _bessel_integral_cached(
     z: complex, tf: TestFunction, cfg: QuadratureConfig
 ) -> float:
     return bessel_integral_weighted(z, tf, cfg)
-
-
-@lru_cache(maxsize=None)
-def _small_z_constant_cached(tf: TestFunction, cfg: QuadratureConfig) -> float:
-    return small_z_bound_constant(tf, cfg)
 
 
 @lru_cache(maxsize=1)
@@ -506,7 +501,7 @@ def kuznetsov_geometric(
                 term += kloosterman(m, n, cc) / ideal.norm * bessel
     term /= 32.0 * math.pi**3
 
-    b_const = _small_z_constant_cached(tf, cfg)
+    b_const = small_z_bound_constant(tf)
     norm_g = gcd(m, n).norm
     prefactor = (
         2.0  # Weil constant

@@ -1,9 +1,13 @@
-"""Gamma, Bessel series, smoothing kernels, and the kernel integrals.
+"""Reciprocal gamma, Bessel series, smoothing kernels, and the kernel integrals.
 
-mpmath supplies the independent oracles for gamma and Bessel values;
-finite differences supply them for the kernel second derivatives.
+mpmath supplies the independent oracles for gamma and Bessel values and
+for the small-argument constant; finite differences supply them for the
+kernel second derivatives.  The gamma, Bessel and kernel tests call the
+array functions that the spectral representation runs on.
 """
 
+import cmath
+import functools
 import math
 
 import mpmath
@@ -17,19 +21,17 @@ from gisieve.archimedean import (
     DomainError,
     QuadratureConfig,
     SeriesRangeError,
-    SpectralPoint,
     T_EPS,
     TestFunction,
+    _bessel_kernel_grid,
+    _bessel_series_array,
+    _reciprocal_gamma_array,
     bessel_integral_deriv,
     bessel_integral_spectral,
     bessel_integral_weighted,
-    bessel_j,
-    bessel_kernel,
-    complex_gamma,
     kernels,
     plancherel_integral,
     plancherel_integral_quadrature,
-    reciprocal_gamma,
     small_z_bound_constant,
     with_refinement_error,
 )
@@ -40,7 +42,7 @@ finite = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
-# Gamma
+# Reciprocal gamma
 # ---------------------------------------------------------------------------
 
 GAMMA_POINTS = [
@@ -55,27 +57,30 @@ GAMMA_POINTS = [
 ]
 
 
+def _rgamma(z):
+    return complex(_reciprocal_gamma_array(np.array([z]))[0])
+
+
 @pytest.mark.parametrize("z", GAMMA_POINTS)
 def test_complex_gamma_against_mpmath(z):
-    want = complex(mpmath.gamma(z))
-    got = complex_gamma(z)
-    assert abs(got - want) <= 1e-12 * abs(want)
+    want = complex(1 / mpmath.gamma(z))
+    assert abs(_rgamma(z) - want) <= 1e-12 * abs(want)
 
 
 @pytest.mark.parametrize("z", GAMMA_POINTS)
 def test_reciprocal_gamma_consistent(z):
-    assert reciprocal_gamma(z) * complex_gamma(z) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_reciprocal_gamma_at_poles():
-    for n in range(0, 6):
-        assert reciprocal_gamma(complex(-n, 0.0)) == 0j
+    # reflection 1/(Gamma(z) Gamma(1-z)) = sin(pi z)/pi joins the two
+    # Lanczos branches (at z = 1 it checks the zero of 1/Gamma at 0)
+    both = _reciprocal_gamma_array(np.array([z, 1.0 - z]))
+    want = cmath.sin(math.pi * z) / math.pi
+    assert abs(both[0] * both[1] - want) <= 1e-12 * max(1.0, abs(want))
 
 
 @given(st.floats(min_value=0.1, max_value=20.0))
 def test_gamma_recurrence(x):
+    # 1/Gamma(z) = z/Gamma(z + 1)
     z = complex(x, 0.7)
-    assert complex_gamma(z + 1) == pytest.approx(z * complex_gamma(z), rel=1e-12)
+    assert _rgamma(z) == pytest.approx(z * _rgamma(z + 1), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -93,25 +98,35 @@ BESSEL_CASES = [
 ]
 
 
+def _bessel(mu, z):
+    """J_mu(z) for an array of orders, principal branch of (z/2)^mu."""
+    return _bessel_series_array(np.asarray(mu), z, cmath.log(z / 2.0))
+
+
 @pytest.mark.parametrize("mu,z", BESSEL_CASES)
 def test_bessel_j_against_mpmath(mu, z):
     want = complex(mpmath.besselj(mpmath.mpc(mu), mpmath.mpc(z)))
-    got = bessel_j(mu, z)
+    got = complex(_bessel([mu], z)[0])
     assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
 @pytest.mark.parametrize("mu,z", BESSEL_CASES)
 def test_bessel_recurrence(mu, z):
-    if z == 0:
-        return
-    lhs = bessel_j(mu - 1, z) + bessel_j(mu + 1, z)
-    rhs = 2.0 * mu / z * bessel_j(mu, z)
-    assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
+    # the series has 0/0 terms at negative integer orders -n; there
+    # J_{-n} = (-1)^n J_n stands in
+    orders = np.array([mu - 1, mu, mu + 1])
+    flip = (orders.imag == 0) & (orders.real < 0) & (orders.real == np.round(orders.real))
+    signs = np.where(flip, (-1.0) ** np.abs(orders.real), 1.0)
+    below, mid, above = signs * _bessel(np.where(flip, -orders, orders), z)
+    rhs = 2.0 * mu / z * mid
+    assert abs(below + above - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
 
 def test_bessel_series_range_guard():
-    with pytest.raises(SeriesRangeError):
-        bessel_j(1.0 + 0.0j, 13.0 + 0.0j)
+    # far outside SERIES_RADIUS the terms overflow before the tail test
+    # can pass, and the series gives up instead of returning a value
+    with np.errstate(all="ignore"), pytest.raises(SeriesRangeError):
+        _bessel([0.5j], 2000.0 + 0.0j)
 
 
 # ---------------------------------------------------------------------------
@@ -119,51 +134,37 @@ def test_bessel_series_range_guard():
 # ---------------------------------------------------------------------------
 
 
+def _kernel(t, p, z):
+    # the t = 0 node is nudged to T_EPS, as bessel_integral_spectral does
+    t = np.array([T_EPS if abs(t) < T_EPS else t])
+    return float(_bessel_kernel_grid(t, p, z)[0])
+
+
 @pytest.mark.parametrize("t,p", [(0.6, 0), (1.3, 2), (0.0, 1), (2.0, -3)])
 def test_kernel_even_in_z(t, p):
-    # near t = 0 the removable-singularity averaging amplifies rounding
-    # by 1/sinh(pi T_EPS), so the tolerance is looser than machine eps
-    pt = SpectralPoint(t, p)
+    # at the nudged node the 1/sinh(pi T_EPS) factor amplifies rounding,
+    # so the tolerance is looser than machine eps
     for z in (0.8 + 0.3j, 1.5 - 0.9j):
-        assert bessel_kernel(pt, z) == pytest.approx(bessel_kernel(pt, -z), abs=1e-9)
+        assert _kernel(t, p, z) == pytest.approx(_kernel(t, p, -z), abs=1e-9)
 
 
 def test_kernel_symmetries():
     # the joint flip (t, p) -> (-t, -p) and the pairing of a p-flip with
     # conjugation of z are exact; a p-flip alone needs real z
     z = 1.1 + 0.4j
-    v = bessel_kernel(SpectralPoint(0.9, 2), z)
-    assert bessel_kernel(SpectralPoint(-0.9, -2), z) == pytest.approx(v, abs=1e-12)
-    assert bessel_kernel(SpectralPoint(0.9, -2), z.conjugate()) == pytest.approx(
-        v, abs=1e-12
-    )
-    vr = bessel_kernel(SpectralPoint(0.9, 2), 1.3 + 0.0j)
-    assert bessel_kernel(SpectralPoint(0.9, -2), 1.3 + 0.0j) == pytest.approx(
-        vr, abs=1e-12
-    )
-
-
-def test_kernel_continuous_at_origin():
-    # the t = 0 value is the removable-singularity limit: it matches the
-    # symmetric average just outside the nudge window to second order
-    z = 0.7 + 0.2j
-    inside = bessel_kernel(SpectralPoint(0.0, 1), z)
-    outside = 0.5 * (
-        bessel_kernel(SpectralPoint(2.0 * T_EPS, 1), z)
-        + bessel_kernel(SpectralPoint(-2.0 * T_EPS, 1), z)
-    )
-    assert inside == pytest.approx(outside, abs=1e-6)
+    v = _kernel(0.9, 2, z)
+    assert _kernel(-0.9, -2, z) == pytest.approx(v, abs=1e-12)
+    assert _kernel(0.9, -2, z.conjugate()) == pytest.approx(v, abs=1e-12)
+    vr = _kernel(0.9, 2, 1.3 + 0.0j)
+    assert _kernel(0.9, -2, 1.3 + 0.0j) == pytest.approx(vr, abs=1e-12)
 
 
 def test_kernel_guards():
+    tf = TestFunction(1.0, 1.0)
     with pytest.raises(DomainError):
-        bessel_kernel(SpectralPoint(1.0, 0), 0.0)
+        bessel_integral_spectral(0.0, tf)
     with pytest.raises(SeriesRangeError):
-        bessel_kernel(SpectralPoint(1.0, 0), 20.0 + 0.0j)
-
-
-def test_kernel_value_is_real_float():
-    assert isinstance(bessel_kernel(SpectralPoint(0.5, 1), 1.0 + 1.0j), float)
+        bessel_integral_spectral(20.0 + 0.0j, tf)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +232,13 @@ def test_quadrature_validation():
         QuadratureConfig(t_cut=-1.0)
 
 
+@pytest.mark.parametrize("field", ["t_cut", "r_cut", "phase_rad_per_panel"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_quadrature_rejects_non_finite(field, value):
+    with pytest.raises(DomainError, match=field):
+        QuadratureConfig(**{field: value})
+
+
 # ---------------------------------------------------------------------------
 # Plancherel mass
 # ---------------------------------------------------------------------------
@@ -284,6 +292,46 @@ def test_small_z_quadratic_bound():
     assert bound > 0.0
     for z in (0.01 + 0.0j, 0.001 + 0.0005j):
         assert abs(bessel_integral_spectral(z, tf)) <= bound * abs(z) ** 2
+
+
+@functools.lru_cache(maxsize=None)
+def _radial_moments(T):
+    """(int k, int sinh^2 r k) over the line, k(r) = sqrt(pi) T exp(-(Tr)^2)."""
+    T = mpmath.mpf(T)
+
+    def k(r):
+        return mpmath.sqrt(mpmath.pi) * T * mpmath.exp(-((T * r) ** 2))
+
+    # sinh^2 r k(r) peaks near r = 1/T^2; split the line there
+    peak = 1 / T**2
+    line = [-mpmath.inf, -peak, 0, peak, mpmath.inf]
+    return mpmath.quad(k, line), mpmath.quad(lambda r: mpmath.sinh(r) ** 2 * k(r), line)
+
+
+@functools.lru_cache(maxsize=None)
+def _angular_moments(P):
+    """(int theta, int sin^2 w theta) over one period of the periodized
+    Gaussian theta(w) = sum_q sqrt(pi) P exp(-(P(w + pi q))^2)."""
+    P = mpmath.mpf(P)
+    pi = mpmath.pi
+
+    def theta(w):
+        return sum(
+            mpmath.sqrt(pi) * P * mpmath.exp(-((P * (w + pi * q)) ** 2)) for q in range(-12, 13)
+        )
+
+    period = [-pi / 2, 0, pi / 2]
+    return mpmath.quad(theta, period), mpmath.quad(lambda w: mpmath.sin(w) ** 2 * theta(w), period)
+
+
+@pytest.mark.parametrize("P", [0.5, 1.0, 2.0, 4.0])
+@pytest.mark.parametrize("T", [0.5, 1.0, 2.0, 4.0])
+def test_small_z_constant_against_mpmath(T, P):
+    # B = 4 iint (sinh^2 r + sin^2 w) k(r) theta(w) dr dw, term by term
+    k_mass, k_sinh2 = _radial_moments(T)
+    theta_mass, theta_sin2 = _angular_moments(P)
+    want = float(4 * (k_sinh2 * theta_mass + k_mass * theta_sin2))
+    assert small_z_bound_constant(TestFunction(T, P)) == pytest.approx(want, rel=1e-12)
 
 
 def test_small_z_ratio_stable():

@@ -78,10 +78,11 @@ def test_residue_orthogonality(c):
 def test_value_matrix_rows(c):
     grp = char_group(c)
     mat = grp.value_matrix()
+    units = unit_residues(c)
     for j, chi in enumerate(grp.characters()):
         assert np.allclose(mat[j], chi.values_on_residues(), atol=1e-12)
         for i in (0, grp.order - 1):
-            assert mat[j, i] == pytest.approx(chi(grp.residues[i]), abs=1e-12)
+            assert mat[j, i] == pytest.approx(chi(units[i]), abs=1e-12)
 
 
 @given(moduli)
@@ -89,7 +90,8 @@ def test_characters_multiplicative(c):
     grp = char_group(c)
     chars = list(grp.characters())
     chi = chars[len(chars) // 2]
-    a, b = grp.residues[0], grp.residues[-1]
+    units = unit_residues(c)
+    a, b = units[0], units[-1]
     assert chi(a * b) == pytest.approx(chi(a) * chi(b), abs=1e-12)
 
 
@@ -107,7 +109,7 @@ def test_group_product_and_conjugate():
     for chi in chars[:4]:
         prod = chi * chi.conjugate()  # conj(chi) = chi^{-1} on the units
         assert prod.is_trivial()
-        a = grp.residues[-1]
+        a = unit_residues(grp.element)[-1]
         assert chi.conjugate()(a) == pytest.approx(chi(a).conjugate(), abs=1e-12)
 
 
@@ -143,7 +145,9 @@ def _search_conductor(chi):
     grp = chi.group
     for d in ideal_divisors(grp.modulus):
         if all(
-            chi.weight(a) == 0 for a in grp.residues if reduce_mod(a - ONE, d.gen).is_zero()
+            chi.weight(a) == 0
+            for a in unit_residues(grp.element)
+            if reduce_mod(a - ONE, d.gen).is_zero()
         ):
             return d
     raise AssertionError("the modulus itself always works")
@@ -205,6 +209,31 @@ def test_f_hat_table_against_dot_product(c):
             assert abs(got - direct) < 1e-10
             assert f_sum_hat(chi, element=element) == got
         assert np.max(np.abs(grp.inverse_transform(table) - values)) < 1e-10
+
+
+@with_edge_moduli
+@given(engine_moduli)
+def test_dlog_reconstructs_each_unit(c):
+    # prod g_i^{v_i} = a mod c for the exponent vector v = dlog(a), by
+    # scalar Gaussian-integer arithmetic; non-units have no dlog
+    grp = char_group(c)
+    one = reduce_mod(ONE, c)
+
+    def pow_mod(g, v):
+        out = one
+        for bit in bin(v)[2:]:
+            out = reduce_mod(out * out, c)
+            if bit == "1":
+                out = reduce_mod(out * g, c)
+        return out
+
+    for a in unit_residues(c):
+        prod = one
+        for g, v in zip(grp.gen_elements, grp.dlog(a)):
+            prod = reduce_mod(prod * pow_mod(g, v), c)
+        assert prod == reduce_mod(a, c)
+    if not c.is_unit():
+        assert grp.dlog(c) is None
 
 
 @given(moduli, moduli)

@@ -230,6 +230,18 @@ def test_missing_quadrature_file_is_domain_error(capsys):
     assert "plancherel" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line,argv",
+    [("t_cut = nan", ["plancherel"]), ("r_cut = inf", ["bessel", "--z", "1"])],
+)
+def test_non_finite_quadrature_file_is_usage_error(tmp_path, capsys, line, argv):
+    path = tmp_path / "quad.txt"
+    path.write_text(line + "\n")
+    assert run([*argv, "--quadrature", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert line.split()[0] in err and "not finite" in err
+
+
 # ---------------------------------------------------------------------------
 # Usage errors
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ The brute-force oracle below shares nothing with the library internals:
 residues are found by scanning an integer box, inverses by scanning,
 and phases are assembled from integer data directly.  The F table, which
 the library builds with one FFT, is also checked against the direct
-O(phi^2) double sum that it replaced.
+O(phi^2) double sum that it replaced, and the array Kloosterman sum
+against the scalar loop that it replaced, bit for bit.
 """
 
 import cmath
@@ -36,6 +37,7 @@ from gisieve.gauss import (
     is_coprime,
     mod_inverse,
     reduce_mod,
+    residues,
     unit_residues,
 )
 
@@ -125,6 +127,37 @@ def _loop_f_table(c):
     tw_idx = np.array([(2 * (a * cbar).re) % big_n for a in units], dtype=np.int64)
     idx = (p_arr[:, None] * s_arr[None, :] - q_arr[:, None] * t_arr[None, :] + r_arr[:, None]) % big_n
     return tab[idx].sum(axis=0) * tab[tw_idx]
+
+
+def _loop_kloosterman(m, n, c):
+    """S(m, n; c) by the scalar loop over the units in raster order, with
+    inverses from the extended Euclid and each term read from the shared
+    root-of-unity table: the same additions, in the same order, as the
+    library's array sum."""
+    big_n = c.norm
+    tab = _exp_table(big_n)
+    mc = m * c.conj()
+    nc = n * c.conj()
+    total = 0j
+    for a in residues(c):
+        if not is_coprime(a, c):
+            continue
+        ainv = a if c.is_unit() else mod_inverse(a, c)
+        total += tab[((a * mc).re + (ainv * nc).re) % big_n]
+    return complex(total)
+
+
+#: Kloosterman arguments, most of norm far beyond every engine modulus, so
+#: the reduction of m*conj(c) and n*conj(c) before the int64 products counts.
+LOOP_ARGS = (GaussianInt(0, 0), GaussianInt(2, 1), GaussianInt(-123, 57), GaussianInt(250, -199))
+
+
+@with_edge_moduli
+@given(engine_moduli)
+def test_kloosterman_against_loop_oracle(c):
+    for m in LOOP_ARGS:
+        for n in LOOP_ARGS:
+            assert kloosterman(m, n, c) == _loop_kloosterman(m, n, c)
 
 
 @pytest.mark.parametrize(

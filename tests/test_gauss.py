@@ -1,13 +1,16 @@
 """Arithmetic of Z[i]: elements, ideals, factorization, enumeration."""
 
+import importlib
 import math
+import pkgutil
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import engine_moduli, with_edge_moduli
-from gisieve import characters, expsums, gauss
+import gisieve
+from gisieve import gauss
 from gisieve.gauss import (
     DomainError,
     Factorization,
@@ -221,13 +224,18 @@ def test_unit_table_rejects_norm_that_could_overflow():
 
 
 def test_module_caches_are_bounded():
+    modules = [
+        importlib.import_module(f"gisieve.{info.name}")
+        for info in pkgutil.iter_modules(gisieve.__path__)
+    ]
     caches = {
         f"{module.__name__}.{name}": obj
-        for module in (gauss, expsums, characters)
+        for module in modules
         for name, obj in vars(module).items()
         if hasattr(obj, "cache_parameters") and obj.__module__ == module.__name__
     }
     assert "gisieve.expsums.f_sum_values" in caches
+    assert "gisieve.spectral._bessel_integral_cached" in caches
     assert [name for name, obj in caches.items() if obj.cache_parameters()["maxsize"] is None] == []
 
 
