@@ -18,10 +18,17 @@ three independent ways:
 
 The three agree to ~1e-6 relative; the weighted form makes the quadratic
 small-z bound explicit, and its constant B is the closed form of the
-weight's integral against the smoothing kernels.  Oscillatory quadrature
-uses Gauss-Legendre panels graded so that each panel sees a bounded amount
-of phase; grading follows the local frequency 2|z| cosh(r), which dominates
-the phase derivative in both the r and omega directions.
+weight's integral against the smoothing kernels.
+
+In the two geometric forms the omega-integral is done in closed form: the
+periodized Gaussian theta has the exact Fourier coefficients
+exp(-(k/P)^2), and Jacobi-Anger turns its integral against the cosine
+into a short sum of J_2k at the node's amplitude 2R.  J_0..J_n of real
+argument come from Miller's backward recurrence below max(40, n + 10) and
+from Hankel's expansion of J_0, J_1 with forward recurrence above.  What
+remains is a 1-D integral over r >= 0 on Gauss-Legendre panels graded so
+that each panel sees a bounded amount of phase, following the local
+frequency 2|z| cosh(r).
 """
 
 from __future__ import annotations
@@ -127,8 +134,16 @@ def _reciprocal_gamma_array(z: np.ndarray) -> np.ndarray:
 
 
 def _bessel_series_array(mu: np.ndarray, z: complex, log_half_z: complex) -> np.ndarray:
-    """Series evaluation for an array of orders sharing one argument."""
+    """Series evaluation for an array of orders sharing one argument.
+
+    Negative integer orders are rejected: there the leading term
+    1/Gamma(mu + 1) is zero and the term ratio divides by mu + k + 1 = 0.
+    """
     mu = np.asarray(mu, dtype=complex)
+    negative_int = (mu.imag == 0) & (mu.real < 0) & (mu.real == np.round(mu.real))
+    if np.any(negative_int):
+        bad = sorted({int(v) for v in mu.real[negative_int]})
+        raise DomainError(f"Bessel series undefined at negative integer orders {bad}")
     term = np.exp(mu * log_half_z) * _reciprocal_gamma_array(mu + 1)
     total = term.copy()
     ratio_num = -cmath.exp(2 * log_half_z)
@@ -231,6 +246,11 @@ class QuadratureConfig:
     is a multiple of 1/T.  Panel counts grow automatically with the local
     oscillation 2|z| cosh(r); phase_rad_per_panel is the phase budget per
     Gauss-Legendre panel, so halving it halves every panel width.
+
+    theta_q_cut and omega_base_panels no longer act: the geometric forms
+    integrate over omega in closed form, with theta's exact Fourier
+    coefficients.  They are kept because every report prints the config
+    and --quadrature files may name them.
     """
 
     t_cut: float = 6.0
@@ -366,17 +386,19 @@ def bessel_integral_spectral(
     return total
 
 
-def _graded_r_cells(z_abs: float, tf: TestFunction, cfg: QuadratureConfig):
-    """Split [0, r_cut/T] into half-unit cells with phase-sized panel counts.
+def _graded_r_panels(z_abs: float, tf: TestFunction, cfg: QuadratureConfig):
+    """Midpoints and half-widths of the Gauss-Legendre panels on [0, r_cut/T].
 
-    Yields (a, b, n_r_panels, n_omega_panels).  Within a cell the phase rate
-    in either direction is at most 2|z| cosh(b), so panel counts proportional
-    to that rate keep the phase seen per panel bounded by the budget.
+    The range is cut into half-unit cells (in units of 1/T); within a cell
+    the phase rate is at most 2|z| cosh(b) at its right end b, so a panel
+    count proportional to that rate keeps the phase seen per panel within
+    the budget phase_rad_per_panel.
     """
     r_max = cfg.r_cut / tf.T
     cell_w = 0.5 / tf.T
     n_cells = max(1, int(math.ceil(r_max / cell_w)))
     budget = cfg.phase_rad_per_panel
+    mids, halves = [], []
     for j in range(n_cells):
         a = j * cell_w
         b = min((j + 1) * cell_w, r_max)
@@ -384,51 +406,156 @@ def _graded_r_cells(z_abs: float, tf: TestFunction, cfg: QuadratureConfig):
             continue
         rate = 2.0 * z_abs * math.cosh(b) + 1.0
         n_r = max(cfg.r_base_panels, int(math.ceil((b - a) * rate / budget)))
-        n_w = max(cfg.omega_base_panels, int(math.ceil(math.pi * rate / budget)))
-        yield a, b, n_r, n_w
+        edges = np.linspace(a, b, n_r + 1)
+        mids.append((edges[:-1] + edges[1:]) / 2.0)
+        halves.append((edges[1:] - edges[:-1]) / 2.0)
+    return np.concatenate(mids), np.concatenate(halves)
 
 
-_OMEGA_CHUNK = 1 << 22  # cap grid cells per block to bound memory
+# ---------------------------------------------------------------------------
+# Bessel J of integer order and real argument
+
+
+#: Miller's recurrence runs below max(_MILLER_MIN_X, n + 10); above it the
+#: forward recurrence from Hankel's J_0, J_1 is stable.
+_MILLER_MIN_X = 40.0
+#: Terms a_k(nu) / x^k, k < 18, of Hankel's P and Q series together; at
+#: x >= 40 the last is below 1e-19.
+_HANKEL_TERMS = 18
+#: Miller's unnormalised values are rescaled by this factor before they
+#: can overflow; each recurrence step grows them by at most 2m/x.
+_MILLER_RESCALE = 1e150
+
+
+def _bessel_j_table(n: int, x: np.ndarray) -> np.ndarray:
+    """J_0(x), ..., J_n(x) as an (n + 1, x.size) array, for real x >= 0.
+
+    Arguments below max(40, n + 10) use Miller's backward recurrence
+    (DLMF 3.6(vi)) normalised by J_0 + 2 sum_k J_2k = 1 (DLMF 10.12.4);
+    larger ones take J_0 and J_1 from Hankel's expansion (DLMF 10.17.3)
+    and recur forward, which is stable for orders below x.  Nonzero
+    arguments must exceed about 1e-140, so that one recurrence step cannot
+    overflow between rescalings.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty((n + 1, x.size))
+    small = x < max(_MILLER_MIN_X, n + 10.0)
+    if np.any(small):
+        out[:, small] = _bessel_j_miller(n, x[small])
+    if not np.all(small):
+        out[:, ~small] = _bessel_j_hankel(n, x[~small])[: n + 1]
+    return out
+
+
+def _bessel_j_miller(n: int, x: np.ndarray) -> np.ndarray:
+    top = max(n, float(np.max(x)))
+    start = 2 * ((int(top) + 20 + int(math.sqrt(40.0 * (top + 1.0)))) // 2)
+    zero = x == 0.0
+    two_over_x = 2.0 / np.where(zero, 1.0, x)
+    out = np.zeros((n + 1, x.size))
+    above = np.zeros_like(x)
+    cur = np.full_like(x, 1e-300)
+    norm = np.zeros_like(x)
+    for k in range(start, 0, -1):
+        if k <= n:
+            out[k] = cur
+        if k % 2 == 0:
+            norm += 2.0 * cur
+        above, cur = cur, k * two_over_x * cur - above
+        big = np.abs(cur) > _MILLER_RESCALE
+        if np.any(big):
+            scale = np.where(big, 1.0 / _MILLER_RESCALE, 1.0)
+            above *= scale
+            cur *= scale
+            norm *= scale
+            if k <= n:
+                out[k:] *= scale
+    out[0] = cur
+    out /= norm + cur
+    out[:, zero] = 0.0
+    out[0, zero] = 1.0
+    return out
+
+
+def _bessel_j_hankel(n: int, x: np.ndarray) -> np.ndarray:
+    out = np.empty((max(n, 1) + 1, x.size))
+    over_8x = 1.0 / (8.0 * x)
+    for nu in (0, 1):
+        # P = sum_k (-1)^k a_2k / x^2k, Q = sum_k (-1)^k a_2k+1 / x^2k+1
+        p, q = np.ones_like(x), np.zeros_like(x)
+        term = np.ones_like(x)
+        for k in range(1, _HANKEL_TERMS):
+            term = term * ((4.0 * nu * nu - (2 * k - 1) ** 2) / k) * over_8x
+            sign = 1.0 if (k // 2) % 2 == 0 else -1.0
+            if k % 2:
+                q += sign * term
+            else:
+                p += sign * term
+        chi = x - (0.5 * nu + 0.25) * math.pi
+        out[nu] = np.sqrt(2.0 / (math.pi * x)) * (p * np.cos(chi) - q * np.sin(chi))
+    for k in range(1, n):
+        out[k + 1] = (2.0 * k / x) * out[k] - out[k - 1]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the two geometric representations
+
+
+#: Bessel orders 2k for |k| <= 6.5 P + 2 keep every dropped Fourier
+#: coefficient of theta below exp(-42) < 1e-18.
+_THETA_K_PER_P = 6.5
+#: r-nodes evaluated together; bounds the (orders x nodes) Bessel table.
+_R_BLOCK = 1 << 13
 
 
 def _geometric_integral(z: complex, tf: TestFunction, cfg: QuadratureConfig, weighted: bool) -> float:
     """Common engine for the two (r, omega) representations.
 
-    weighted=True : |2z|^2 iint cos(2 Re(z tr)) (sinh^2 r + sin^2 w) k theta
-    weighted=False:      - iint cos(2 Re(z tr)) (k'' theta + k theta'')
+    weighted=True : |2z|^2 iint cos(2 Re(z cosh(r + iw))) (sinh^2 r + sin^2 w) k theta
+    weighted=False:      - iint cos(2 Re(z cosh(r + iw))) (k'' theta + k theta'')
     with omega over one period [-pi/2, pi/2) and r over the full line.
-    The integrand is not even in r alone, so both signs of r are
-    integrated explicitly, cell by cell.
+
+    The omega-integral is done in closed form.  theta has the Fourier
+    series sum_k a_k e^{2ikw} with a_k = exp(-(k/P)^2); sin^2 w theta has
+    b_k = a_k/2 - (a_{k-1} + a_{k+1})/4 and theta'' has -4k^2 a_k.  The
+    phase is 2R cos(w + phi) with R cos phi = x cosh r, R sin phi =
+    y sinh r, and Jacobi-Anger (DLMF 10.12) gives, for coefficients c_k,
+    int cos(2R cos(w + phi)) sum_k c_k e^{2ikw} dw
+        = pi sum_k c_k (-1)^k J_2|k|(2R) e^{-2ik phi}.
+    The result is even in r, so [0, r_cut/T] is integrated and doubled.
     """
     z = complex(z)
     x, y = z.real, z.imag
+    k_max = int(_THETA_K_PER_P * tf.P + 2)
+    k = np.arange(k_max + 1)
+    a_wide = np.exp(-((np.arange(-1, k_max + 2) / tf.P) ** 2))  # a_-1 .. a_{k_max+1}
+    a = a_wide[1:-1]
+    if weighted:
+        second = a / 2.0 - (a_wide[:-2] + a_wide[2:]) / 4.0
+    else:
+        second = -4.0 * k * k * a
+    # c_k and c_-k folded together: weight 1 at k = 0, 2 above, sign (-1)^k
+    coeffs = np.where(k == 0, 1.0, 2.0) * (-1.0) ** k * np.stack((a, second))
+    gl_x, gl_w = _gl_rule(cfg.gl_order)
+    mid, half = _graded_r_panels(abs(z), tf, cfg)
+    step = max(1, _R_BLOCK // cfg.gl_order)
     total = 0.0
-    for a, b, n_r, n_w in _graded_r_cells(abs(z), tf, cfg):
-        w_nodes, w_wts = _panel_rule(-math.pi / 2.0, math.pi / 2.0, n_w, cfg.gl_order)
-        kv_w = kernels(tf, 0.0, w_nodes, cfg.theta_q_cut)
-        cos_w, sin_w = np.cos(w_nodes), np.sin(w_nodes)
-        for lo, hi in ((a, b), (-b, -a)):
-            r_nodes, r_wts = _panel_rule(lo, hi, n_r, cfg.gl_order)
-            kv_r = kernels(tf, r_nodes, 0.0, cfg.theta_q_cut)
-            cosh_r, sinh_r = np.cosh(r_nodes), np.sinh(r_nodes)
-            # phase(r, w) = 2 Re(z cosh(r + iw)) = 2(x cosh r cos w - y sinh r sin w)
-            n_block = max(1, _OMEGA_CHUNK // max(1, r_nodes.size))
-            for s in range(0, w_nodes.size, n_block):
-                sl = slice(s, s + n_block)
-                phase = 2.0 * (
-                    np.multiply.outer(x * cosh_r, cos_w[sl])
-                    - np.multiply.outer(y * sinh_r, sin_w[sl])
-                )
-                integrand = np.cos(phase)
-                if weighted:
-                    integrand *= (
-                        sinh_r[:, None] ** 2 + sin_w[None, sl] ** 2
-                    ) * np.multiply.outer(kv_r.k, kv_w.theta[sl])
-                else:
-                    integrand *= np.multiply.outer(
-                        kv_r.k_dd, kv_w.theta[sl]
-                    ) + np.multiply.outer(kv_r.k, kv_w.theta_dd[sl])
-                total += float(r_wts @ integrand @ w_wts[sl])
+    for s in range(0, mid.size, step):
+        r = (mid[s : s + step, None] + half[s : s + step, None] * gl_x).ravel()
+        wts = (half[s : s + step, None] * gl_w).ravel()
+        sinh_r = np.sinh(r)
+        u, v = x * np.cosh(r), y * sinh_r
+        bessel = _bessel_j_table(2 * k_max, 2.0 * np.hypot(u, v))[::2]
+        bessel *= np.cos(np.multiply.outer(2.0 * k, np.arctan2(v, u)))
+        with_a, with_second = coeffs @ bessel
+        kv = kernels(tf, r, 0.0)
+        if weighted:
+            inner = kv.k * (sinh_r**2 * with_a + with_second)
+        else:
+            inner = kv.k_dd * with_a + kv.k * with_second
+        total += float(wts @ inner)
+    total *= 2.0 * math.pi
     if weighted:
         return 4.0 * abs(z) ** 2 * total
     return -total

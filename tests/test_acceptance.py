@@ -258,6 +258,7 @@ def test_criterion_09_dedekind_zeta_cross_check():
 
 
 def test_criterion_10_kuznetsov_geometric_side():
+    t0 = time.monotonic()
     tf = TestFunction(1.0, 1.0)
     m, n = ONE, GaussianInt(2, 1)
     k100 = kuznetsov_geometric(m, n, tf, 100)
@@ -269,13 +270,14 @@ def test_criterion_10_kuznetsov_geometric_side():
     k400 = kuznetsov_geometric(m, n, tf, 400)
     inc1 = abs(k200.kloosterman_term - k100.kloosterman_term)
     inc2 = abs(k400.kloosterman_term - k200.kloosterman_term)
+    elapsed = time.monotonic() - t0
     passed = sym <= 1e-9 and inc1 <= k100.tail_bound and inc2 <= k200.tail_bound
     record_criterion(
         10,
         passed,
         f"(m, n)-symmetry defect {sym:.2e}; increments 100->200 {inc1:.2e} "
         f"<= tail {k100.tail_bound:.2e}, 200->400 {inc2:.2e} <= tail "
-        f"{k200.tail_bound:.2e}",
+        f"{k200.tail_bound:.2e}, {elapsed:.0f}s",
     )
     assert sym <= 1e-9
     assert inc1 <= k100.tail_bound

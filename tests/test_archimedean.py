@@ -3,17 +3,20 @@
 mpmath supplies the independent oracles for gamma and Bessel values and
 for the small-argument constant; finite differences supply them for the
 kernel second derivatives.  The gamma, Bessel and kernel tests call the
-array functions that the spectral representation runs on.
+array functions that the spectral representation runs on.  The 2-D
+(r, omega) quadrature that the geometric representations replaced by a
+1-D r-integral lives here as their oracle.
 """
 
 import cmath
 import functools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gisieve.archimedean import (
@@ -23,8 +26,10 @@ from gisieve.archimedean import (
     SeriesRangeError,
     T_EPS,
     TestFunction,
+    _bessel_j_table,
     _bessel_kernel_grid,
     _bessel_series_array,
+    _panel_rule,
     _reciprocal_gamma_array,
     bessel_integral_deriv,
     bessel_integral_spectral,
@@ -120,6 +125,13 @@ def test_bessel_recurrence(mu, z):
     below, mid, above = signs * _bessel(np.where(flip, -orders, orders), z)
     rhs = 2.0 * mu / z * mid
     assert abs(below + above - rhs) <= 1e-10 * max(1.0, abs(rhs))
+
+
+@pytest.mark.parametrize("mu", [-1, -3])
+def test_bessel_series_rejects_negative_integer_orders(mu):
+    # the series would start from 1/Gamma(mu + 1) = 0 and then divide 0/0
+    with pytest.raises(DomainError, match=rf"orders \[{mu}\]"):
+        _bessel([0.5 + 1.0j, mu], 1.0 + 0.0j)
 
 
 def test_bessel_series_range_guard():
@@ -351,3 +363,128 @@ def test_with_refinement_error():
     )
     assert value == pytest.approx(plancherel_integral(tf), rel=1e-10)
     assert err < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Bessel J of integer order, and the 2-D oracle of the geometric forms
+# ---------------------------------------------------------------------------
+
+
+#: Both sides of the Miller/Hankel switch at max(40, n + 10), for n = 4
+#: (switch 40) and n = 60 (switch 70), and arguments up to 8000.
+J_ARGS = [0.0, 1e-9, 1e-3, 0.37, 2.0, 9.9, 31.4, 39.999, 40.0, 40.001, 55.5,
+          69.999, 70.0, 70.001, 123.4, 987.6, 4321.0, 8000.0]
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 60])
+def test_bessel_j_table_against_mpmath(n):
+    got = _bessel_j_table(n, np.array(J_ARGS))
+    want = np.array([[float(mpmath.besselj(k, x)) for x in J_ARGS] for k in range(n + 1)])
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
+_OMEGA_CHUNK = 1 << 22  # cap grid cells per block to bound memory
+
+
+def _graded_cells_2d(z_abs, tf, cfg):
+    """[0, r_cut/T] in half-unit cells (a, b, n_r_panels, n_omega_panels),
+    panel counts proportional to the phase rate 2|z| cosh(b) in either
+    direction."""
+    r_max = cfg.r_cut / tf.T
+    cell_w = 0.5 / tf.T
+    budget = cfg.phase_rad_per_panel
+    for j in range(max(1, int(math.ceil(r_max / cell_w)))):
+        a, b = j * cell_w, min((j + 1) * cell_w, r_max)
+        if b <= a:
+            continue
+        rate = 2.0 * z_abs * math.cosh(b) + 1.0
+        n_r = max(cfg.r_base_panels, int(math.ceil((b - a) * rate / budget)))
+        n_w = max(cfg.omega_base_panels, int(math.ceil(math.pi * rate / budget)))
+        yield a, b, n_r, n_w
+
+
+def _geometric_integral_2d(z, tf, cfg, weighted):
+    """The geometric forms by 2-D quadrature over (r, omega).
+
+    weighted=True : |2z|^2 iint cos(2 Re(z tr)) (sinh^2 r + sin^2 w) k theta
+    weighted=False:      - iint cos(2 Re(z tr)) (k'' theta + k theta'')
+    with omega over [-pi/2, pi/2) on graded Gauss-Legendre panels and both
+    signs of r integrated explicitly, cell by cell.
+    """
+    z = complex(z)
+    x, y = z.real, z.imag
+    total = 0.0
+    for a, b, n_r, n_w in _graded_cells_2d(abs(z), tf, cfg):
+        w_nodes, w_wts = _panel_rule(-math.pi / 2.0, math.pi / 2.0, n_w, cfg.gl_order)
+        kv_w = kernels(tf, 0.0, w_nodes, cfg.theta_q_cut)
+        cos_w, sin_w = np.cos(w_nodes), np.sin(w_nodes)
+        for lo, hi in ((a, b), (-b, -a)):
+            r_nodes, r_wts = _panel_rule(lo, hi, n_r, cfg.gl_order)
+            kv_r = kernels(tf, r_nodes, 0.0, cfg.theta_q_cut)
+            cosh_r, sinh_r = np.cosh(r_nodes), np.sinh(r_nodes)
+            # phase(r, w) = 2 Re(z cosh(r + iw)) = 2(x cosh r cos w - y sinh r sin w)
+            n_block = max(1, _OMEGA_CHUNK // max(1, r_nodes.size))
+            for s in range(0, w_nodes.size, n_block):
+                sl = slice(s, s + n_block)
+                phase = 2.0 * (
+                    np.multiply.outer(x * cosh_r, cos_w[sl])
+                    - np.multiply.outer(y * sinh_r, sin_w[sl])
+                )
+                integrand = np.cos(phase)
+                if weighted:
+                    integrand *= (
+                        sinh_r[:, None] ** 2 + sin_w[None, sl] ** 2
+                    ) * np.multiply.outer(kv_r.k, kv_w.theta[sl])
+                else:
+                    integrand *= np.multiply.outer(
+                        kv_r.k_dd, kv_w.theta[sl]
+                    ) + np.multiply.outer(kv_r.k, kv_w.theta_dd[sl])
+                total += float(r_wts @ integrand @ w_wts[sl])
+    if weighted:
+        return 4.0 * abs(z) ** 2 * total
+    return -total
+
+
+GEOMETRIC_FORMS = {"weighted": bessel_integral_weighted, "deriv": bessel_integral_deriv}
+
+
+@pytest.mark.parametrize("form", sorted(GEOMETRIC_FORMS))
+@settings(max_examples=12)
+@given(
+    zabs=st.floats(min_value=0.1, max_value=4.0),
+    argz=st.floats(min_value=-math.pi, max_value=math.pi),
+    T=st.floats(min_value=1.0, max_value=4.0),
+    P=st.floats(min_value=0.5, max_value=4.0),
+)
+@example(zabs=9.4, argz=0.3, T=1.0, P=1.0)
+@example(zabs=9.4, argz=-2.0, T=3.0, P=4.0)
+def test_geometric_forms_against_2d_oracle(form, zabs, argz, T, P):
+    z = zabs * cmath.exp(1j * argz)
+    tf = TestFunction(T, P)
+    want = _geometric_integral_2d(z, tf, DEFAULT_QUADRATURE, weighted=form == "weighted")
+    assert GEOMETRIC_FORMS[form](z, tf) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("form", sorted(GEOMETRIC_FORMS))
+@pytest.mark.parametrize("z", [0.3 + 0.0j, 1.0 + 1.0j, -2.5j, 4.0 + 0.0j])
+def test_geometric_forms_against_spectral_at_small_t(form, z):
+    # at T = 0.5 the r-range doubles to 12 and the 2-D oracle's
+    # omega-grid outgrows memory; the spectral form is the reference
+    tf = TestFunction(0.5, 1.5)
+    want = bessel_integral_spectral(z, tf)
+    assert GEOMETRIC_FORMS[form](z, tf) == pytest.approx(want, rel=1e-10)
+
+
+def test_geometric_forms_bounded_memory():
+    # r-nodes go through the Bessel table in blocks; one unblocked pass
+    # over the ~500k nodes at T = 0.5 peaks near 200 MiB
+    tf = TestFunction(0.5, 1.0)
+    tracemalloc.start()
+    try:
+        bessel_integral_weighted(1.0 + 0.0j, tf)
+        bessel_integral_deriv(1.0 + 0.0j, tf)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20

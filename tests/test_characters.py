@@ -16,7 +16,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gisieve.characters import (
-    CharGroup,
     char_group,
     f_sum_hat,
     local_prediction,
@@ -31,7 +30,6 @@ from gisieve.gauss import (
     UNIT_IDEAL,
     euler_phi,
     ideal_divisors,
-    ideals_up_to_norm,
     is_coprime,
     prime_power_ideals_up_to_norm,
     reduce_mod,

@@ -32,11 +32,8 @@ from gisieve.gauss import (
     GaussianInt,
     GIdeal,
     divisor_count,
-    gcd,
-    ideals_up_to_norm,
     is_coprime,
     mod_inverse,
-    reduce_mod,
     residues,
     unit_residues,
 )

@@ -7,7 +7,6 @@ through Hurwitz zetas.  The p != 0 values are checked for internal
 consistency (conjugation, cutoff stability, multiplicativity).
 """
 
-import cmath
 import math
 
 import mpmath
@@ -27,7 +26,6 @@ from gisieve.gauss import (
     GaussianInt,
     GIdeal,
     divisor_count,
-    ideals_up_to_norm,
     is_coprime,
 )
 from gisieve.spectral import (
