@@ -37,8 +37,6 @@ import cmath
 import math
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
-from typing import NamedTuple
-
 import numpy as np
 
 from .gauss import DomainError
@@ -48,8 +46,6 @@ __all__ = [
     "SeriesRangeError",
     "TestFunction",
     "QuadratureConfig",
-    "kernels",
-    "KernelValues",
     "plancherel_integral",
     "plancherel_integral_quadrature",
     "bessel_integral_spectral",
@@ -204,34 +200,11 @@ class TestFunction:
         return np.exp(-((np.asarray(t) / self.T) ** 2) - (np.asarray(p) / self.P) ** 2)
 
 
-class KernelValues(NamedTuple):
-    k: np.ndarray
-    k_dd: np.ndarray
-    theta: np.ndarray
-    theta_dd: np.ndarray
-
-
-def kernels(tf: TestFunction, r, omega, q_cut: int = 3) -> KernelValues:
-    """Radial and angular smoothing kernels with exact second derivatives.
-
-    k(r) = sqrt(pi) T exp(-(Tr)^2); theta is the same Gaussian in omega with
-    scale P, periodized over omega -> omega + pi q, |q| <= q_cut.  Both
-    integrate to pi over their domain.
-    """
-    T, P = tf.T, tf.P
-    r = np.asarray(r, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    rt = math.sqrt(math.pi)
-    k = rt * T * np.exp(-((T * r) ** 2))
-    k_dd = k * (4.0 * T**4 * r**2 - 2.0 * T**2)
-    theta = np.zeros_like(omega)
-    theta_dd = np.zeros_like(omega)
-    for q in range(-q_cut, q_cut + 1):
-        x = P * (omega + math.pi * q)
-        g = rt * P * np.exp(-(x**2))
-        theta += g
-        theta_dd += g * (4.0 * P**2 * x**2 - 2.0 * P**2)
-    return KernelValues(k, k_dd, theta, theta_dd)
+def _radial_kernel(tf: TestFunction, r: np.ndarray):
+    """k(r) = sqrt(pi) T exp(-(Tr)^2), which integrates to pi, and k''(r)."""
+    T = tf.T
+    k = math.sqrt(math.pi) * T * np.exp(-((T * r) ** 2))
+    return k, k * (4.0 * T**4 * r**2 - 2.0 * T**2)
 
 
 # ---------------------------------------------------------------------------
@@ -245,21 +218,16 @@ class QuadratureConfig:
     Cuts are in natural units: t_cut, p_cut are multiples of T and P, r_cut
     is a multiple of 1/T.  Panel counts grow automatically with the local
     oscillation 2|z| cosh(r); phase_rad_per_panel is the phase budget per
-    Gauss-Legendre panel, so halving it halves every panel width.
-
-    theta_q_cut and omega_base_panels no longer act: the geometric forms
-    integrate over omega in closed form, with theta's exact Fourier
-    coefficients.  They are kept because every report prints the config
-    and --quadrature files may name them.
+    Gauss-Legendre panel, so halving it halves every panel width.  The
+    omega-integral of the geometric forms is done in closed form and needs
+    no knob.
     """
 
     t_cut: float = 6.0
     p_cut: float = 6.0
     r_cut: float = 6.0
-    theta_q_cut: int = 3
     t_panels: int = 24
     r_base_panels: int = 1
-    omega_base_panels: int = 4
     phase_rad_per_panel: float = 8.0
     gl_order: int = 16
 
@@ -277,7 +245,6 @@ class QuadratureConfig:
             self,
             t_panels=2 * self.t_panels,
             r_base_panels=2 * self.r_base_panels,
-            omega_base_panels=2 * self.omega_base_panels,
             phase_rad_per_panel=self.phase_rad_per_panel / 2.0,
         )
 
@@ -514,7 +481,9 @@ def _geometric_integral(z: complex, tf: TestFunction, cfg: QuadratureConfig, wei
 
     weighted=True : |2z|^2 iint cos(2 Re(z cosh(r + iw))) (sinh^2 r + sin^2 w) k theta
     weighted=False:      - iint cos(2 Re(z cosh(r + iw))) (k'' theta + k theta'')
-    with omega over one period [-pi/2, pi/2) and r over the full line.
+    with omega over one period [-pi/2, pi/2) and r over the full line, k the
+    radial kernel and theta(w) = sqrt(pi) P sum_q exp(-(P(w + pi q))^2) the
+    periodized Gaussian; each integrates to pi.
 
     The omega-integral is done in closed form.  theta has the Fourier
     series sum_k a_k e^{2ikw} with a_k = exp(-(k/P)^2); sin^2 w theta has
@@ -549,11 +518,11 @@ def _geometric_integral(z: complex, tf: TestFunction, cfg: QuadratureConfig, wei
         bessel = _bessel_j_table(2 * k_max, 2.0 * np.hypot(u, v))[::2]
         bessel *= np.cos(np.multiply.outer(2.0 * k, np.arctan2(v, u)))
         with_a, with_second = coeffs @ bessel
-        kv = kernels(tf, r, 0.0)
+        k_r, k_r_dd = _radial_kernel(tf, r)
         if weighted:
-            inner = kv.k * (sinh_r**2 * with_a + with_second)
+            inner = k_r * (sinh_r**2 * with_a + with_second)
         else:
-            inner = kv.k_dd * with_a + kv.k * with_second
+            inner = k_r_dd * with_a + k_r * with_second
         total += float(wts @ inner)
     total *= 2.0 * math.pi
     if weighted:

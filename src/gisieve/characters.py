@@ -220,9 +220,6 @@ class CharGroup:
         exps = tuple(a % n for a, n in zip(exps, self.gen_orders))
         return DirichletChar(self, exps)
 
-    def trivial_character(self) -> "DirichletChar":
-        return DirichletChar(self, (0,) * len(self.gen_orders))
-
     def characters(self) -> Iterator["DirichletChar"]:
         """All phi(c) characters, exponent vectors in lexicographic order."""
         for exps in itertools.product(*(range(n) for n in self.gen_orders)):
@@ -317,19 +314,6 @@ class DirichletChar:
         self.group = group
         self.exps = exps
 
-    # -- algebra ----------------------------------------------------------
-
-    def __mul__(self, other: "DirichletChar") -> "DirichletChar":
-        if other.group is not self.group:
-            raise DomainError("characters live on different groups")
-        return self.group.character(tuple(a + b for a, b in zip(self.exps, other.exps)))
-
-    def conjugate(self) -> "DirichletChar":
-        return self.group.character(tuple(-a for a in self.exps))
-
-    def is_trivial(self) -> bool:
-        return all(a == 0 for a in self.exps)
-
     def is_quadratic_or_trivial(self) -> bool:
         """Whether chi^2 is the trivial character."""
         return all((2 * a) % n == 0 for a, n in zip(self.exps, self.group.gen_orders))
@@ -356,9 +340,6 @@ class DirichletChar:
     def _residue_weights(self) -> np.ndarray:
         L = self.group.exponent
         return (self.group._dlog_matrix @ np.array(self.exps, dtype=np.int64)) % L
-
-    def values_on_residues(self) -> np.ndarray:
-        return _exp_table(self.group.exponent)[self._residue_weights()]
 
     def weights_at(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """weight() at the points x + iy, all coprime to the modulus.

@@ -146,7 +146,6 @@ class GaussianInt:
 ZERO = GaussianInt(0, 0)
 ONE = GaussianInt(1, 0)
 I = GaussianInt(0, 1)
-UNITS = (ONE, I, -ONE, GaussianInt(0, -1))
 
 
 def canonical_associate(z: GaussianInt) -> GaussianInt:

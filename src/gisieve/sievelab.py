@@ -74,18 +74,14 @@ EPSILON = 0.1
 DESK_CAPS = {"modulus_norm": 1000.0, "sequence_norm": 100.0, "trials": 100}
 
 
-def _check_caps(force: bool, **named: float) -> None:
-    if named.get("trials", 1) < 1:
-        raise DomainError("trials must be >= 1")
+def _check_caps(force: bool, *limits: tuple[str, float, float]) -> None:
+    """Reject any (label, value, cap) whose value exceeds its cap."""
     if force:
         return
-    for name, value in named.items():
-        cap = DESK_CAPS["trials"] if name == "trials" else (
-            DESK_CAPS["modulus_norm"] if name in ("C",) else DESK_CAPS["sequence_norm"]
-        )
+    for label, value, cap in limits:
         if value > cap:
             raise DomainError(
-                f"{name} = {value} exceeds the desk-scale cap {cap}; "
+                f"{label} = {value} exceeds the desk-scale cap {cap}; "
                 "pass force=True to run anyway"
             )
 
@@ -97,20 +93,19 @@ def _check_caps(force: bool, **named: float) -> None:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """One experiment outcome; ratio = lhs / rhs_bound, 0 if rhs is 0."""
+    """One experiment outcome."""
 
     experiment: str
     parameters: tuple[tuple[str, str], ...]
     lhs: float
     rhs_bound: float
-    ratio: float
     trials: int
     seed: int
 
-    def __post_init__(self) -> None:
-        want = self.lhs / self.rhs_bound if self.rhs_bound > 0 else 0.0
-        if not math.isclose(self.ratio, want, rel_tol=1e-12, abs_tol=1e-300):
-            raise DomainError("report ratio does not equal lhs/rhs_bound")
+    @property
+    def ratio(self) -> float:
+        """lhs / rhs_bound, 0 if rhs_bound is 0."""
+        return self.lhs / self.rhs_bound if self.rhs_bound > 0 else 0.0
 
     def csv_header(self) -> str:
         names = ",".join(name for name, _ in self.parameters)
@@ -149,13 +144,11 @@ def make_report(
     trials: int,
     seed: int,
 ) -> ExperimentReport:
-    ratio = lhs / rhs_bound if rhs_bound > 0 else 0.0
     return ExperimentReport(
         experiment,
         tuple((k, _render(v)) for k, v in parameters.items()),
         lhs,
         rhs_bound,
-        ratio,
         trials,
         seed,
     )
@@ -171,6 +164,19 @@ R = TypeVar("R")
 def run_trials(task: Callable[[int], R], trials: int) -> list[R]:
     """[task(0), ..., task(trials - 1)], in index order."""
     return [task(index) for index in range(trials)]
+
+
+def _worst_trial(
+    experiment: str, one: Callable[[int], ExperimentReport], trials: int, seed: int
+) -> ExperimentReport:
+    """The trial of largest ratio (the first of any ties), stamped with
+    the number of trials and the seed."""
+    if trials < 1:
+        raise DomainError("trials must be >= 1")
+    worst = max(run_trials(one, trials), key=lambda rep: rep.ratio)
+    return make_report(
+        experiment, dict(worst.parameters), worst.lhs, worst.rhs_bound, trials, seed
+    )
 
 
 def random_sign_sequence(
@@ -225,7 +231,12 @@ def quad_form(
         raise DomainError("quad_form requires theta != 0")
     if min(C, M, N) < 0.5:
         raise DomainError("quad_form requires C, M, N >= 1/2")
-    _check_caps(force, C=2 * C, M=M, N=N)
+    _check_caps(
+        force,
+        ("2C", 2 * C, DESK_CAPS["modulus_norm"]),
+        ("M", M, DESK_CAPS["sequence_norm"]),
+        ("N", N, DESK_CAPS["sequence_norm"]),
+    )
     _window_check(a, M, 2 * M, "a")
     _window_check(b, N, 2 * N, "b")
     moduli = [ideal.gen for ideal in ideals_up_to_norm(2 * C) if ideal.norm > C]
@@ -262,7 +273,6 @@ def quad_form_bound_ratio(
     N: float,
     a: CoefficientSequence,
     b: CoefficientSequence,
-    seed: int = 0,
     *,
     force: bool = False,
 ) -> ExperimentReport:
@@ -278,7 +288,7 @@ def quad_form_bound_ratio(
         * b.l2_norm()
     )
     params = {"d": d, "theta": complex(theta), "gamma": gamma, "C": C, "M": M, "N": N}
-    return make_report("quad_form", params, lhs, rhs, 1, seed)
+    return make_report("quad_form", params, lhs, rhs, 1, 0)
 
 
 def quad_form_experiment(
@@ -294,18 +304,14 @@ def quad_form_experiment(
     force: bool = False,
 ) -> ExperimentReport:
     """Max ratio over random +-1 sequence pairs; reports the worst trial."""
-    _check_caps(force, trials=trials)
+    _check_caps(force, ("trials", trials, DESK_CAPS["trials"]))
 
     def one(index: int) -> ExperimentReport:
         a = random_sign_sequence((M, 2 * M), [seed, 2 * index])
         b = random_sign_sequence((N, 2 * N), [seed, 2 * index + 1])
-        return quad_form_bound_ratio(d, theta, gamma, C, M, N, a, b, seed, force=force)
+        return quad_form_bound_ratio(d, theta, gamma, C, M, N, a, b, force=force)
 
-    worst = max(run_trials(one, trials), key=lambda rep: rep.ratio)
-    params = dict(worst.parameters)
-    return make_report(
-        "quad_form", params, worst.lhs, worst.rhs_bound, trials, seed
-    )
+    return _worst_trial("quad_form", one, trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +331,7 @@ def hybrid_lhs(C: float, T: float, a: CoefficientSequence, *, force: bool = Fals
     """
     if C < 1 or T < 1:
         raise DomainError("hybrid_lhs requires C, T >= 1")
-    _check_caps(force, C=C)
+    _check_caps(force, ("C", C, DESK_CAPS["modulus_norm"]))
     gens = [ideal.gen for ideal, coeff in a.entries if coeff != 0]
     coeffs = np.array([coeff for _, coeff in a.entries if coeff != 0])
     if len(gens) == 0:
@@ -352,7 +358,7 @@ def hybrid_lhs(C: float, T: float, a: CoefficientSequence, *, force: bool = Fals
 
 
 def hybrid_ratio(
-    C: float, T: float, a: CoefficientSequence, seed: int = 0, *, force: bool = False
+    C: float, T: float, a: CoefficientSequence, *, force: bool = False
 ) -> ExperimentReport:
     """hybrid_lhs against (C^2 T^2 + N)(CT)^eps sum|a|^2, N the window top."""
     lhs = hybrid_lhs(C, T, a, force=force)
@@ -360,7 +366,7 @@ def hybrid_ratio(
     norm_sq = sum(abs(v) ** 2 for _, v in a.entries)
     rhs = (C**2 * T**2 + N) * (C * T) ** EPSILON * norm_sq
     params = {"C": C, "T": T, "N": N}
-    return make_report("hybrid", params, lhs, rhs, 1, seed)
+    return make_report("hybrid", params, lhs, rhs, 1, 0)
 
 
 def hybrid_experiment(
@@ -373,16 +379,15 @@ def hybrid_experiment(
     force: bool = False,
 ) -> ExperimentReport:
     """Max hybrid ratio over random +-1 sequences supported on [1, N]."""
-    _check_caps(force, trials=trials, N=N)
+    _check_caps(
+        force, ("trials", trials, DESK_CAPS["trials"]), ("N", N, DESK_CAPS["sequence_norm"])
+    )
 
     def one(index: int) -> ExperimentReport:
         a = random_sign_sequence((0, N), [seed, index])
-        return hybrid_ratio(C, T, a, seed, force=force)
+        return hybrid_ratio(C, T, a, force=force)
 
-    worst = max(run_trials(one, trials), key=lambda rep: rep.ratio)
-    return make_report(
-        "hybrid", dict(worst.parameters), worst.lhs, worst.rhs_bound, trials, seed
-    )
+    return _worst_trial("hybrid", one, trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +395,7 @@ def hybrid_experiment(
 # ---------------------------------------------------------------------------
 
 
-def eisenstein_ratio(
-    T: float, P: float, a: CoefficientSequence, seed: int = 0
-) -> ExperimentReport:
+def eisenstein_ratio(T: float, P: float, a: CoefficientSequence) -> ExperimentReport:
     """eisenstein_sieve_sum(a, T, P) against the square-coefficient bound
     {TP(T^2+P^2) + TPN + ((T^2+P^2)/TP)(1/T^2+1/P^2)N^2}(TPN)^eps sum|a|^2."""
     lhs = eisenstein_sieve_sum(a, T, P) if not a.is_zero() else 0.0
@@ -408,7 +411,7 @@ def eisenstein_ratio(
         * norm_sq
     )
     params = {"T": T, "P": P, "N": N}
-    return make_report("eisenstein", params, lhs, rhs, 1, seed)
+    return make_report("eisenstein", params, lhs, rhs, 1, 0)
 
 
 def eisenstein_experiment(
@@ -421,13 +424,12 @@ def eisenstein_experiment(
     force: bool = False,
 ) -> ExperimentReport:
     """Max Eisenstein ratio over random +-1 sequences supported on [1, N]."""
-    _check_caps(force, trials=trials, N=N)
+    _check_caps(
+        force, ("trials", trials, DESK_CAPS["trials"]), ("N", N, DESK_CAPS["sequence_norm"])
+    )
 
     def one(index: int) -> ExperimentReport:
         a = random_sign_sequence((0, N), [seed, index])
-        return eisenstein_ratio(T, P, a, seed)
+        return eisenstein_ratio(T, P, a)
 
-    worst = max(run_trials(one, trials), key=lambda rep: rep.ratio)
-    return make_report(
-        "eisenstein", dict(worst.parameters), worst.lhs, worst.rhs_bound, trials, seed
-    )
+    return _worst_trial("eisenstein", one, trials, seed)

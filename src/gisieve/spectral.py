@@ -39,7 +39,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,7 +69,6 @@ __all__ = [
     "CoefficientSequence",
     "HeckeZetaValue",
     "KuznetsovGeometric",
-    "angular_character",
     "tau_s_p",
     "hecke_zeta",
     "eisenstein_weight",
@@ -110,14 +109,8 @@ ZETA_EULER_CONSTANT = 0.6462454398948133
 
 
 # ---------------------------------------------------------------------------
-# Angular characters and twisted divisor sums
+# Twisted divisor sums
 # ---------------------------------------------------------------------------
-
-
-def angular_character(n: GIdeal, p: int) -> complex:
-    """lambda_{4p}(n) = (z/|z|)^{4p} for any generator z of n."""
-    g = n.gen
-    return cmath.exp(4j * p * math.atan2(g.im, g.re))
 
 
 @lru_cache(maxsize=1024)
@@ -156,6 +149,10 @@ def tau_s_p(n: GIdeal, s: complex, p: int) -> complex:
 class HeckeZetaValue(NamedTuple):
     value: complex
     tail_estimate: float
+
+
+#: Order kappa of the Cesaro weights (1 - N(n)/X)^kappa of smoothed zeta.
+_CESARO_ORDER = 3
 
 
 def _lattice_partial(s: complex, p: int, cutoff: float, cesaro_order: int) -> complex:
@@ -227,12 +224,19 @@ def _cesaro_pole_term(s: complex, cutoff: float, order: int) -> complex:
     return IDEAL_DENSITY * cutoff**u * math.factorial(order) / denom
 
 
+def _smoothed_zeta(s: complex, p: int, cutoff: float) -> complex:
+    """Cesaro-smoothed partial sum at one cutoff, p = 0 pole term removed."""
+    value = _lattice_partial(s, p, cutoff, _CESARO_ORDER)
+    if p == 0:
+        value -= _cesaro_pole_term(s, cutoff, _CESARO_ORDER)
+    return value
+
+
 def hecke_zeta(
     s: complex,
     p: int,
     cutoff: float = DEFAULT_ZETA_CUTOFF,
     smoothed: bool = False,
-    cesaro_order: int = 3,
 ) -> HeckeZetaValue:
     """zeta(s, p) = sum over ideals of lambda_{4p}(n) / N(n)^s.
 
@@ -243,7 +247,7 @@ def hecke_zeta(
     infinite tail_estimate — use smoothed mode there.
 
     Smoothed mode (the omega(t,p) use case, Re(s) = 1): Cesaro weights
-    (1 - N/X)^order damp the conditional convergence; for p = 0 the
+    (1 - N/X)^3 damp the conditional convergence; for p = 0 the
     closed-form pole contribution is subtracted.  tail_estimate is the
     observed change when the cutoff is halved.
 
@@ -269,14 +273,8 @@ def hecke_zeta(
             tail = math.inf
         return HeckeZetaValue(value, tail)
 
-    def corrected(x: float) -> complex:
-        val = _lattice_partial(s, p, x, cesaro_order)
-        if p == 0:
-            val -= _cesaro_pole_term(s, x, cesaro_order)
-        return val
-
-    value = corrected(cutoff)
-    tail = abs(value - corrected(cutoff / 2.0))
+    value = _smoothed_zeta(s, p, cutoff)
+    tail = abs(value - _smoothed_zeta(s, p, cutoff / 2.0))
     return HeckeZetaValue(value, tail)
 
 
@@ -287,8 +285,9 @@ def hecke_zeta(
 
 @lru_cache(maxsize=4096)
 def _weight_cached(t: float, p: int, cutoff: float) -> float:
-    z = hecke_zeta(1.0 + 2j * t, 2 * p, cutoff, smoothed=True).value
-    return 1.0 / abs(z) ** 2
+    if cutoff < 4:
+        raise DomainError("cutoff too small to say anything")
+    return 1.0 / abs(_smoothed_zeta(1.0 + 2j * t, 2 * p, cutoff)) ** 2
 
 
 def eisenstein_weight(t: float, p: int, cutoff: float = DEFAULT_WEIGHT_CUTOFF) -> float:
@@ -328,21 +327,6 @@ class CoefficientSequence:
                     f"ideal {ideal} of norm {ideal.norm} outside ({lo}, {hi}]"
                 )
 
-    @classmethod
-    def from_dict(
-        cls,
-        coeffs: Mapping[GIdeal, complex] | Iterable[tuple[GIdeal, complex]],
-        norm_window: tuple[float, float] | None = None,
-    ) -> "CoefficientSequence":
-        items = dict(coeffs)
-        entries = tuple(
-            (ideal, complex(items[ideal])) for ideal in sorted(items)
-        )
-        if norm_window is None:
-            hi = max((ideal.norm for ideal, _ in entries), default=1)
-            norm_window = (0, hi)
-        return cls(entries, norm_window)
-
     def l2_norm(self) -> float:
         return math.sqrt(sum(abs(v) ** 2 for _, v in self.entries))
 
@@ -371,21 +355,25 @@ def _sieve_linear_form(
     return out
 
 
+#: Radians of the fastest phase per t-panel, and Gauss-Legendre nodes per
+#: panel, of the sieve sum's t-quadrature.
+_SIEVE_PHASE_BUDGET = 6.0
+_SIEVE_GL_ORDER = 16
+
+
 def eisenstein_sieve_sum(
     a: CoefficientSequence,
     T: float,
     P: float,
     *,
     weight_cutoff: float = DEFAULT_WEIGHT_CUTOFF,
-    phase_budget: float = 6.0,
-    gl_order: int = 16,
 ) -> float:
     """Integral over |t| <= T/2, sum over |p| <= floor(P/4), of
-    omega(t, p) |sum_n a_(n) tau_{it,p}(n^2)|^2.
+    omega(t, p) |sum_n a_(n) tau_{it,p}(n^2)|^2, with omega at weight_cutoff.
 
-    The t-quadrature uses Gauss-Legendre panels sized so that the fastest
-    divisor-sum phase (rate 2 log N(n_max) per unit t) advances at most
-    phase_budget radians per panel.  The band |t| < POLE_BAND_HALF_WIDTH is
+    The t-quadrature uses 16-point Gauss-Legendre panels sized so that the
+    fastest divisor-sum phase (rate 2 log N(n_max) per unit t) advances at
+    most 6 radians per panel.  The band |t| < POLE_BAND_HALF_WIDTH is
     excluded at p = 0.  Nonnegative; nondecreasing in T and in P.
     """
     if T < 0.5 or P < 0.5:
@@ -405,8 +393,8 @@ def eisenstein_sieve_sum(
         for lo, hi in intervals:
             if hi <= lo:
                 continue
-            n_panels = max(2, math.ceil((hi - lo) * rate / phase_budget))
-            nodes, wts = _panel_rule(lo, hi, n_panels, gl_order)
+            n_panels = max(2, math.ceil((hi - lo) * rate / _SIEVE_PHASE_BUDGET))
+            nodes, wts = _panel_rule(lo, hi, n_panels, _SIEVE_GL_ORDER)
             form = _sieve_linear_form(a, nodes, p)
             weights = np.array(
                 [_weight_cached(float(t), p, float(weight_cutoff)) for t in nodes]

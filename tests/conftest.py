@@ -1,5 +1,6 @@
 """Shared pytest configuration: hypothesis profile, criterion summary,
-and the moduli that the transform-engine tests draw from.
+the moduli that the transform-engine tests draw from, and a builder for
+coefficient sequences.
 
 The acceptance tests register one line per criterion through
 ``record_criterion``; a terminal-summary hook replays them at the end of
@@ -11,6 +12,7 @@ from hypothesis import HealthCheck, example, settings
 from hypothesis import strategies as st
 
 from gisieve.gauss import GaussianInt
+from gisieve.spectral import CoefficientSequence
 
 settings.register_profile(
     "suite",
@@ -79,3 +81,17 @@ def with_edge_moduli(test):
     for c in EDGE_MODULI:
         test = example(c)(test)
     return test
+
+
+# ---------------------------------------------------------------------------
+# Coefficient sequences
+# ---------------------------------------------------------------------------
+
+
+def make_sequence(coeffs, norm_window=None) -> CoefficientSequence:
+    """The sequence of an {ideal: coefficient} map, entries sorted by ideal;
+    the default window is [1, largest norm]."""
+    entries = tuple((ideal, complex(coeffs[ideal])) for ideal in sorted(coeffs))
+    if norm_window is None:
+        norm_window = (0, max((ideal.norm for ideal, _ in entries), default=1))
+    return CoefficientSequence(entries, norm_window)

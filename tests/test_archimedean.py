@@ -5,10 +5,12 @@ for the small-argument constant; finite differences supply them for the
 kernel second derivatives.  The gamma, Bessel and kernel tests call the
 array functions that the spectral representation runs on.  The 2-D
 (r, omega) quadrature that the geometric representations replaced by a
-1-D r-integral lives here as their oracle.
+1-D r-integral lives here as their oracle, with the periodized angular
+kernel theta that it integrates against.
 """
 
 import cmath
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -30,11 +32,11 @@ from gisieve.archimedean import (
     _bessel_kernel_grid,
     _bessel_series_array,
     _panel_rule,
+    _radial_kernel,
     _reciprocal_gamma_array,
     bessel_integral_deriv,
     bessel_integral_spectral,
     bessel_integral_weighted,
-    kernels,
     plancherel_integral,
     plancherel_integral_quadrature,
     small_z_bound_constant,
@@ -199,23 +201,18 @@ def test_kernel_second_derivatives_by_finite_differences():
     h = 1e-4
     r = np.array([0.0, 0.35, -1.2, 2.0])
     w = np.array([0.0, 0.4, -1.1])
-    base = kernels(tf, r, w)
-    up_r = kernels(tf, r + h, w)
-    dn_r = kernels(tf, r - h, w)
-    fd_k = (up_r.k - 2.0 * base.k + dn_r.k) / h**2
-    assert np.allclose(fd_k, base.k_dd, rtol=1e-5, atol=1e-5)
-    up_w = kernels(tf, r, w + h)
-    dn_w = kernels(tf, r, w - h)
-    fd_t = (up_w.theta - 2.0 * base.theta + dn_w.theta) / h**2
-    assert np.allclose(fd_t, base.theta_dd, rtol=1e-5, atol=1e-5)
+    k, k_dd = _radial_kernel(tf, r)
+    fd_k = (_radial_kernel(tf, r + h)[0] - 2.0 * k + _radial_kernel(tf, r - h)[0]) / h**2
+    assert np.allclose(fd_k, k_dd, rtol=1e-5, atol=1e-5)
+    theta, theta_dd = _theta(tf, w)
+    fd_t = (_theta(tf, w + h)[0] - 2.0 * theta + _theta(tf, w - h)[0]) / h**2
+    assert np.allclose(fd_t, theta_dd, rtol=1e-5, atol=1e-5)
 
 
 def test_theta_is_pi_periodic():
     tf = TestFunction(1.0, 1.0)
     w = np.linspace(-1.5, 1.5, 7)
-    a = kernels(tf, 0.0, w)
-    b = kernels(tf, 0.0, w + math.pi)
-    assert np.allclose(a.theta, b.theta, rtol=1e-10)
+    assert np.allclose(_theta(tf, w)[0], _theta(tf, w + math.pi)[0], rtol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +232,32 @@ def test_quadrature_refined_increases_resolution():
     fine = cfg.refined()
     assert fine.t_panels > cfg.t_panels
     assert fine != cfg
+
+
+@functools.cache
+def _quadrature_probes(cfg):
+    """Every integral that reads the config, at T = P = 1 and z = 0.5+0.25i."""
+    tf, z = TestFunction(1.0, 1.0), 0.5 + 0.25j
+    return (
+        plancherel_integral_quadrature(tf, cfg),
+        bessel_integral_spectral(z, tf, cfg),
+        bessel_integral_weighted(z, tf, cfg),
+        bessel_integral_deriv(z, tf, cfg),
+    )
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(QuadratureConfig)])
+def test_every_quadrature_field_acts(name):
+    # halving or doubling the field (where the result stays positive)
+    # changes at least one probe, bit for bit
+    value = getattr(DEFAULT_QUADRATURE, name)
+    moved = (type(value)(value * factor) for factor in (0.5, 2.0))
+    assert any(
+        _quadrature_probes(dataclasses.replace(DEFAULT_QUADRATURE, **{name: new}))
+        != _quadrature_probes(DEFAULT_QUADRATURE)
+        for new in moved
+        if new > 0
+    )
 
 
 def test_quadrature_validation():
@@ -385,6 +408,24 @@ def test_bessel_j_table_against_mpmath(n):
 
 
 _OMEGA_CHUNK = 1 << 22  # cap grid cells per block to bound memory
+#: Periodization cut |q| <= 3 of theta, and the fewest omega panels per cell.
+_THETA_Q_CUT = 3
+_OMEGA_BASE_PANELS = 4
+
+
+def _theta(tf, omega):
+    """theta(w) = sqrt(pi) P sum_{|q| <= 3} exp(-(P(w + pi q))^2) and theta''(w),
+    the periodized Gaussian in omega, which integrates to pi over a period."""
+    P = tf.P
+    omega = np.asarray(omega, dtype=float)
+    theta = np.zeros_like(omega)
+    theta_dd = np.zeros_like(omega)
+    for q in range(-_THETA_Q_CUT, _THETA_Q_CUT + 1):
+        x = P * (omega + math.pi * q)
+        g = math.sqrt(math.pi) * P * np.exp(-(x**2))
+        theta += g
+        theta_dd += g * (4.0 * P**2 * x**2 - 2.0 * P**2)
+    return theta, theta_dd
 
 
 def _graded_cells_2d(z_abs, tf, cfg):
@@ -400,7 +441,7 @@ def _graded_cells_2d(z_abs, tf, cfg):
             continue
         rate = 2.0 * z_abs * math.cosh(b) + 1.0
         n_r = max(cfg.r_base_panels, int(math.ceil((b - a) * rate / budget)))
-        n_w = max(cfg.omega_base_panels, int(math.ceil(math.pi * rate / budget)))
+        n_w = max(_OMEGA_BASE_PANELS, int(math.ceil(math.pi * rate / budget)))
         yield a, b, n_r, n_w
 
 
@@ -417,11 +458,11 @@ def _geometric_integral_2d(z, tf, cfg, weighted):
     total = 0.0
     for a, b, n_r, n_w in _graded_cells_2d(abs(z), tf, cfg):
         w_nodes, w_wts = _panel_rule(-math.pi / 2.0, math.pi / 2.0, n_w, cfg.gl_order)
-        kv_w = kernels(tf, 0.0, w_nodes, cfg.theta_q_cut)
+        theta, theta_dd = _theta(tf, w_nodes)
         cos_w, sin_w = np.cos(w_nodes), np.sin(w_nodes)
         for lo, hi in ((a, b), (-b, -a)):
             r_nodes, r_wts = _panel_rule(lo, hi, n_r, cfg.gl_order)
-            kv_r = kernels(tf, r_nodes, 0.0, cfg.theta_q_cut)
+            k, k_dd = _radial_kernel(tf, r_nodes)
             cosh_r, sinh_r = np.cosh(r_nodes), np.sinh(r_nodes)
             # phase(r, w) = 2 Re(z cosh(r + iw)) = 2(x cosh r cos w - y sinh r sin w)
             n_block = max(1, _OMEGA_CHUNK // max(1, r_nodes.size))
@@ -435,11 +476,11 @@ def _geometric_integral_2d(z, tf, cfg, weighted):
                 if weighted:
                     integrand *= (
                         sinh_r[:, None] ** 2 + sin_w[None, sl] ** 2
-                    ) * np.multiply.outer(kv_r.k, kv_w.theta[sl])
+                    ) * np.multiply.outer(k, theta[sl])
                 else:
-                    integrand *= np.multiply.outer(
-                        kv_r.k_dd, kv_w.theta[sl]
-                    ) + np.multiply.outer(kv_r.k, kv_w.theta_dd[sl])
+                    integrand *= np.multiply.outer(k_dd, theta[sl]) + np.multiply.outer(
+                        k, theta_dd[sl]
+                    )
                 total += float(r_wts @ integrand @ w_wts[sl])
     if weighted:
         return 4.0 * abs(z) ** 2 * total

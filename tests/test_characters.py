@@ -31,6 +31,7 @@ from gisieve.gauss import (
     euler_phi,
     ideal_divisors,
     is_coprime,
+    mod_inverse,
     prime_power_ideals_up_to_norm,
     reduce_mod,
     unit_residues,
@@ -41,6 +42,10 @@ from test_expsums import _brute_f_table, _loop_f_table
 
 small = st.integers(min_value=-7, max_value=7)
 moduli = st.builds(GaussianInt, small, small).filter(lambda z: z.norm > 1)
+
+
+def _trivial(grp):
+    return grp.character((0,) * len(grp.gen_orders))
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +83,6 @@ def test_value_matrix_rows(c):
     mat = grp.value_matrix()
     units = unit_residues(c)
     for j, chi in enumerate(grp.characters()):
-        assert np.allclose(mat[j], chi.values_on_residues(), atol=1e-12)
         for i in (0, grp.order - 1):
             assert mat[j, i] == pytest.approx(chi(units[i]), abs=1e-12)
 
@@ -102,13 +106,15 @@ def test_character_vanishes_off_units(c):
 
 
 def test_group_product_and_conjugate():
+    # chi(a) conj(chi(a)) = 1 on the units, and chi(a^-1) = conj(chi(a)):
+    # the weights of a and of its inverse add up to 0 mod the exponent
     grp = char_group(GaussianInt(5, 0))
-    chars = list(grp.characters())
-    for chi in chars[:4]:
-        prod = chi * chi.conjugate()  # conj(chi) = chi^{-1} on the units
-        assert prod.is_trivial()
-        a = unit_residues(grp.element)[-1]
-        assert chi.conjugate()(a) == pytest.approx(chi(a).conjugate(), abs=1e-12)
+    a = unit_residues(grp.element)[-1]
+    a_inv = mod_inverse(a, grp.element)
+    for chi in list(grp.characters())[:4]:
+        assert (chi.weight(a) + chi.weight(a_inv)) % grp.exponent == 0
+        assert chi(a) * chi(a).conjugate() == pytest.approx(1.0, abs=1e-12)
+        assert chi(a_inv) == pytest.approx(chi(a).conjugate(), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +133,8 @@ def test_conductor_divides_modulus(c):
 
 def test_trivial_character_conductor():
     grp = char_group(GaussianInt(4, 2))
-    assert grp.trivial_character().conductor() == UNIT_IDEAL
-    assert grp.trivial_character().char_class() == "trivial"
+    assert _trivial(grp).conductor() == UNIT_IDEAL
+    assert _trivial(grp).char_class() == "trivial"
 
 
 def test_char_classes_partition():
@@ -190,8 +196,8 @@ def test_f_hat_against_brute_force(c):
     grp = char_group(c)
     brute = _brute_f_table(c)
     assert np.max(np.abs(brute - f_sum_values(c))) < 1e-9
-    for chi in grp.characters():
-        direct = complex(np.conj(chi.values_on_residues()) @ brute / grp.order)
+    for chi, row in zip(grp.characters(), grp.value_matrix()):
+        direct = complex(np.conj(row) @ brute / grp.order)
         assert abs(f_sum_hat(chi) - direct) < 1e-9
 
 
@@ -202,8 +208,8 @@ def test_f_hat_table_against_dot_product(c):
     for element in (c, c.times_i()):
         values = _loop_f_table(element)
         table = grp.fhat_table(element)
-        for chi, got in zip(grp.characters(), table):
-            direct = complex(np.conj(chi.values_on_residues()) @ values / grp.order)
+        for chi, row, got in zip(grp.characters(), grp.value_matrix(), table):
+            direct = complex(np.conj(row) @ values / grp.order)
             assert abs(got - direct) < 1e-10
             assert f_sum_hat(chi, element=element) == got
         assert np.max(np.abs(grp.inverse_transform(table) - values)) < 1e-10
@@ -260,7 +266,7 @@ def test_f_hat_generator_invariance(c, k):
 def test_f_hat_rejects_wrong_element():
     grp = char_group(GaussianInt(3, 0))
     with pytest.raises(DomainError):
-        f_sum_hat(grp.trivial_character(), element=GaussianInt(5, 0))
+        f_sum_hat(_trivial(grp), element=GaussianInt(5, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -347,13 +353,13 @@ def test_local_prediction_green_range():
 
 def test_local_prediction_unit_modulus():
     grp = char_group(GaussianInt(1, 0))
-    pred = local_prediction(grp.trivial_character())
+    pred = local_prediction(_trivial(grp))
     assert not pred.is_bound and pred.value == 1.0
 
 
 def test_local_prediction_rejects_composite():
     with pytest.raises(DomainError):
-        local_prediction(char_group(GaussianInt(3, 0) * GaussianInt(2, 1)).trivial_character())
+        local_prediction(_trivial(char_group(GaussianInt(3, 0) * GaussianInt(2, 1))))
 
 
 def test_primitive_magnitudes_odd_prime():
@@ -392,4 +398,4 @@ def test_twisted_multiplicativity(c1, c2):
 def test_twisted_needs_coprime():
     g = char_group(GaussianInt(2, 0))
     with pytest.raises(DomainError):
-        twisted_mult_residual(g.trivial_character(), g.trivial_character())
+        twisted_mult_residual(_trivial(g), _trivial(g))

@@ -230,6 +230,14 @@ def test_missing_quadrature_file_is_domain_error(capsys):
     assert "plancherel" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["frobnication", "theta_q_cut"])
+def test_unknown_quadrature_key_is_usage_error(tmp_path, capsys, key):
+    path = tmp_path / "quad.txt"
+    path.write_text(f"{key} = 3\n")
+    assert run(["plancherel", "--quadrature", str(path)]) == 2
+    assert f"unknown quadrature key {key!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "line,argv",
     [("t_cut = nan", ["plancherel"]), ("r_cut = inf", ["bessel", "--z", "1"])],
@@ -274,6 +282,11 @@ def test_bad_complex_literal(capsys):
 def test_zero_trials_is_domain_error(capsys):
     assert run(["quadform", "--trials", "0"]) == 2
     assert "gisieve quadform: trials must be >= 1" in capsys.readouterr().err
+
+
+def test_desk_cap_error_names_the_doubled_modulus(capsys):
+    assert run(["quadform", "--C", "600"]) == 2
+    assert "2C = 1200.0 exceeds the desk-scale cap 1000.0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,6 @@ from gisieve.gauss import (
     NotInvertibleError,
     ONE,
     UNIT_IDEAL,
-    UNITS,
     ZERO,
     canonical_associate,
     divides,
@@ -99,6 +98,9 @@ def test_parse_rejects_garbage():
     for text in ("", "2.5", "1+2j+3", "i+i"):
         with pytest.raises(DomainError):
             GaussianInt.parse(text)
+
+
+UNITS = (ONE, I, -ONE, -I)
 
 
 def test_units_are_fourth_roots():

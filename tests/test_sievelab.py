@@ -38,15 +38,14 @@ from gisieve.sievelab import (
     run_trials,
 )
 from gisieve.spectral import CoefficientSequence, eisenstein_sieve_sum
+from conftest import make_sequence
 from test_expsums import brute_kloosterman
 
 ONE = GaussianInt(1, 0)
 
 
 def _seq(coeffs: dict[tuple[int, int], complex], window=None) -> CoefficientSequence:
-    return CoefficientSequence.from_dict(
-        {GIdeal.of(GaussianInt(x, y)): v for (x, y), v in coeffs.items()}, window
-    )
+    return make_sequence({GIdeal.of(GaussianInt(x, y)): v for (x, y), v in coeffs.items()}, window)
 
 
 def _e(x: float) -> complex:
@@ -68,18 +67,15 @@ def test_constants_pinned():
 # ---------------------------------------------------------------------------
 
 
-def test_report_requires_consistent_ratio():
-    good = ExperimentReport("demo", (("C", "2.0"),), 1.0, 2.0, 0.5, 1, 0)
-    assert good.ratio == 0.5
-    with pytest.raises(DomainError, match="ratio"):
-        ExperimentReport("demo", (("C", "2.0"),), 1.0, 2.0, 0.3, 1, 0)
+def test_report_ratio_is_lhs_over_rhs():
+    rep = ExperimentReport("demo", (("C", "2.0"),), 1.0, 2.0, 1, 0)
+    assert rep.ratio == 0.5
+    assert rep.to_json_dict()["ratio"] == 0.5
 
 
 def test_report_zero_rhs_means_zero_ratio():
-    rep = ExperimentReport("demo", (), 0.0, 0.0, 0.0, 1, 0)
-    assert rep.ratio == 0.0
-    with pytest.raises(DomainError, match="ratio"):
-        ExperimentReport("demo", (), 0.0, 0.0, 0.5, 1, 0)
+    assert ExperimentReport("demo", (), 0.0, 0.0, 1, 0).ratio == 0.0
+    assert ExperimentReport("demo", (), 3.0, 0.0, 1, 0).ratio == 0.0
 
 
 def test_make_report_renders_parameters():
@@ -359,6 +355,12 @@ def test_quad_form_ratio_scale_invariant():
     assert scaled.lhs == pytest.approx(6.0 * base.lhs, rel=1e-12)
 
 
+def test_quad_form_cap_names_the_doubled_modulus():
+    # the moduli run over C < N(c) <= 2C, so the cap applies to 2C
+    with pytest.raises(DomainError, match=r"2C = 1200\.0 exceeds the desk-scale cap 1000\.0"):
+        quad_form_experiment(ONE, 1.0, 0.0, 600.0, 5.0, 5.0, trials=1)
+
+
 def test_quad_form_experiment_deterministic():
     first = quad_form_experiment(ONE, 0.3, 0.0, 2.0, 1.0, 1.0, trials=5, seed=9)
     second = quad_form_experiment(ONE, 0.3, 0.0, 2.0, 1.0, 1.0, trials=5, seed=9)
@@ -435,9 +437,7 @@ def test_hybrid_lhs_matches_quadrature_oracle():
         (GaussianInt(1, 2), 0.25j),
         (GaussianInt(3, 0), 0.6 - 0.2j),
     ]
-    seq = CoefficientSequence.from_dict(
-        {GIdeal.of(g): v for g, v in entries}, (0, 9)
-    )
+    seq = make_sequence({GIdeal.of(g): v for g, v in entries}, (0, 9))
     got = hybrid_lhs(4.0, 2.0, seq)
     want = _oracle_hybrid(4.0, 2.0, entries)
     assert got == pytest.approx(want, rel=1e-10)

@@ -33,7 +33,6 @@ from gisieve.spectral import (
     ExcludedPointError,
     POLE_BAND_HALF_WIDTH,
     PoleError,
-    angular_character,
     eisenstein_sieve_sum,
     eisenstein_weight,
     hecke_zeta,
@@ -41,6 +40,7 @@ from gisieve.spectral import (
     tau_s_p,
     ZETA_EULER_CONSTANT,
 )
+from conftest import make_sequence
 
 mpmath.mp.dps = 30
 
@@ -63,14 +63,6 @@ nonzero_ideals = (
 # ---------------------------------------------------------------------------
 # Twisted divisor sums
 # ---------------------------------------------------------------------------
-
-
-def test_angular_character_values():
-    assert angular_character(GIdeal.of(GaussianInt(3, 0)), 5) == pytest.approx(1.0)
-    # lambda_{4p}((1+i)) = exp(4 i p arg(1+i)) = exp(i p pi) = (-1)^p
-    for p in (-3, -1, 0, 1, 2):
-        got = angular_character(GIdeal.of(GaussianInt(1, 1)), p)
-        assert got == pytest.approx((-1.0) ** p, abs=1e-12)
 
 
 def test_tau_unit_ideal():
@@ -236,6 +228,18 @@ def test_weight_vanishes_toward_pole():
     assert w_near < 0.15 * w_far
 
 
+@pytest.mark.parametrize("t,p", [(0.3, 0), (-1.7, 2)])
+def test_weight_is_smoothed_zeta(t, p):
+    # the weight reads only the value at the cutoff, not the tail estimate
+    z = hecke_zeta(1.0 + 2j * t, 2 * p, cutoff=2e4, smoothed=True).value
+    assert eisenstein_weight(t, p, 2e4) == 1.0 / abs(z) ** 2
+
+
+def test_weight_rejects_tiny_cutoff():
+    with pytest.raises(DomainError, match="cutoff"):
+        eisenstein_weight(1.0, 1, 3.0)
+
+
 def test_weight_regression_value():
     # pinned library value at (t, p) = (1, 1), previously cross-checked
     # against cutoff refinement
@@ -251,8 +255,8 @@ def _ideal(a, b):
     return GIdeal.of(GaussianInt(a, b))
 
 
-def test_sequence_from_dict_and_norms():
-    seq = CoefficientSequence.from_dict({_ideal(1, 1): 2.0, _ideal(2, 1): -1j})
+def test_sequence_norms():
+    seq = make_sequence({_ideal(1, 1): 2.0, _ideal(2, 1): -1j})
     assert seq.l2_norm() == pytest.approx(math.sqrt(5.0))
     assert not seq.is_zero()
     assert seq.scaled(2.0).l2_norm() == pytest.approx(2.0 * math.sqrt(5.0))
@@ -266,26 +270,18 @@ def test_sequence_window_validation():
         CoefficientSequence((), (4.0, 2.0))  # empty window
 
 
-def test_sequence_entries_sorted():
-    seq = CoefficientSequence.from_dict(
-        [(_ideal(2, 1), 1.0 + 0j), (_ideal(1, 1), 2.0 + 0j)]
-    )
-    norms = [ideal.norm for ideal, _ in seq.entries]
-    assert norms == sorted(norms)
-
-
 # ---------------------------------------------------------------------------
 # Eisenstein sieve sum
 # ---------------------------------------------------------------------------
 
 
 def test_eisenstein_zero_sequence():
-    seq = CoefficientSequence.from_dict({_ideal(1, 1): 0.0})
+    seq = make_sequence({_ideal(1, 1): 0.0})
     assert eisenstein_sieve_sum(seq, 2.0, 1.0) == 0.0
 
 
 def test_eisenstein_rejects_small_region():
-    seq = CoefficientSequence.from_dict({_ideal(1, 1): 1.0})
+    seq = make_sequence({_ideal(1, 1): 1.0})
     with pytest.raises(DomainError):
         eisenstein_sieve_sum(seq, 0.25, 1.0)
 
@@ -296,7 +292,7 @@ def test_eisenstein_single_entry_oracle():
     # integral with scalar calls and a finer independent panel rule
     n0 = _ideal(2, 1)
     a0 = 1.5 - 0.5j
-    seq = CoefficientSequence.from_dict({n0: a0})
+    seq = make_sequence({n0: a0})
     T, P, cutoff = 2.0, 4.5, 5e4  # the identity holds at any fixed cutoff
     got = eisenstein_sieve_sum(seq, T, P, weight_cutoff=cutoff)
     sq = GIdeal.of(n0.gen * n0.gen)
@@ -317,7 +313,7 @@ def test_eisenstein_single_entry_oracle():
 
 
 def test_eisenstein_monotone_in_region():
-    seq = CoefficientSequence.from_dict({_ideal(1, 1): 1.0, _ideal(2, 1): 0.5j})
+    seq = make_sequence({_ideal(1, 1): 1.0, _ideal(2, 1): 0.5j})
     v1 = eisenstein_sieve_sum(seq, 1.0, 1.0, weight_cutoff=5e4)
     v2 = eisenstein_sieve_sum(seq, 2.0, 1.0, weight_cutoff=5e4)
     v3 = eisenstein_sieve_sum(seq, 2.0, 8.0, weight_cutoff=5e4)
@@ -325,7 +321,7 @@ def test_eisenstein_monotone_in_region():
 
 
 def test_eisenstein_quadratic_scaling():
-    seq = CoefficientSequence.from_dict({_ideal(1, 1): 1.0, _ideal(2, 1): -2.0})
+    seq = make_sequence({_ideal(1, 1): 1.0, _ideal(2, 1): -2.0})
     base = eisenstein_sieve_sum(seq, 2.0, 1.0, weight_cutoff=5e4)
     scaled = eisenstein_sieve_sum(seq.scaled(3.0), 2.0, 1.0, weight_cutoff=5e4)
     assert scaled == pytest.approx(9.0 * base, rel=1e-12)
@@ -357,7 +353,7 @@ def test_kuznetsov_symmetry_and_tail():
     # at any fixed quadrature, so a coarse configuration keeps this fast;
     # the full-resolution sweep lives in the acceptance suite
     tf = TestFunction(1.0, 1.0)
-    cfg = QuadratureConfig(gl_order=8, omega_base_panels=2, phase_rad_per_panel=16.0)
+    cfg = QuadratureConfig(gl_order=8, phase_rad_per_panel=16.0)
     m, n = GaussianInt(1, 0), GaussianInt(2, 1)
     a = kuznetsov_geometric(m, n, tf, 20, cfg)
     b = kuznetsov_geometric(n, m, tf, 20, cfg)
