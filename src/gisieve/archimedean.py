@@ -37,6 +37,7 @@ import cmath
 import math
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
+
 import numpy as np
 
 from .gauss import DomainError
