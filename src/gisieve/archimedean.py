@@ -238,7 +238,7 @@ class QuadratureConfig:
             if not math.isfinite(value):
                 raise DomainError(f"quadrature config {f.name} = {value!r} is not finite")
             if value <= 0:
-                raise DomainError("quadrature config values must be positive")
+                raise DomainError(f"quadrature config {f.name} = {value!r} must be positive")
 
     def refined(self) -> "QuadratureConfig":
         """Same truncations, every panel width halved."""
@@ -249,26 +249,23 @@ class QuadratureConfig:
             phase_rad_per_panel=self.phase_rad_per_panel / 2.0,
         )
 
-    def to_file(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for f in fields(self):
-                fh.write(f"{f.name} = {getattr(self, f.name)!r}\n")
-
     @classmethod
     def from_file(cls, path) -> "QuadratureConfig":
         kinds = {f.name: f.type for f in fields(cls)}
         kwargs = {}
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
+            for line in map(str.strip, fh):
                 if not line or line.startswith("#"):
                     continue
-                name, _, raw = line.partition("=")
-                name = name.strip()
+                name, _, raw = (part.strip() for part in line.partition("="))
                 if name not in kinds:
                     raise DomainError(f"unknown quadrature key {name!r}")
                 caster = int if kinds[name] in ("int", int) else float
-                kwargs[name] = caster(raw.strip())
+                try:
+                    kwargs[name] = caster(raw)
+                except ValueError:
+                    message = f"quadrature config {name} = {raw!r} is not a valid {caster.__name__}"
+                    raise DomainError(message) from None
         return cls(**kwargs)
 
 

@@ -6,11 +6,12 @@ bessel, plancherel, zeta, kuznetsov-geom), run a ratio experiment
 (lemma-check), or run the identity suites (verify).
 
 Every run resolves exactly one subcommand and emits one report to
-stdout (and to --out when given, byte for byte the same).  Reports are
-deterministic functions of (argv, seed): the header echoes the library
-version, the resolved parameters, and the quadrature configuration, and
-contains no timestamps.  Exit status: 0 on success, 1 when a
-verification fails, 2 on usage errors (argparse's convention).
+stdout (and to --out when given, byte for byte the same).  A subcommand
+takes only the settings it reads; its report header echoes the library
+version and their resolved values, with no timestamps, so a report is a
+deterministic function of argv.  Exit status: 0 on success, 1 when a
+verification fails, 2 on usage errors, a flag the subcommand does not
+take among them (argparse's convention).
 
 Gaussian integers on the command line are literals like 2+i, 1-3i, 4,
 -i (no spaces).  General complex values accept the same with either i
@@ -140,21 +141,21 @@ def _parse_complex(text: str) -> complex:
 Outcome = tuple[dict, tuple[str, ...], list[tuple], list[str], int]
 
 
-def _kloosterman(args, quad: QuadratureConfig) -> Outcome:
+def _kloosterman(args) -> Outcome:
     m, n, c = (GaussianInt.parse(s) for s in (args.m, args.n, args.c))
     v = kloosterman(m, n, c)
     columns = ("m", "n", "c", "value_re", "value_im", "abs")
     return dict(m=m, n=n, c=c), columns, [(m, n, c, v.real, v.imag, abs(v))], [], 0
 
 
-def _fsum(args, quad: QuadratureConfig) -> Outcome:
+def _fsum(args) -> Outcome:
     w, c = GaussianInt.parse(args.w), GaussianInt.parse(args.c)
     v = f_sum(w, c)
     columns = ("w", "c", "value_re", "value_im", "abs")
     return dict(w=w, c=c), columns, [(w, c, v.real, v.imag, abs(v))], [], 0
 
 
-def _charsum(args, quad: QuadratureConfig) -> Outcome:
+def _charsum(args) -> Outcome:
     c = GaussianInt.parse(args.c)
     wanted = tuple(int(x) for x in args.exps.split(",")) if args.exps else None
     rows = []
@@ -169,7 +170,7 @@ def _charsum(args, quad: QuadratureConfig) -> Outcome:
     return dict(c=c, characters=len(rows)), columns, rows, [], 0
 
 
-def _lemma_check(args, quad: QuadratureConfig) -> Outcome:
+def _lemma_check(args) -> Outcome:
     result, checks = lemma_pass(args.max_norm, args.tolerance)
     rows = [
         (*head, rel + _fmt_value(value, True), "ok" if ok else "MISMATCH")
@@ -182,21 +183,21 @@ def _lemma_check(args, quad: QuadratureConfig) -> Outcome:
     return extras, columns, rows, notes, 0 if result.passed else 1
 
 
-def _bessel(args, quad: QuadratureConfig) -> Outcome:
+def _bessel(args) -> Outcome:
     z = _parse_complex(args.z)
     tf = TestFunction(args.T, args.P)
     if args.compare:
         reps = (bessel_integral_spectral, bessel_integral_deriv, bessel_integral_weighted)
-        vals = [rep(z, tf, quad) for rep in reps]
+        vals = [rep(z, tf, args.quadrature) for rep in reps]
         dev = max(abs(a - b) for a in vals for b in vals)
         rows = [*zip(("spectral", "derivative", "weighted"), vals), ("max_deviation", dev)]
     else:
-        rows = [("weighted", bessel_integral_weighted(z, tf, quad))]
+        rows = [("weighted", bessel_integral_weighted(z, tf, args.quadrature))]
     return dict(z=z, T=args.T, P=args.P), ("representation", "value"), rows, [], 0
 
 
-def _plancherel(args, quad: QuadratureConfig) -> Outcome:
-    tf = TestFunction(args.T, args.P)
+def _plancherel(args) -> Outcome:
+    tf, quad = TestFunction(args.T, args.P), args.quadrature
     closed, by_quadrature = plancherel_integral(tf), plancherel_integral_quadrature(tf, quad)
     rows = [
         ("closed_form", closed),
@@ -206,7 +207,7 @@ def _plancherel(args, quad: QuadratureConfig) -> Outcome:
     return dict(T=args.T, P=args.P), ("method", "value"), rows, [], 0
 
 
-def _zeta(args, quad: QuadratureConfig) -> Outcome:
+def _zeta(args) -> Outcome:
     s = _parse_complex(args.s)
     v, tail = hecke_zeta(s, args.p, args.cutoff, smoothed=args.smoothed)
     extras = dict(s=s, p=args.p, cutoff=args.cutoff, smoothed=args.smoothed)
@@ -214,9 +215,9 @@ def _zeta(args, quad: QuadratureConfig) -> Outcome:
     return extras, columns, [(s, args.p, v.real, v.imag, tail)], [], 0
 
 
-def _kuznetsov_geom(args, quad: QuadratureConfig) -> Outcome:
-    m, n = GaussianInt.parse(args.m), GaussianInt.parse(args.n)
-    res = kuznetsov_geometric(m, n, TestFunction(args.T, args.P), args.c_norm_max, quad)
+def _kuznetsov_geom(args) -> Outcome:
+    m, n, tf = GaussianInt.parse(args.m), GaussianInt.parse(args.n), TestFunction(args.T, args.P)
+    res = kuznetsov_geometric(m, n, tf, args.c_norm_max, args.quadrature)
     rows = [
         ("diagonal", res.diagonal),
         ("kloosterman_re", res.kloosterman_term.real),
@@ -233,12 +234,12 @@ def _experiment(rep: ExperimentReport, **extras) -> Outcome:
     return extras, ("experiment", "trials", "lhs", "rhs", "ratio"), [row], [], 0
 
 
-def _eisenstein(args, quad: QuadratureConfig) -> Outcome:
+def _eisenstein(args) -> Outcome:
     rep = eisenstein_experiment(args.T, args.P, args.N, args.trials, args.seed)
     return _experiment(rep, T=args.T, P=args.P, N=args.N, trials=args.trials)
 
 
-def _quadform(args, quad: QuadratureConfig) -> Outcome:
+def _quadform(args) -> Outcome:
     d, theta = GaussianInt.parse(args.d), _parse_complex(args.theta)
     rep = quad_form_experiment(d, theta, args.gamma, args.C, args.M, args.N, args.trials, args.seed)
     return _experiment(
@@ -246,12 +247,12 @@ def _quadform(args, quad: QuadratureConfig) -> Outcome:
     )
 
 
-def _hybrid(args, quad: QuadratureConfig) -> Outcome:
+def _hybrid(args) -> Outcome:
     rep = hybrid_experiment(args.C, args.T, args.N, args.trials, args.seed)
     return _experiment(rep, C=args.C, T=args.T, N=args.N, trials=args.trials)
 
 
-def _verify(args, quad: QuadratureConfig) -> Outcome:
+def _verify(args) -> Outcome:
     names = args.suites or ["all"]
     results = verify_all(args.max_norm, args.tolerance, names)
     rows = [
@@ -273,7 +274,7 @@ class Command(NamedTuple):
     name: str
     help: str
     args: tuple[tuple[str, dict], ...]
-    compute: Callable[[argparse.Namespace, QuadratureConfig], Outcome]
+    compute: Callable[[argparse.Namespace], Outcome]
 
 
 def _required(*flags: str) -> tuple[tuple[str, dict], ...]:
@@ -288,7 +289,17 @@ def _integer(flag: str, default: int) -> tuple[str, dict]:
     return flag, {"type": int, "default": default}
 
 
-_T_P = (_number("--T", 1.0), _number("--P", 1.0))
+_SEED = ("--seed", {"type": int, "default": 0, "help": "base seed for randomized trials"})
+_TOLERANCE = ("--tolerance", {"type": _finite_float, "default": 1e-9, "help": "residual tolerance"})
+_QUADRATURE = ("--quadrature", {"metavar": "FILE", "help": "quadrature config file"})
+#: The test function's T and P, and the quadrature that integrates it.
+_T_P_QUAD = (_number("--T", 1.0), _number("--P", 1.0), _QUADRATURE)
+
+
+def _trials(default: int) -> tuple[tuple[str, dict], ...]:
+    """--trials and the base --seed of the randomized trials."""
+    return _integer("--trials", default), _SEED
+
 
 COMMANDS = (
     Command("kloosterman", "S(m, n; c)", _required("--m", "--n", "--c"), _kloosterman),
@@ -305,7 +316,7 @@ COMMANDS = (
     Command(
         "lemma-check",
         "|fhat| against the prime-power case formulas (exit 1 on mismatch)",
-        (_number("--max-norm", 400.0),),
+        (_number("--max-norm", 400.0), _TOLERANCE),
         _lemma_check,
     ),
     Command(
@@ -313,12 +324,12 @@ COMMANDS = (
         "Bessel integral of the test function",
         (
             *_required("--z"),
-            *_T_P,
+            *_T_P_QUAD,
             ("--compare", {"action": "store_true", "help": "all three representations"}),
         ),
         _bessel,
     ),
-    Command("plancherel", "Plancherel integral, closed vs quadrature", _T_P, _plancherel),
+    Command("plancherel", "Plancherel integral, closed vs quadrature", _T_P_QUAD, _plancherel),
     Command(
         "zeta",
         "Hecke zeta value zeta(s, p)",
@@ -333,13 +344,13 @@ COMMANDS = (
     Command(
         "eisenstein",
         "Eisenstein sieve ratio experiment",
-        (_number("--T", 2.0), _number("--P", 1.0), _number("--N", 30.0), _integer("--trials", 80)),
+        (_number("--T", 2.0), _number("--P", 1.0), _number("--N", 30.0), *_trials(80)),
         _eisenstein,
     ),
     Command(
         "kuznetsov-geom",
         "geometric side of the trace identity",
-        (*_required("--m", "--n"), *_T_P, _integer("--c-norm-max", 100)),
+        (*_required("--m", "--n"), *_T_P_QUAD, _integer("--c-norm-max", 100)),
         _kuznetsov_geom,
     ),
     Command(
@@ -352,14 +363,14 @@ COMMANDS = (
             _number("--C", 5.0),
             _number("--M", 5.0),
             _number("--N", 5.0),
-            _integer("--trials", 20),
+            *_trials(20),
         ),
         _quadform,
     ),
     Command(
         "hybrid",
         "hybrid large-sieve ratio experiment",
-        (_number("--C", 4.0), _number("--T", 2.0), _number("--N", 20.0), _integer("--trials", 50)),
+        (_number("--C", 4.0), _number("--T", 2.0), _number("--N", 20.0), *_trials(50)),
         _hybrid,
     ),
     Command(
@@ -368,6 +379,7 @@ COMMANDS = (
         (
             ("suites", {"nargs": "*", "help": f"subset of {', '.join(SUITES)} or charsum/all"}),
             _number("--max-norm", DEFAULT_VERIFY_NORM),
+            _TOLERANCE,
         ),
         _verify,
     ),
@@ -385,13 +397,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("csv", "json", "text"), default="text", help="report format"
     )
-    common.add_argument("--seed", type=int, default=0, help="base seed for randomized trials")
-    common.add_argument(
-        "--quadrature", default=None, metavar="FILE", help="quadrature config file"
-    )
-    common.add_argument(
-        "--tolerance", type=_finite_float, default=1e-9, help="identity-suite tolerance"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
     for cmd in COMMANDS:
         p = sub.add_parser(cmd.name, parents=[common], help=cmd.help)
@@ -403,11 +408,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _execute(cmd: Command, args: argparse.Namespace) -> int:
     """Compute one subcommand, emit its report, return its exit status."""
-    quad = QuadratureConfig.from_file(args.quadrature) if args.quadrature else DEFAULT_QUADRATURE
-    extras, columns, rows, notes, status = cmd.compute(args, quad)
-    config = {**extras, "seed": args.seed, "tolerance": args.tolerance}
-    for field in dataclasses.fields(quad):
-        config[f"quadrature.{field.name}"] = getattr(quad, field.name)
+    echo = {k: getattr(args, k) for k in ("seed", "tolerance", "quadrature") if k in args}
+    if "quadrature" in echo:  # read the file once, before computing
+        path = echo.pop("quadrature")
+        args.quadrature = quad = QuadratureConfig.from_file(path) if path else DEFAULT_QUADRATURE
+        echo.update((f"quadrature.{k}", v) for k, v in dataclasses.asdict(quad).items())
+    extras, columns, rows, notes, status = cmd.compute(args)
+    config = {**extras, **echo}
     text = Report(cmd.name, config, columns, rows, notes).render(args.format)
     sys.stdout.write(text)
     if args.out:

@@ -145,7 +145,6 @@ class GaussianInt:
 
 ZERO = GaussianInt(0, 0)
 ONE = GaussianInt(1, 0)
-I = GaussianInt(0, 1)
 
 
 def canonical_associate(z: GaussianInt) -> GaussianInt:
@@ -244,12 +243,7 @@ def residue_box(c: GaussianInt) -> tuple[int, int, int]:
 
 def reduce_mod(z: GaussianInt, c: GaussianInt) -> GaussianInt:
     """The representative of z + (c) inside the Hermite box of c."""
-    d, e, g = residue_box(c)
-    k = z.im // g
-    x = z.re - k * e
-    y = z.im - k * g
-    x -= (x // d) * d
-    return GaussianInt(x, y)
+    return GaussianInt(*reduce_pair(z.re, z.im, residue_box(c)))
 
 
 def reduce_pair(x, y, box: tuple[int, int, int]):

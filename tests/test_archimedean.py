@@ -222,8 +222,8 @@ def test_theta_is_pi_periodic():
 
 def test_quadrature_round_trip(tmp_path):
     cfg = DEFAULT_QUADRATURE.refined()
-    path = tmp_path / "quad.json"
-    cfg.to_file(path)
+    path = tmp_path / "quad.txt"
+    path.write_text("".join(f"{k} = {v!r}\n" for k, v in dataclasses.asdict(cfg).items()))
     assert QuadratureConfig.from_file(path) == cfg
 
 

@@ -8,6 +8,7 @@ domain errors.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -20,6 +21,12 @@ from gisieve.cli import run
 def _json_payload(capsys):
     out = capsys.readouterr().out
     return json.loads(out)
+
+
+def _write_quadrature(path, cfg: QuadratureConfig):
+    """The file form of cfg: one ``key = repr(value)`` line per field."""
+    path.write_text("".join(f"{k} = {v!r}\n" for k, v in dataclasses.asdict(cfg).items()))
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +224,7 @@ def test_out_file_matches_stdout(tmp_path, capsys):
 
 
 def test_quadrature_file_is_honoured(tmp_path, capsys):
-    cfg = QuadratureConfig(gl_order=24)
-    path = tmp_path / "quad.json"
-    cfg.to_file(path)
+    path = _write_quadrature(tmp_path / "quad.txt", QuadratureConfig(gl_order=24))
     assert run(["plancherel", "--quadrature", str(path), "--format", "json"]) == 0
     payload = _json_payload(capsys)
     assert payload["config"]["quadrature.gl_order"] == "24"
@@ -248,6 +253,75 @@ def test_non_finite_quadrature_file_is_usage_error(tmp_path, capsys, line, argv)
     assert run([*argv, "--quadrature", str(path)]) == 2
     err = capsys.readouterr().err
     assert line.split()[0] in err and "not finite" in err
+
+
+@pytest.mark.parametrize(
+    "line, named",
+    [
+        ("t_panels = 0", "t_panels = 0 must be positive"),
+        ("t_cut = -1", "t_cut = -1.0 must be positive"),
+        ("gl_order = 2.5", "gl_order = '2.5' is not a valid int"),
+        ("r_cut =", "r_cut = '' is not a valid float"),
+    ],
+)
+def test_bad_quadrature_value_names_its_key(tmp_path, capsys, line, named):
+    path = tmp_path / "quad.txt"
+    path.write_text(line + "\n")
+    assert run(["plancherel", "--quadrature", str(path)]) == 2
+    assert f"quadrature config {named}" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Every flag acts
+# ---------------------------------------------------------------------------
+
+#: A cheap run of each subcommand, in csv so that every digit shows.
+CHEAP = {
+    "kloosterman": ["--m", "1", "--n", "1", "--c", "2+i"],
+    "fsum": ["--w", "1", "--c", "2"],
+    "charsum": ["--c", "3+3i"],
+    "lemma-check": ["--max-norm", "64"],
+    "bessel": ["--z", "1+i"],
+    "plancherel": [],
+    "zeta": ["--s", "2"],
+    "eisenstein": ["--N", "10", "--trials", "2"],
+    "kuznetsov-geom": ["--m", "1", "--n", "1", "--c-norm-max", "10"],
+    "quadform": ["--C", "3", "--M", "3", "--N", "3", "--trials", "2"],
+    "hybrid": ["--C", "3", "--N", "5", "--trials", "2"],
+    "verify": ["mellin", "--max-norm", "30"],
+}
+
+#: flag -> (the subcommands that read it, two values that must differ in effect)
+FLAG_USES = {
+    "--seed": ({"eisenstein", "quadform", "hybrid"}, ("0", "1")),
+    "--tolerance": ({"lemma-check", "verify"}, ("1e-30", "10")),
+    "--quadrature": ({"bessel", "plancherel", "kuznetsov-geom"}, (16, 24)),
+}
+
+
+def _report_rows(capsys, argv):
+    """Exit status and the non-header lines of one csv report."""
+    code = run([*argv, "--format", "csv"])
+    out = capsys.readouterr().out
+    return code, [line for line in out.splitlines() if not line.startswith("#")]
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_USES))
+@pytest.mark.parametrize("command", sorted(CHEAP))
+def test_every_flag_acts(tmp_path, capsys, command, flag):
+    readers, values = FLAG_USES[flag]
+    if flag == "--quadrature":
+        values = [
+            str(_write_quadrature(tmp_path / f"{v}.txt", QuadratureConfig(gl_order=v)))
+            for v in values
+        ]
+    reports = [_report_rows(capsys, [command, *CHEAP[command], flag, v]) for v in values]
+    if command not in readers:
+        assert [code for code, _ in reports] == [2, 2]
+        return
+    assert all(code in (0, 1) for code, _ in reports)
+    (_, rows_a), (_, rows_b) = reports
+    assert rows_a != rows_b
 
 
 # ---------------------------------------------------------------------------

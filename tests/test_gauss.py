@@ -16,7 +16,6 @@ from gisieve.gauss import (
     Factorization,
     GaussianInt,
     GIdeal,
-    I,
     NotInvertibleError,
     ONE,
     UNIT_IDEAL,
@@ -41,6 +40,8 @@ from gisieve.gauss import (
     unit_residues,
     unit_table,
 )
+
+I = GaussianInt(0, 1)
 
 small = st.integers(min_value=-9, max_value=9)
 gints = st.builds(GaussianInt, small, small)
