@@ -300,10 +300,10 @@ FLAG_USES = {
 
 
 def _report_rows(capsys, argv):
-    """Exit status and the non-header lines of one csv report."""
+    """Exit status, the non-header lines of one csv report, and stderr."""
     code = run([*argv, "--format", "csv"])
-    out = capsys.readouterr().out
-    return code, [line for line in out.splitlines() if not line.startswith("#")]
+    out, err = capsys.readouterr()
+    return code, [line for line in out.splitlines() if not line.startswith("#")], err
 
 
 @pytest.mark.parametrize("flag", sorted(FLAG_USES))
@@ -317,10 +317,11 @@ def test_every_flag_acts(tmp_path, capsys, command, flag):
         ]
     reports = [_report_rows(capsys, [command, *CHEAP[command], flag, v]) for v in values]
     if command not in readers:
-        assert [code for code, _ in reports] == [2, 2]
+        for code, _, err in reports:
+            assert code == 2 and f"unrecognized arguments: {flag}" in err
         return
-    assert all(code in (0, 1) for code, _ in reports)
-    (_, rows_a), (_, rows_b) = reports
+    assert all(code in (0, 1) for code, _, _ in reports)
+    (_, rows_a, _), (_, rows_b, _) = reports
     assert rows_a != rows_b
 
 
