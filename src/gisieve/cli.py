@@ -10,8 +10,8 @@ stdout (and to --out when given, byte for byte the same).  A subcommand
 takes only the settings it reads; its report header echoes the library
 version and their resolved values, with no timestamps, so a report is a
 deterministic function of argv.  Exit status: 0 on success, 1 when a
-verification fails, 2 on usage errors, a flag the subcommand does not
-take among them (argparse's convention).
+verification fails, 2 on usage errors (argparse's convention), such as
+a flag the subcommand does not take.
 
 Gaussian integers on the command line are literals like 2+i, 1-3i, 4,
 -i (no spaces).  General complex values accept the same with either i
