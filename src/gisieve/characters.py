@@ -27,7 +27,6 @@ group finds the conductors of all its characters in one pass.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -46,6 +45,7 @@ from .gauss import (
     is_coprime,
     reduce_pair,
     residue_box,
+    unit_positions,
     unit_table,
 )
 
@@ -187,9 +187,11 @@ class CharGroup:
         self._flat = logs @ np.array(
             [math.prod(self.gen_orders[i + 1 :]) for i in range(len(gens))], dtype=np.int64
         )
-        # box index y*d + x -> position in residue order, -1 off the units
-        self._position = np.full(box[0] * box[2], -1, dtype=np.int64)
-        self._position[units.y * box[0] + units.x] = np.arange(len(keys))
+        #: exponent vectors of all characters, one row each in characters() order
+        self.exponent_vectors = np.indices(self.gen_orders, dtype=np.int64).reshape(
+            len(gens), len(keys)
+        ).T
+        self.exponent_vectors.setflags(write=False)
         self._fhat: dict[GaussianInt, np.ndarray] = {}
         self._conductors: tuple[GIdeal, ...] | None = None
 
@@ -199,18 +201,18 @@ class CharGroup:
     def order(self) -> int:
         return len(self._flat)
 
-    def _positions(self, x, y):
-        """Residue-order positions of the points x + iy (-1 if not coprime)."""
-        box = residue_box(self.element)
-        rx, ry = reduce_pair(x, y, box)
-        return self._position[ry * box[0] + rx]
+    def weights(self, exps, x, y) -> np.ndarray:
+        """w[j, k] with chi_j(x_k + i y_k) = exp(2*pi*i*w[j, k]/exponent), where
+        chi_j has the exponent vector exps[j]; -1 where a point is not a unit.
 
-    def dlog(self, z: GaussianInt) -> tuple[int, ...] | None:
-        """Exponent vector of z against the stored generators, or None."""
-        pos = int(self._positions(z.re, z.im))
-        if pos < 0:
-            return None
-        return tuple((self._dlog_matrix[pos] * self.gen_orders // self.exponent).tolist())
+        exps is 2-D, one row per character; the points x, y are int
+        sequences or int64 arrays, reduced mod c here.  Every character
+        value in this module is read from these weights.
+        """
+        pos = unit_positions(self.element, x, y)
+        w = (np.asarray(exps, dtype=np.int64) @ self._dlog_matrix[pos].T) % self.exponent
+        w[:, pos < 0] = -1
+        return w
 
     # -- characters ------------------------------------------------------
 
@@ -222,8 +224,8 @@ class CharGroup:
 
     def characters(self) -> Iterator["DirichletChar"]:
         """All phi(c) characters, exponent vectors in lexicographic order."""
-        for exps in itertools.product(*(range(n) for n in self.gen_orders)):
-            yield DirichletChar(self, exps)
+        for exps in self.exponent_vectors.tolist():
+            yield DirichletChar(self, tuple(exps))
 
     def index(self, exps: Sequence[int]) -> int:
         """Position of the character with these (reduced) exponents in characters()."""
@@ -271,20 +273,17 @@ class CharGroup:
         """
         if self._conductors is not None:
             return self._conductors
-        L = self.exponent
-        exps = np.array(
-            list(itertools.product(*(range(n) for n in self.gen_orders))), dtype=np.int64
-        ).reshape(self.order, len(self.gen_orders))
         units = unit_table(self.element)
         found: list[GIdeal | None] = [None] * self.order
         open_ = np.arange(self.order)
         for d in ideal_divisors(self.modulus):
             rx, ry = reduce_pair(units.x - 1, units.y, residue_box(d.gen))
-            sub = self._dlog_matrix[(rx == 0) & (ry == 0)].T
+            sub = (rx == 0) & (ry == 0)
+            x, y = units.x[sub], units.y[sub]
             # characters x subgroup in row blocks of bounded size
-            step = max(1, (1 << 20) // sub.shape[1])
+            step = max(1, (1 << 20) // len(x))
             trivial = np.concatenate([
-                ~((exps[open_[i : i + step]] @ sub) % L).any(axis=1)
+                ~self.weights(self.exponent_vectors[open_[i : i + step]], x, y).any(axis=1)
                 for i in range(0, len(open_), step)
             ])
             for j in open_[trivial].tolist():
@@ -298,11 +297,8 @@ class CharGroup:
 
     def value_matrix(self) -> np.ndarray:
         """Matrix X[j, i] = chi_j(alpha_i) over all characters/residues."""
-        L = self.exponent
-        tab = _exp_table(L)
-        chars = np.array([chi.exps for chi in self.characters()], dtype=np.int64)
-        idx = (chars @ self._dlog_matrix.T) % L
-        return tab[idx]
+        units = unit_table(self.element)
+        return _exp_table(self.exponent)[self.weights(self.exponent_vectors, units.x, units.y)]
 
 
 class DirichletChar:
@@ -318,36 +314,10 @@ class DirichletChar:
         """Whether chi^2 is the trivial character."""
         return all((2 * a) % n == 0 for a, n in zip(self.exps, self.group.gen_orders))
 
-    # -- evaluation ---------------------------------------------------------
-
-    def weight(self, z: GaussianInt) -> int | None:
-        """Integer w with chi(z) = exp(2*pi*i*w/exponent); None if not coprime."""
-        v = self.group.dlog(z)
-        if v is None:
-            return None
-        L = self.group.exponent
-        total = 0
-        for a, e, n in zip(self.exps, v, self.group.gen_orders):
-            total += a * e * (L // n)
-        return total % L
-
     def __call__(self, z: GaussianInt) -> complex:
-        w = self.weight(z)
-        if w is None:
-            return 0j
-        return complex(_exp_table(self.group.exponent)[w])
-
-    def _residue_weights(self) -> np.ndarray:
-        L = self.group.exponent
-        return (self.group._dlog_matrix @ np.array(self.exps, dtype=np.int64)) % L
-
-    def weights_at(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """weight() at the points x + iy, all coprime to the modulus.
-
-        Each point is reduced into the modulus box and read through the
-        group's box-index -> residue-position array.
-        """
-        return self._residue_weights()[self.group._positions(x, y)]
+        """chi(z), and 0 where z is not a unit."""
+        w = int(self.group.weights([self.exps], [z.re], [z.im])[0, 0])
+        return 0j if w < 0 else complex(_exp_table(self.group.exponent)[w])
 
     # -- conductor and classification -------------------------------------
 
@@ -372,9 +342,6 @@ class DirichletChar:
         if all(1 <= cond_exp.get(p, 0) < e for p, e in factor(self.group.modulus.gen).factors):
             return "semi-primitive"
         return "mixed"
-
-    def is_primitive(self) -> bool:
-        return self.conductor() == self.group.modulus
 
 
 @lru_cache(maxsize=512)
@@ -471,8 +438,8 @@ def twisted_mult_residual(chi1: DirichletChar, chi2: DirichletChar) -> complex:
     c = c1 * c2
     units = unit_table(c)
     phase = (
-        _exp_table(chi1.group.exponent)[chi1.weights_at(units.x, units.y)]
-        * _exp_table(chi2.group.exponent)[chi2.weights_at(units.x, units.y)]
+        _exp_table(chi1.group.exponent)[chi1.group.weights([chi1.exps], units.x, units.y)[0]]
+        * _exp_table(chi2.group.exponent)[chi2.group.weights([chi2.exps], units.x, units.y)[0]]
     )
     lhs = np.conj(phase) @ f_sum_values(c) / len(phase)
     rhs = (

@@ -402,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(cmd.name, parents=[common], help=cmd.help)
         for flag, options in cmd.args:
             p.add_argument(flag, **options)
-        p.set_defaults(spec=cmd)
+        p.set_defaults(spec=cmd, usage_error=p.error)
     return parser
 
 
@@ -411,7 +411,8 @@ def _execute(cmd: Command, args: argparse.Namespace) -> int:
     echo = {k: getattr(args, k) for k in ("seed", "tolerance", "quadrature") if k in args}
     if "quadrature" in echo:  # read the file once, before computing
         path = echo.pop("quadrature")
-        args.quadrature = quad = QuadratureConfig.from_file(path) if path else DEFAULT_QUADRATURE
+        quad = DEFAULT_QUADRATURE if path is None else QuadratureConfig.from_file(path)
+        args.quadrature = quad
         echo.update((f"quadrature.{k}", v) for k, v in dataclasses.asdict(quad).items())
     extras, columns, rows, notes, status = cmd.compute(args)
     config = {**extras, **echo}
@@ -427,7 +428,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     """Parse argv, execute one subcommand, return the exit status."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:  # named in the subcommand's own usage, not the root one
+            args.usage_error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as exc:  # argparse uses 2 for usage errors, 0 for --help
         return int(exc.code or 0)
     try:

@@ -43,7 +43,6 @@ from .gauss import (
 )
 
 __all__ = [
-    "e_additive",
     "kloosterman",
     "f_sum",
     "f_sum_values",
@@ -51,11 +50,6 @@ __all__ = [
     "shift_vanishing_residual",
     "weil_ratio",
 ]
-
-
-def e_additive(z: complex) -> complex:
-    """e[z] = exp(2*pi*i*Re(z))."""
-    return complex(math.cos(2.0 * math.pi * z.real), math.sin(2.0 * math.pi * z.real))
 
 
 @lru_cache(maxsize=512)

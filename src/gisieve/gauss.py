@@ -271,12 +271,14 @@ MAX_UNIT_NORM = 2**31
 
 class UnitTable(NamedTuple):
     """The unit residues of c and their inverses as read-only int64 arrays,
-    in the raster order of residues(c)."""
+    in the raster order of residues(c), and the map from box index y*d + x
+    to the position of that residue in this order (-1 off the units)."""
 
     x: np.ndarray
     y: np.ndarray
     inv_x: np.ndarray
     inv_y: np.ndarray
+    position: np.ndarray
 
 
 @lru_cache(maxsize=1024)
@@ -302,6 +304,8 @@ def unit_table(c: GaussianInt) -> UnitTable:
     for p, _ in factor(c).factors:
         q, n = p.gen, p.norm
         unit &= ((x * q.re + y * q.im) % n != 0) | ((y * q.re - x * q.im) % n != 0)
+    position = np.cumsum(unit) - 1
+    position[~unit] = -1
     x, y = x[unit], y[unit]
 
     def mul(ax, ay, bx, by):
@@ -314,10 +318,24 @@ def unit_table(c: GaussianInt) -> UnitTable:
             inv_x, inv_y = mul(inv_x, inv_y, bx, by)
         bx, by = mul(bx, by, bx, by)
         k >>= 1
-    table = UnitTable(x, y, inv_x, inv_y)
+    table = UnitTable(x, y, inv_x, inv_y, position)
     for arr in table:
         arr.setflags(write=False)
     return table
+
+
+def unit_positions(c: GaussianInt, x, y) -> np.ndarray:
+    """Positions of the points x + iy in the unit order of unit_table(c),
+    -1 where a point is not a unit mod c.  x and y are int sequences or
+    int64 arrays of any int64 values."""
+    box = residue_box(c)
+    # N(c) = c conj(c) lies in (c): reducing by it first keeps the box
+    # reduction's products below N(c)^2, inside int64
+    n = c.norm
+    x = np.asarray(x, dtype=np.int64) % n
+    y = np.asarray(y, dtype=np.int64) % n
+    rx, ry = reduce_pair(x, y, box)
+    return unit_table(c).position[ry * box[0] + rx]
 
 
 def unit_residues(c: GaussianInt) -> tuple[GaussianInt, ...]:

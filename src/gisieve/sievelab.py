@@ -41,13 +41,8 @@ from typing import Callable, Mapping, Sequence, TypeVar
 import numpy as np
 
 from .characters import char_group
-from .expsums import e_additive, f_sum
-from .gauss import (
-    DomainError,
-    GaussianInt,
-    ideals_up_to_norm,
-    is_coprime,
-)
+from .expsums import _exp_table, f_sum_values
+from .gauss import DomainError, GaussianInt, ideals_up_to_norm, unit_positions
 from .spectral import CoefficientSequence, eisenstein_sieve_sum
 
 __all__ = [
@@ -224,6 +219,8 @@ def quad_form(
 
     m runs over ideals with M < N(m) <= 2M carrying a, n likewise for b,
     and c over canonical generators with C < N(c) <= 2C and (c, dmn) = (1).
+    Per modulus, F(dmn; c) is read for every pair (m, n) at once from the
+    table of F over the units mod c; a pair with dmn not a unit is skipped.
     """
     if d.is_zero():
         raise DomainError("quad_form requires d != 0")
@@ -240,27 +237,28 @@ def quad_form(
     _window_check(a, M, 2 * M, "a")
     _window_check(b, N, 2 * N, "b")
     moduli = [ideal.gen for ideal in ideals_up_to_norm(2 * C) if ideal.norm > C]
-    theta = complex(theta)
+    pairs = [
+        (m_ideal.gen * n_ideal.gen, a_m * b_n.conjugate())
+        for m_ideal, a_m in a.entries
+        if a_m != 0
+        for n_ideal, b_n in b.entries
+        if b_n != 0
+    ]
+    coeff = np.array([v for _, v in pairs], dtype=np.complex128)
+    mx = np.array([mn.re for mn, _ in pairs], dtype=np.int64)
+    my = np.array([mn.im for mn, _ in pairs], dtype=np.int64)
+    twist = (mx + 1j * my) * complex(theta)
     total = 0.0 + 0.0j
-    for m_ideal, a_m in a.entries:
-        if a_m == 0:
-            continue
-        for n_ideal, b_n in b.entries:
-            if b_n == 0:
-                continue
-            mn = m_ideal.gen * n_ideal.gen
-            w = d * mn
-            coeff = a_m * b_n.conjugate()
-            twist = complex(mn) * theta
-            for c in moduli:
-                if not is_coprime(w, c):
-                    continue
-                total += (
-                    coeff
-                    * float(c.norm) ** gamma
-                    * f_sum(w, c)
-                    * e_additive(twist / complex(c))
-                )
+    for c in moduli:
+        # d mod N(c) is in the class of d mod c (N(c) = c conj(c)), and small
+        # enough that d * mn stays exact in int64 for any d
+        dx, dy = d.re % c.norm, d.im % c.norm
+        pos = unit_positions(c, dx * mx - dy * my, dx * my + dy * mx)
+        unit = pos >= 0
+        # e[mn theta / c] = exp(2 pi i Re(mn theta / c))
+        phase = np.exp(2j * np.pi * np.real(twist[unit] / complex(c)))
+        terms = coeff[unit] * f_sum_values(c)[pos[unit]] * phase
+        total += float(c.norm) ** gamma * complex(terms.sum())
     return total
 
 
@@ -327,7 +325,10 @@ def hybrid_lhs(C: float, T: float, a: CoefficientSequence, *, force: bool = Fals
     The t-integral is done in closed form: with L_j = log|n_j| the square
     expands into pairs, and each pair integrates to 2 sin(T(L_j - L_k)) /
     (L_j - L_k) (diagonal 2T).  lambda and chi are evaluated on canonical
-    generators.
+    generators.  The sum over p joins the kernel as the factor
+    sum_p e^{ip(arg_j - arg_k)}; per modulus, one weight table gives every
+    primitive chi at every generator, and their quadratic forms are one
+    array sum.
     """
     if C < 1 or T < 1:
         raise DomainError("hybrid_lhs requires C, T >= 1")
@@ -341,19 +342,17 @@ def hybrid_lhs(C: float, T: float, a: CoefficientSequence, *, force: bool = Fals
     delta = logs[:, None] - logs[None, :]
     safe = np.where(delta == 0.0, 1.0, delta)
     kernel = np.where(delta == 0.0, 2.0 * T, 2.0 * np.sin(T * safe) / safe)
-    p_values = range(-int(T), int(T) + 1)
-    phase = [np.exp(1j * p * args) for p in p_values]
+    phase = np.exp(1j * np.arange(-int(T), int(T) + 1)[:, None] * args)  # (p, n)
+    kernel = kernel * np.real(phase.T @ np.conj(phase))
+    x = [g.re for g in gens]
+    y = [g.im for g in gens]
     total = 0.0
     for ideal in ideals_up_to_norm(C):
-        for chi in char_group(ideal.gen).characters():
-            if not chi.is_primitive():
-                continue
-            twisted = coeffs * np.array([chi(g) for g in gens])
-            if not twisted.any():
-                continue
-            for ph in phase:
-                v = twisted * ph
-                total += float(np.real(v @ kernel @ np.conj(v)))
+        grp = char_group(ideal.gen)
+        primitive = [cond == grp.modulus for cond in grp.conductors()]
+        w = grp.weights(grp.exponent_vectors[primitive], x, y)  # (chi, n)
+        v = coeffs * np.where(w < 0, 0.0, _exp_table(grp.exponent)[w])
+        total += float(np.real((v @ kernel) * np.conj(v)).sum())
     return total
 
 

@@ -231,8 +231,9 @@ def test_quadrature_file_is_honoured(tmp_path, capsys):
 
 
 def test_missing_quadrature_file_is_domain_error(capsys):
-    assert run(["plancherel", "--quadrature", "/nonexistent/quad.json"]) == 2
-    assert "plancherel" in capsys.readouterr().err
+    for path in ("/nonexistent/quad.json", ""):  # an empty path is no file, not the default
+        assert run(["plancherel", "--quadrature", path]) == 2
+        assert "plancherel" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["frobnication", "theta_q_cut"])
@@ -319,6 +320,7 @@ def test_every_flag_acts(tmp_path, capsys, command, flag):
     if command not in readers:
         for code, _, err in reports:
             assert code == 2 and f"unrecognized arguments: {flag}" in err
+            assert err.startswith(f"usage: gisieve {command} ")
         return
     assert all(code in (0, 1) for code, _, _ in reports)
     (_, rows_a, _), (_, rows_b, _) = reports

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from conftest import EDGE_MODULI, engine_moduli, with_edge_moduli
 from gisieve.expsums import (
     _exp_table,
-    e_additive,
     f_sum,
     f_sum_values,
     kloosterman,
@@ -330,14 +329,8 @@ def test_shift_needs_divisibility():
 
 
 # ---------------------------------------------------------------------------
-# Phase helpers
+# Divisor structure
 # ---------------------------------------------------------------------------
-
-
-def test_e_additive_uses_real_part():
-    assert e_additive(0.5 + 7.3j) == pytest.approx(-1.0)
-    assert e_additive(1.0 + 0.0j) == pytest.approx(1.0)
-    assert e_additive(0.25) == pytest.approx(1j)
 
 
 def test_divisor_structure_used_by_selberg():

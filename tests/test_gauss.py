@@ -4,6 +4,7 @@ import importlib
 import math
 import pkgutil
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -38,6 +39,7 @@ from gisieve.gauss import (
     reduce_mod,
     residues,
     unit_residues,
+    unit_positions,
     unit_table,
 )
 
@@ -209,7 +211,17 @@ def test_mod_inverse_rejects_noncoprime():
 @with_edge_moduli
 @given(engine_moduli)
 def test_unit_table_against_gcd_and_euclid(c):
-    # the numpy mask and the power-map inverses against gcd and extended Euclid
+    # the numpy mask and the power-map inverses against gcd and extended
+    # Euclid, and the position map: each residue's index in unit_residues(c)
+    # or -1, also after a shift by multiples of N(c) to near the int64 limit
+    index = {a: i for i, a in enumerate(unit_residues(c))}
+    res = residues(c)
+    x = np.array([r.re for r in res], dtype=np.int64)
+    y = np.array([r.im for r in res], dtype=np.int64)
+    want = [index.get(r, -1) for r in res]
+    assert unit_positions(c, x, y).tolist() == want
+    far = (2**62 // c.norm) * c.norm
+    assert unit_positions(c, x + far, y - far).tolist() == want
     if c.is_unit():
         assert unit_residues(c) == (ZERO,)
         return

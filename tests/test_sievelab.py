@@ -320,6 +320,18 @@ def test_quad_form_matches_oracle_with_common_factors():
     assert abs(got) > 1e-6
 
 
+def test_quad_form_reads_d_by_its_class_mod_each_modulus():
+    # F(dmn; c) depends on d mod c only: d and d + K(1 - i), with K a
+    # multiple of every N(c) and far beyond int64, give the same sum
+    d, C = GaussianInt(1, 1), 4.0
+    K = 10**20 * math.prod(i.norm for i in ideals_up_to_norm(2 * C) if i.norm > C)
+    a = random_sign_sequence((4, 8), [1])
+    b = random_sign_sequence((1, 2), [2])
+    want = quad_form(d, 0.3, 0.0, C, 4.0, 1.0, a, b)
+    assert quad_form(d + GaussianInt(K, -K), 0.3, 0.0, C, 4.0, 1.0, a, b) == want
+    assert abs(want) > 1e-6
+
+
 # ---------------------------------------------------------------------------
 # Quadratic form: reports
 # ---------------------------------------------------------------------------
@@ -420,8 +432,9 @@ def _oracle_hybrid(C, T, entries):
     waves = np.exp(1j * np.outer(tt, logs))
     total = 0.0
     for ideal in ideals_up_to_norm(C):
-        for chi in char_group(ideal.gen).characters():
-            if not chi.is_primitive():
+        grp = char_group(ideal.gen)
+        for chi in grp.characters():
+            if chi.conductor() != grp.modulus:
                 continue
             base = np.array([v * chi(g) for g, v in entries])
             for p in range(-int(T), int(T) + 1):
