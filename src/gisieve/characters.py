@@ -437,14 +437,19 @@ def twisted_mult_residual(chi1: DirichletChar, chi2: DirichletChar) -> complex:
         raise DomainError("moduli must be coprime")
     c = c1 * c2
     units = unit_table(c)
-    phase = (
-        _exp_table(chi1.group.exponent)[chi1.group.weights([chi1.exps], units.x, units.y)[0]]
-        * _exp_table(chi2.group.exponent)[chi2.group.weights([chi2.exps], units.x, units.y)[0]]
-    )
+    # the last point of each call is the other modulus, a unit since the
+    # moduli are coprime: its value is the twist chi1(c2) or chi2(c1)
+    values1 = _exp_table(chi1.group.exponent)[
+        chi1.group.weights([chi1.exps], np.append(units.x, c2.re), np.append(units.y, c2.im))[0]
+    ]
+    values2 = _exp_table(chi2.group.exponent)[
+        chi2.group.weights([chi2.exps], np.append(units.x, c1.re), np.append(units.y, c1.im))[0]
+    ]
+    phase = values1[:-1] * values2[:-1]
     lhs = np.conj(phase) @ f_sum_values(c) / len(phase)
     rhs = (
-        chi1(c2).conjugate()
-        * chi2(c1).conjugate()
+        complex(values1[-1]).conjugate()
+        * complex(values2[-1]).conjugate()
         * f_sum_hat(chi1)
         * f_sum_hat(chi2)
     )

@@ -21,6 +21,13 @@ and for p = 0 the contribution of the simple pole at s = 1 to the
 smoothed sum is removed in closed form, which keeps the weight usable
 down to the edge of the excluded band around t = 0.
 
+Every partial sum is one Dirichlet series over norms, summed by norm
+bands: per band of norms, the coefficients A(n) = sum over N(a) = n of
+lambda_{4p}(a) (1 - n/X)^kappa are binned once, and exp(-s log n) A(n) is
+added for a whole array of s at a time.  The Eisenstein sieve sum thus
+gets the weights of all its t-nodes on one panel grid from one pass over
+the lattice, in bounded memory whatever the cutoff.
+
 The geometric side of the Kuznetsov identity is
 
     diagonal + (1/(32 pi^3)) * sum over c in Z[i], c != 0, of
@@ -155,26 +162,66 @@ class HeckeZetaValue(NamedTuple):
 _CESARO_ORDER = 3
 
 
-def _lattice_partial(s: complex, p: int, cutoff: float, cesaro_order: int) -> complex:
-    """sum over ideals N(n) <= cutoff of w(N/cutoff) lambda_{4p}(n) N^{-s},
-    with w(y) = (1-y)^order (order 0 = sharp truncation).
+#: Norms per band of the lattice sum, and entries per block of its
+#: exp(-s log n) table; together they bound its temporary arrays whatever
+#: the cutoff.
+_NORM_BAND = 4096
+_EXP_BLOCK = 8192
+
+
+def _isqrt(m: np.ndarray) -> np.ndarray:
+    """floor(sqrt(m)) of each nonnegative int64 entry, exactly."""
+    r = np.sqrt(m).astype(np.int64)
+    r -= r * r > m
+    r += (r + 1) * (r + 1) <= m
+    return r
+
+
+def _lattice_sum(s: np.ndarray, p: int, cutoff: float, cesaro_order: int) -> np.ndarray:
+    """sum over ideals N(n) <= cutoff of w(N/cutoff) lambda_{4p}(n) N^{-s}
+    at every entry of the 1-D array s, with w(y) = (1-y)^order (order 0 =
+    sharp truncation).
 
     One ideal per lattice point in {a >= 1, b >= 0}: of the four associates
-    of a nonzero Gaussian integer exactly one has re >= 1, im >= 0.
+    of a nonzero Gaussian integer exactly one has re >= 1, im >= 0.  The
+    points are taken by norm bands [n0, n0 + _NORM_BAND); per band the
+    coefficients A(n) = sum over N(a) = n of e^{4ip arg a} w(n/cutoff) come
+    from a bincount over the norm offsets, and only the norms with A(n) != 0
+    meet exp(-s log n), in blocks of at most _EXP_BLOCK entries.
     """
+    s = np.asarray(s, dtype=complex)
     x = float(cutoff)
-    top = math.isqrt(int(x))
-    s = complex(s)
-    total = 0.0 + 0.0j
-    for a in range(1, top + 1):
-        bmax = math.isqrt(int(x) - a * a)
-        b = np.arange(0.0, bmax + 1.0)
-        norms = a * a + b * b
-        terms = np.exp(-s * np.log(norms) + 4j * p * np.arctan2(b, float(a)))
+    top = int(x)
+    out = np.zeros(len(s), dtype=complex)
+    roots = np.arange(1, math.isqrt(top) + 1, dtype=np.int64)
+    for n0 in range(0, top + 1, _NORM_BAND):
+        last = min(n0 + _NORM_BAND - 1, top)  # band [n0, last]
+        a = roots[: math.isqrt(last)]
+        below = n0 - 1 - a * a  # b^2 > below puts a^2 + b^2 in the band
+        b_lo = np.where(below >= 0, _isqrt(np.maximum(below, 0)) + 1, 0)
+        counts = np.maximum(_isqrt(last - a * a) - b_lo + 1, 0)
+        starts = np.cumsum(counts) - counts
+        rows = np.repeat(a, counts)
+        b = np.arange(rows.size) + np.repeat(b_lo - starts, counts)
+        offsets = rows * rows + b * b - n0
+        hits = np.bincount(offsets, minlength=_NORM_BAND)
+        keep = np.flatnonzero(hits)
+        if p:
+            angle = 4.0 * p * np.arctan2(b, rows)
+            coeff = np.bincount(offsets, np.cos(angle), _NORM_BAND)[keep] + 1j * np.bincount(
+                offsets, np.sin(angle), _NORM_BAND
+            )[keep]
+        else:
+            coeff = hits[keep].astype(complex)
+        norms = (n0 + keep).astype(float)
         if cesaro_order:
-            terms = terms * (1.0 - norms / x) ** cesaro_order
-        total += complex(terms.sum())
-    return total
+            coeff *= (1.0 - norms / x) ** cesaro_order
+        log_norms = np.log(norms)
+        step = max(1, _EXP_BLOCK // max(1, keep.size))
+        for i in range(0, len(s), step):
+            table = np.exp(-np.multiply.outer(s[i : i + step], log_norms))
+            out[i : i + step] += np.einsum("ij,j->i", table, coeff)
+    return out
 
 
 def _cesaro_pole_term(s: complex, cutoff: float, order: int) -> complex:
@@ -224,12 +271,13 @@ def _cesaro_pole_term(s: complex, cutoff: float, order: int) -> complex:
     return IDEAL_DENSITY * cutoff**u * math.factorial(order) / denom
 
 
-def _smoothed_zeta(s: complex, p: int, cutoff: float) -> complex:
-    """Cesaro-smoothed partial sum at one cutoff, p = 0 pole term removed."""
-    value = _lattice_partial(s, p, cutoff, _CESARO_ORDER)
+def _smoothed_zeta(s: np.ndarray, p: int, cutoff: float) -> np.ndarray:
+    """Cesaro-smoothed partial sums at one cutoff, at every entry of the 1-D
+    array s, p = 0 pole term removed."""
+    values = _lattice_sum(s, p, cutoff, _CESARO_ORDER)
     if p == 0:
-        value -= _cesaro_pole_term(s, cutoff, _CESARO_ORDER)
-    return value
+        values -= [_cesaro_pole_term(si, cutoff, _CESARO_ORDER) for si in s]
+    return values
 
 
 def hecke_zeta(
@@ -239,6 +287,8 @@ def hecke_zeta(
     smoothed: bool = False,
 ) -> HeckeZetaValue:
     """zeta(s, p) = sum over ideals of lambda_{4p}(n) / N(n)^s.
+
+    Both modes sum the lattice by norm bands (see the module docstring).
 
     Direct mode (Re(s) > 1): sharp partial sum; for p = 0 the smooth main
     term of the tail is added back via integral comparison, and the
@@ -261,7 +311,7 @@ def hecke_zeta(
 
     if not smoothed:
         sigma = s.real
-        value = _lattice_partial(s, p, cutoff, 0)
+        value = complex(_lattice_sum(np.array([s]), p, cutoff, 0)[0])
         if p == 0:
             value -= _cesaro_pole_term(s, cutoff, 0)
         if sigma > 1.0:
@@ -273,8 +323,8 @@ def hecke_zeta(
             tail = math.inf
         return HeckeZetaValue(value, tail)
 
-    value = _smoothed_zeta(s, p, cutoff)
-    tail = abs(value - _smoothed_zeta(s, p, cutoff / 2.0))
+    value = complex(_smoothed_zeta(np.array([s]), p, cutoff)[0])
+    tail = abs(value - complex(_smoothed_zeta(np.array([s]), p, cutoff / 2.0)[0]))
     return HeckeZetaValue(value, tail)
 
 
@@ -283,11 +333,11 @@ def hecke_zeta(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=4096)
-def _weight_cached(t: float, p: int, cutoff: float) -> float:
+def _omega(t: np.ndarray, p: int, cutoff: float) -> np.ndarray:
+    """omega(t, p) at every entry of the 1-D array t, from one lattice pass."""
     if cutoff < 4:
         raise DomainError("cutoff too small to say anything")
-    return 1.0 / abs(_smoothed_zeta(1.0 + 2j * t, 2 * p, cutoff)) ** 2
+    return 1.0 / np.abs(_smoothed_zeta(1.0 + 2j * t, 2 * p, cutoff)) ** 2
 
 
 def eisenstein_weight(t: float, p: int, cutoff: float = DEFAULT_WEIGHT_CUTOFF) -> float:
@@ -302,7 +352,10 @@ def eisenstein_weight(t: float, p: int, cutoff: float = DEFAULT_WEIGHT_CUTOFF) -
         raise ExcludedPointError(
             f"omega(t, 0) is excluded for |t| < {POLE_BAND_HALF_WIDTH}"
         )
-    return _weight_cached(float(t), int(p), float(cutoff))
+    if cutoff < 4:
+        raise DomainError("cutoff too small to say anything")
+    z = _smoothed_zeta(np.array([1.0 + 2j * float(t)]), 2 * int(p), float(cutoff))[0]
+    return 1.0 / abs(complex(z)) ** 2
 
 
 @dataclass(frozen=True)
@@ -361,6 +414,15 @@ _SIEVE_PHASE_BUDGET = 6.0
 _SIEVE_GL_ORDER = 16
 
 
+@lru_cache(maxsize=64)
+def _grid_weights(lo: float, hi: float, n_panels: int, p: int, cutoff: float) -> np.ndarray:
+    """omega(t, p) at the t-nodes of the sieve sum's panel rule on [lo, hi]."""
+    nodes, _ = _panel_rule(lo, hi, n_panels, _SIEVE_GL_ORDER)
+    weights = _omega(nodes, p, cutoff)
+    weights.setflags(write=False)
+    return weights
+
+
 def eisenstein_sieve_sum(
     a: CoefficientSequence,
     T: float,
@@ -396,9 +458,7 @@ def eisenstein_sieve_sum(
             n_panels = max(2, math.ceil((hi - lo) * rate / _SIEVE_PHASE_BUDGET))
             nodes, wts = _panel_rule(lo, hi, n_panels, _SIEVE_GL_ORDER)
             form = _sieve_linear_form(a, nodes, p)
-            weights = np.array(
-                [_weight_cached(float(t), p, float(weight_cutoff)) for t in nodes]
-            )
+            weights = _grid_weights(lo, hi, n_panels, p, float(weight_cutoff))
             total += float(wts @ (weights * np.abs(form) ** 2))
     return total
 

@@ -35,6 +35,7 @@ from gisieve.gauss import (
     prime_power_ideals_up_to_norm,
     reduce_mod,
     unit_residues,
+    unit_table,
 )
 
 from conftest import engine_moduli, ramified_power, with_edge_moduli
@@ -408,6 +409,27 @@ def test_twisted_multiplicativity(c1, c2):
     ]
     for chi1, chi2 in pairs:
         assert abs(twisted_mult_residual(chi1, chi2)) < 1e-9
+
+
+def _scalar_twist_residual(chi1, chi2):
+    """twisted_mult_residual with the twists read by scalar character calls."""
+    c1, c2 = chi1.group.element, chi2.group.element
+    units = unit_table(c1 * c2)
+    points = [GaussianInt(x, y) for x, y in zip(units.x.tolist(), units.y.tolist())]
+    phase = np.array([chi1(z) * chi2(z) for z in points])
+    lhs = np.conj(phase) @ f_sum_values(c1 * c2) / len(phase)
+    rhs = chi1(c2).conjugate() * chi2(c1).conjugate() * f_sum_hat(chi1) * f_sum_hat(chi2)
+    return complex(lhs - rhs)
+
+
+def test_twisted_residual_matches_scalar_twists():
+    # the unit modulus 1 and the ramified moduli 1+i and 4 included
+    pairs = [((1, 1), (3, 0)), ((2, 1), (3, 2)), ((1, 0), (2, 3)), ((4, 0), (1, 2))]
+    for c1, c2 in pairs:
+        c1, c2 = GaussianInt(*c1), GaussianInt(*c2)
+        for chi1 in char_group(c1).characters():
+            for chi2 in list(char_group(c2).characters())[:4]:
+                assert twisted_mult_residual(chi1, chi2) == _scalar_twist_residual(chi1, chi2)
 
 
 def test_twisted_needs_coprime():

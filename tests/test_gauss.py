@@ -251,6 +251,7 @@ def test_module_caches_are_bounded():
     }
     assert "gisieve.expsums.f_sum_values" in caches
     assert "gisieve.spectral._bessel_integral_cached" in caches
+    assert "gisieve.spectral._grid_weights" in caches
     assert [name for name, obj in caches.items() if obj.cache_parameters()["maxsize"] is None] == []
 
 

@@ -8,6 +8,7 @@ consistency (conjugation, cutoff stability, multiplicativity).
 """
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -33,6 +34,10 @@ from gisieve.spectral import (
     ExcludedPointError,
     POLE_BAND_HALF_WIDTH,
     PoleError,
+    _NORM_BAND,
+    _grid_weights,
+    _lattice_sum,
+    _omega,
     eisenstein_sieve_sum,
     eisenstein_weight,
     hecke_zeta,
@@ -104,6 +109,66 @@ def test_tau_conjugation(n, t, p):
 def test_tau_rejects_zero_ideal():
     with pytest.raises(DomainError):
         tau_s_p(GIdeal.of(GaussianInt(0, 0)), 0.0j, 0)
+
+
+# ---------------------------------------------------------------------------
+# Lattice sums by norm bands
+# ---------------------------------------------------------------------------
+
+
+def _row_lattice_partial(s, p, cutoff, cesaro_order):
+    """The lattice sum one row a of the quarter {a >= 1, b >= 0} at a time,
+    point by point: the reference for the summation by norm bands."""
+    x = float(cutoff)
+    top = math.isqrt(int(x))
+    s = complex(s)
+    total = 0.0 + 0.0j
+    for a in range(1, top + 1):
+        bmax = math.isqrt(int(x) - a * a)
+        b = np.arange(0.0, bmax + 1.0)
+        norms = a * a + b * b
+        terms = np.exp(-s * np.log(norms) + 4j * p * np.arctan2(b, float(a)))
+        if cesaro_order:
+            terms = terms * (1.0 - norms / x) ** cesaro_order
+        total += complex(terms.sum())
+    return total
+
+
+@pytest.mark.parametrize(
+    "cutoff",
+    [4, _NORM_BAND - 1, _NORM_BAND, _NORM_BAND + 1, 7777, 65537, 2e5],
+)
+def test_lattice_sum_matches_row_oracle(cutoff):
+    # cutoffs on either side of a band edge; s on the 1-line, right and left of it
+    s = np.array([1.0 + 0.6j, 1.0 - 2.2j, 1.5 + 0.3j, 0.7 + 1.0j])
+    for p in (0, 1, -1, 2, 4, 8):
+        for order in (0, 3):
+            got = _lattice_sum(s, p, cutoff, order)
+            for si, value in zip(s, got):
+                want = _row_lattice_partial(si, p, cutoff, order)
+                assert abs(value - want) <= 1e-13 * abs(want), (p, order, si)
+
+
+def test_lattice_sum_all_nodes_equal_one_node_calls():
+    nodes, _ = _panel_rule(-2.0, 2.0, 6, 16)
+    s = 1.0 + 2j * nodes
+    assert len(s) == 96
+    got = _lattice_sum(s, 4, 2e4, 3)
+    for si, value in zip(s, got):
+        assert value == _lattice_sum(np.array([si]), 4, 2e4, 3)[0]
+
+
+def test_lattice_sum_memory_bounded():
+    # bands and exp blocks bound every temporary array; one table over
+    # the cutoff's norms would take 96 * 16 bytes per norm
+    nodes, _ = _panel_rule(-2.0, 2.0, 6, 16)
+    tracemalloc.start()
+    try:
+        _lattice_sum(1.0 + 2j * nodes, 2, 1e6, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +303,16 @@ def test_weight_is_smoothed_zeta(t, p):
 def test_weight_rejects_tiny_cutoff():
     with pytest.raises(DomainError, match="cutoff"):
         eisenstein_weight(1.0, 1, 3.0)
+    with pytest.raises(DomainError, match="cutoff"):
+        eisenstein_sieve_sum(make_sequence({_ideal(1, 1): 1.0}), 2.0, 1.0, weight_cutoff=3.0)
+
+
+@pytest.mark.parametrize("lo,hi,p", [(POLE_BAND_HALF_WIDTH, 1.0, 0), (-1.0, 1.0, -2)])
+def test_grid_weights_equal_one_node_weights(lo, hi, p):
+    nodes, _ = _panel_rule(lo, hi, 4, 16)
+    grid = _grid_weights(lo, hi, 4, p, 2e4)
+    one = np.array([eisenstein_weight(t, p, 2e4) for t in nodes])
+    assert np.max(np.abs(grid - one) / one) <= 1e-13
 
 
 def test_weight_regression_value():
@@ -289,7 +364,7 @@ def test_eisenstein_rejects_small_region():
 def test_eisenstein_single_entry_oracle():
     # for one coefficient the sum factorizes as
     # |a|^2 * sum_p int omega(t, p) |tau_{it,p}(n^2)|^2 dt; rebuild that
-    # integral with scalar calls and a finer independent panel rule
+    # integral with a finer independent panel rule
     n0 = _ideal(2, 1)
     a0 = 1.5 - 0.5j
     seq = make_sequence({n0: a0})
@@ -304,11 +379,8 @@ def test_eisenstein_single_entry_oracle():
             intervals = [(-T / 2, T / 2)]
         for lo, hi in intervals:
             nodes, wts = _panel_rule(lo, hi, 32, 12)
-            vals = [
-                eisenstein_weight(t, p, cutoff) * abs(tau_s_p(sq, 1j * t, p)) ** 2
-                for t in nodes
-            ]
-            expected += abs(a0) ** 2 * float(wts @ np.array(vals))
+            taus = np.array([abs(tau_s_p(sq, 1j * t, p)) ** 2 for t in nodes])
+            expected += abs(a0) ** 2 * float(wts @ (_omega(nodes, p, cutoff) * taus))
     assert got == pytest.approx(expected, rel=1e-9)
 
 
