@@ -437,6 +437,7 @@ def twisted_mult_residual(chi1: DirichletChar, chi2: DirichletChar) -> complex:
         raise DomainError("moduli must be coprime")
     c = c1 * c2
     units = unit_table(c)
+    f = f_sum_values(c)  # before the weight calls' temporaries, which it would sit above
     # the last point of each call is the other modulus, a unit since the
     # moduli are coprime: its value is the twist chi1(c2) or chi2(c1)
     values1 = _exp_table(chi1.group.exponent)[
@@ -446,7 +447,7 @@ def twisted_mult_residual(chi1: DirichletChar, chi2: DirichletChar) -> complex:
         chi2.group.weights([chi2.exps], np.append(units.x, c1.re), np.append(units.y, c1.im))[0]
     ]
     phase = values1[:-1] * values2[:-1]
-    lhs = np.conj(phase) @ f_sum_values(c) / len(phase)
+    lhs = np.conj(phase) @ f / len(phase)
     rhs = (
         complex(values1[-1]).conjugate()
         * complex(values2[-1]).conjugate()

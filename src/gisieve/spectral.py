@@ -163,18 +163,10 @@ _CESARO_ORDER = 3
 
 
 #: Norms per band of the lattice sum, and entries per block of its
-#: exp(-s log n) table; together they bound its temporary arrays whatever
-#: the cutoff.
+#: exp(-s log n) table (64 KiB of complex); together they bound its
+#: temporary arrays whatever the cutoff.
 _NORM_BAND = 4096
-_EXP_BLOCK = 8192
-
-
-def _isqrt(m: np.ndarray) -> np.ndarray:
-    """floor(sqrt(m)) of each nonnegative int64 entry, exactly."""
-    r = np.sqrt(m).astype(np.int64)
-    r -= r * r > m
-    r += (r + 1) * (r + 1) <= m
-    return r
+_EXP_BLOCK = 4096
 
 
 def _lattice_sum(s: np.ndarray, p: int, cutoff: float, cesaro_order: int) -> np.ndarray:
@@ -186,24 +178,27 @@ def _lattice_sum(s: np.ndarray, p: int, cutoff: float, cesaro_order: int) -> np.
     of a nonzero Gaussian integer exactly one has re >= 1, im >= 0.  The
     points are taken by norm bands [n0, n0 + _NORM_BAND); per band the
     coefficients A(n) = sum over N(a) = n of e^{4ip arg a} w(n/cutoff) come
-    from a bincount over the norm offsets, and only the norms with A(n) != 0
+    from a bincount over the norm offsets, and only the norms that occur
     meet exp(-s log n), in blocks of at most _EXP_BLOCK entries.
     """
     s = np.asarray(s, dtype=complex)
     x = float(cutoff)
     top = int(x)
     out = np.zeros(len(s), dtype=complex)
-    roots = np.arange(1, math.isqrt(top) + 1, dtype=np.int64)
+    roots = np.arange(1.0, math.isqrt(top) + 1.0)
     for n0 in range(0, top + 1, _NORM_BAND):
         last = min(n0 + _NORM_BAND - 1, top)  # band [n0, last]
         a = roots[: math.isqrt(last)]
-        below = n0 - 1 - a * a  # b^2 > below puts a^2 + b^2 in the band
-        b_lo = np.where(below >= 0, _isqrt(np.maximum(below, 0)) + 1, 0)
-        counts = np.maximum(_isqrt(last - a * a) - b_lo + 1, 0)
+        # integers below 2**52 are exact floats, and the rounded root of one
+        # falls on the same side of every integer as the exact root, so the
+        # ceil and floor are exact
+        b_lo = np.ceil(np.sqrt(np.maximum(n0 - a * a, 0.0)))
+        b_hi = np.floor(np.sqrt(last - a * a))
+        counts = np.maximum(b_hi - b_lo + 1.0, 0.0).astype(np.int64)
         starts = np.cumsum(counts) - counts
         rows = np.repeat(a, counts)
         b = np.arange(rows.size) + np.repeat(b_lo - starts, counts)
-        offsets = rows * rows + b * b - n0
+        offsets = (rows * rows + b * b - n0).astype(np.int64)
         hits = np.bincount(offsets, minlength=_NORM_BAND)
         keep = np.flatnonzero(hits)
         if p:
