@@ -202,9 +202,10 @@ def _lattice_sum(s: np.ndarray, p: int, cutoff: float, cesaro_order: int) -> np.
         hits = np.bincount(offsets, minlength=_NORM_BAND)
         keep = np.flatnonzero(hits)
         if p:
-            angle = 4.0 * p * np.arctan2(b, rows)
-            coeff = np.bincount(offsets, np.cos(angle), _NORM_BAND)[keep] + 1j * np.bincount(
-                offsets, np.sin(angle), _NORM_BAND
+            unit = (rows + 1j * b) ** 2 / (rows * rows + b * b)  # e^{2i arg a}
+            phase = (unit * unit) ** p
+            coeff = np.bincount(offsets, phase.real, _NORM_BAND)[keep] + 1j * np.bincount(
+                offsets, phase.imag, _NORM_BAND
             )[keep]
         else:
             coeff = hits[keep].astype(complex)
