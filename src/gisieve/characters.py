@@ -437,7 +437,9 @@ def twisted_mult_residual(chi1: DirichletChar, chi2: DirichletChar) -> complex:
         raise DomainError("moduli must be coprime")
     c = c1 * c2
     units = unit_table(c)
-    f = f_sum_values(c)  # before the weight calls' temporaries, which it would sit above
+    # the cached F table is built before the weight calls, so that it does
+    # not land above their freed temporaries and raise the peak memory
+    f = f_sum_values(c)
     # the last point of each call is the other modulus, a unit since the
     # moduli are coprime: its value is the twist chi1(c2) or chi2(c1)
     values1 = _exp_table(chi1.group.exponent)[

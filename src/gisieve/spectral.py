@@ -351,6 +351,8 @@ def eisenstein_weight(t: float, p: int, cutoff: float = DEFAULT_WEIGHT_CUTOFF) -
     if cutoff < 4:
         raise DomainError("cutoff too small to say anything")
     z = _smoothed_zeta(np.array([1.0 + 2j * float(t)]), 2 * int(p), float(cutoff))[0]
+    # scalar float ** 2, not NumPy's square: the two differ in the last bit
+    # for some values, and this is exactly 1 / |hecke_zeta(...).value|^2
     return 1.0 / abs(complex(z)) ** 2
 
 
