@@ -1,11 +1,17 @@
 """Dirichlet characters on (Z[i]/c)^x and the character transform of F.
 
 The unit group mod c is a finite abelian group.  We decompose it into a
-direct product of cyclic factors by brute force — compute element orders,
-peel off a maximal-order generator, recurse on the quotient, and lift the
-quotient generators back (the classical basis construction).  This works
-uniformly for split, inert and the ramified prime (1+i), where the local
-unit groups have different shapes, without any case analysis.
+direct product of cyclic factors by the classical basis construction:
+take a maximal-order generator, recurse on the quotient, and lift the
+quotient generators back.  This works uniformly for split, inert and the
+ramified prime (1+i), where the local unit groups have different shapes,
+without any case analysis.  It runs on int64 arrays over the positions
+of unit_table: the maps x -> x^q for the primes q | phi(c) are index
+arrays, so the order of every coset at once is a few compositions and
+membership tests; the coset labels of each quotient (the smallest (x, y)
+of each coset) come by pointer doubling along x -> x g; and the
+discrete-log grid is the product of the generators' power arrays.  Every
+array has phi(c) entries.
 
 A character is an exponent vector (a_1, ..., a_r) against the stored
 generators: chi(g_i) = exp(2*pi*i*a_i/n_i).  Values are exact roots of
@@ -65,75 +71,114 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _pow(x, k, mul, one):
-    out = one
-    while k:
-        if k & 1:
-            out = mul(out, x)
-        x = mul(x, x)
-        k >>= 1
-    return out
+def _unit_mul(units, box):
+    """The product of unit positions (ints or int arrays, broadcast), by
+    exact int64 arithmetic on the box coordinates of unit_table: the
+    Hermite box reduction of reduce_pair, with the y-step by one divmod."""
+    d, e, g = box
+    x, y, position = units.x, units.y, units.position
+
+    def mul(p, q):
+        ax, ay, bx, by = x[p], y[p], x[q], y[q]
+        k, ry = np.divmod(ax * by + ay * bx, g)
+        return position[ry * d + (ax * bx - ay * by - k * e) % d]
+
+    return mul
 
 
-def _abelian_generators(keys, mul, one):
-    """Direct-product generators [(g, order)] of an abelian group.
+def _basis(units, mul, one: int) -> list[tuple[int, int]]:
+    """Direct-product generators [(position, order)] of the unit group.
 
-    `keys` is the full (hashable, sortable) element list.  The first
-    generator has maximal order = the group exponent; each further one is
-    a maximal-order element of the successive quotient, corrected by the
-    standard lemma so that its order in the full group equals its order
-    in the quotient.  The internal direct product of the results is the
-    whole group.
+    The first generator has maximal order, the group exponent; each
+    further one is a maximal-order element of the quotient by the
+    generators so far, corrected by the standard lemma so that its order
+    in the full group equals its order in the quotient.  Ties go to the
+    smallest (x, y), and the quotient by H is represented by the smallest
+    (x, y) of each coset xH.  The internal direct product of the results
+    is the whole group.
+
+    Units are positions in the unit order.  Every power is composed from
+    the maps x -> x^q, q prime, each one index array; the coset labels of
+    <H, g> come from those of H by pointer doubling along x -> x g.
     """
-    n = len(keys)
-    if n == 1:
+    phi = len(units.x)
+    if phi == 1:
         return []
-    qs = [p for p, _ in factor_int(n)]
+    every = np.arange(phi)
+    sigma = {}
+    for q, _ in factor_int(phi):
+        sq, base, k = None, every, q
+        while True:  # square-and-multiply, never multiplying by one
+            if k & 1:
+                sq = base if sq is None else mul(sq, base)
+            k >>= 1
+            if not k:
+                break
+            base = mul(base, base)
+        sigma[q] = sq
 
-    def elem_order(x):
-        o = n
-        for q in qs:
-            while o % q == 0 and _pow(x, o // q, mul, one) == one:
-                o //= q
-        return o
+    def power(y, m):  # y^m for m | phi, composed from the prime power maps
+        for q, v in factor_int(m):
+            for _ in range(v):
+                y = sigma[q][y]
+        return y
 
-    best_order = 0
-    best = one
-    for x in keys:
-        o = elem_order(x)
-        if o > best_order or (o == best_order and x < best):
-            best_order, best = o, x
-    g = best
-    if best_order == n:
-        return [(g, n)]
+    by_rank = np.lexsort((units.y, units.x))  # smallest (x, y) first
+    # label[x] = rank of the smallest (x, y) in the coset xH
+    label = np.empty(phi, dtype=np.int64)
+    label[by_rank] = every
+    # per quotient G/H, H growing: its generator g, the order of g mod H,
+    # the map x -> x g (None at the last quotient), and the labels of H
+    levels = []
+    n = phi
+    while True:
+        reps = by_rank[label[by_rank] == every]
+        in_h = label == label[one]
+        # the order mod H of each coset: its q-part is the number of
+        # y^(q^t), t < v_q(n), outside H, where y = x^(n / q^v_q(n))
+        orders = np.ones(len(reps), dtype=np.int64)
+        for q, v in factor_int(n):
+            y = power(reps, n // q**v)
+            for _ in range(v):
+                orders[~in_h[y]] *= q
+                y = sigma[q][y]
+        best = int(np.argmax(orders))  # the first maximum has the smallest (x, y)
+        g, o = int(reps[best]), int(orders[best])
+        if o == n:
+            levels.append((g, o, None, label))
+            break
+        step = mul(every, g)
+        levels.append((g, o, step, label))
+        # min over x g^j, j < 2^s: the labels repeat with period o in j
+        for _ in range((o - 1).bit_length()):
+            label = np.minimum(label, label[step])
+            step = step[step]
+        n //= o
 
-    # subgroup <g> and coset labels (smallest member, found by sorted sweep)
-    cyc = [one]
-    p = g
-    while p != one:
-        cyc.append(p)
-        p = mul(p, g)
-    label = {}
-    for x in sorted(keys):
-        if x in label:
-            continue
-        for h in cyc:
-            label[mul(x, h)] = x
-    qkeys = sorted(set(label.values()))
-
-    def qmul(u, v):
-        return label[mul(u, v)]
-
-    sub = _abelian_generators(qkeys, qmul, label[one])
-
-    gdlog = {h: j for j, h in enumerate(cyc)}
-    gens = [(g, best_order)]
-    for h, m in sub:
-        j = gdlog[_pow(h, m, mul, one)]  # h^m lies in <g> since its label is trivial
-        assert j % m == 0, "maximal-order peeling violated the lifting lemma"
-        corr = _pow(g, (best_order - j // m) % best_order, mul, one)
-        gens.append((mul(h, corr), m))
+    # unwind the quotient levels, correcting each deeper generator h of
+    # order m: h^m = g^j mod H, and h g^(-j/m) has order m mod H
+    gens: list[tuple[int, int]] = []
+    for g, o, step, label in reversed(levels):
+        lifted = [(g, o)]
+        if gens:
+            powers = _orbit(step, np.array([one]), o)[:, 0]
+            cyc = label[powers]
+        for h, m in gens:
+            j = int(np.flatnonzero(cyc == label[power(h, m)])[0])
+            assert j % m == 0, "maximal-order peeling violated the lifting lemma"
+            lifted.append((int(by_rank[label[mul(h, powers[(o - j // m) % o])]]), m))
+        gens = lifted
     return gens
+
+
+def _orbit(step: np.ndarray, start: np.ndarray, n: int) -> np.ndarray:
+    """Row j is the permutation step applied j times to start, j < n; the
+    rows are doubled and step is squared, in ceil(log2 n) rounds."""
+    out = start[None, :]
+    while len(out) < n:
+        out = np.concatenate([out, step[out]])
+        step = step[step]
+    return out[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -155,41 +200,34 @@ class CharGroup:
         self.element = element
         self.modulus = GIdeal.of(element)
         units = unit_table(element)
-        box = residue_box(element)
-        keys = list(zip(units.x.tolist(), units.y.tolist()))
+        mul = _unit_mul(units, residue_box(element))
+        one = int(unit_positions(element, [1], [0])[0])
+        gens = _basis(units, mul, one)
 
-        def mul(u, v):
-            return reduce_pair(u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0], box)
-
-        one = reduce_pair(1, 0, box)
-        gens = _abelian_generators(keys, mul, one)
-
-        table = {one: ()}
-        for gk, n in gens:
-            step = {}
-            p = one
-            for j in range(n):
-                for k, v in table.items():
-                    step[mul(k, p)] = v + (j,)
-                p = mul(p, gk)
-            table = step
-        assert len(table) == len(keys), "generators do not span the unit group"
-
-        self.gen_elements = tuple(GaussianInt(*gk) for gk, _ in gens)
+        self.gen_elements = tuple(GaussianInt(int(units.x[g]), int(units.y[g])) for g, _ in gens)
         self.gen_orders = tuple(n for _, n in gens)
         self.exponent = math.lcm(*self.gen_orders) if gens else 1
-        # dlog matrix in residue enumeration order, pre-scaled to /exponent
-        scale = [self.exponent // n for n in self.gen_orders]
-        logs = np.array([table[k] for k in keys], dtype=np.int64).reshape(len(keys), len(gens))
-        self._dlog_matrix = logs * np.array(scale, dtype=np.int64)
-        # position of each residue's log vector in the C-order flattened grid
-        self._grid = self.gen_orders or (1,)
-        self._flat = logs @ np.array(
-            [math.prod(self.gen_orders[i + 1 :]) for i in range(len(gens))], dtype=np.int64
+        # the unit at each point of the discrete-log grid, last generator
+        # varying fastest; _flat, its inverse, places each unit on the
+        # C-order flattened grid
+        every = np.arange(len(units.x))
+        grid = np.array([one])
+        for g, n in gens:
+            grid = _orbit(mul(every, g), grid, n).T.ravel()
+        assert (np.bincount(grid, minlength=len(units.x)) == 1).all(), (
+            "generators do not span the unit group"
         )
+        self._grid = self.gen_orders or (1,)
+        self._flat = np.empty(len(grid), dtype=np.int64)
+        self._flat[grid] = np.arange(len(grid))
+        # dlog matrix in residue enumeration order, pre-scaled to /exponent
+        # (with no generators, the grid's one axis is dropped)
+        logs = np.stack(np.unravel_index(self._flat, self._grid), axis=1)[:, : len(gens)]
+        scale = [self.exponent // n for n in self.gen_orders]
+        self._dlog_matrix = logs.astype(np.int64) * np.array(scale, dtype=np.int64)
         #: exponent vectors of all characters, one row each in characters() order
         self.exponent_vectors = np.indices(self.gen_orders, dtype=np.int64).reshape(
-            len(gens), len(keys)
+            len(gens), len(grid)
         ).T
         self.exponent_vectors.setflags(write=False)
         self._fhat: dict[GaussianInt, np.ndarray] = {}

@@ -1,6 +1,8 @@
 """Dirichlet characters mod c in Z[i] and the transform fhat.
 
-Includes an independent transform oracle (characters applied to the
+The array construction of each group's generators and discrete-log grid
+is checked against the scalar construction it replaced (tuple arithmetic
+and a dict of discrete logs), kept here as the oracle.  Also includes an independent transform oracle (characters applied to the
 brute-force F table from test_expsums) and a frozen truth table for
 |fhat| at the powers of (1+i), where the values were established by
 that brute-force route.  The all-at-once fhat tables and conductors are
@@ -9,6 +11,7 @@ replaced.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gisieve.characters import (
+    CharGroup,
     char_group,
     f_sum_hat,
     local_prediction,
@@ -29,11 +33,15 @@ from gisieve.gauss import (
     GIdeal,
     UNIT_IDEAL,
     euler_phi,
+    factor_int,
     ideal_divisors,
+    ideals_up_to_norm,
     is_coprime,
     mod_inverse,
     prime_power_ideals_up_to_norm,
     reduce_mod,
+    reduce_pair,
+    residue_box,
     unit_residues,
     unit_table,
 )
@@ -117,6 +125,167 @@ def test_group_product_and_conjugate():
         assert w.min() >= 0 and w.sum() % grp.exponent == 0
         assert chi(a) * chi(a).conjugate() == pytest.approx(1.0, abs=1e-12)
         assert chi(a_inv) == pytest.approx(chi(a).conjugate(), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Generators and discrete logs against the scalar construction
+# ---------------------------------------------------------------------------
+
+
+
+
+def _pow(x, k, mul, one):
+    out = one
+    while k:
+        if k & 1:
+            out = mul(out, x)
+        x = mul(x, x)
+        k >>= 1
+    return out
+
+
+def _abelian_generators(keys, mul, one):
+    """Direct-product generators [(g, order)] of an abelian group.
+
+    `keys` is the full (hashable, sortable) element list.  The first
+    generator has maximal order = the group exponent; each further one is
+    a maximal-order element of the successive quotient, corrected by the
+    standard lemma so that its order in the full group equals its order
+    in the quotient.  The internal direct product of the results is the
+    whole group.
+    """
+    n = len(keys)
+    if n == 1:
+        return []
+    qs = [p for p, _ in factor_int(n)]
+
+    def elem_order(x):
+        o = n
+        for q in qs:
+            while o % q == 0 and _pow(x, o // q, mul, one) == one:
+                o //= q
+        return o
+
+    best_order = 0
+    best = one
+    for x in keys:
+        o = elem_order(x)
+        if o > best_order or (o == best_order and x < best):
+            best_order, best = o, x
+    g = best
+    if best_order == n:
+        return [(g, n)]
+
+    # subgroup <g> and coset labels (smallest member, found by sorted sweep)
+    cyc = [one]
+    p = g
+    while p != one:
+        cyc.append(p)
+        p = mul(p, g)
+    label = {}
+    for x in sorted(keys):
+        if x in label:
+            continue
+        for h in cyc:
+            label[mul(x, h)] = x
+    qkeys = sorted(set(label.values()))
+
+    def qmul(u, v):
+        return label[mul(u, v)]
+
+    sub = _abelian_generators(qkeys, qmul, label[one])
+
+    gdlog = {h: j for j, h in enumerate(cyc)}
+    gens = [(g, best_order)]
+    for h, m in sub:
+        j = gdlog[_pow(h, m, mul, one)]  # h^m lies in <g> since its label is trivial
+        assert j % m == 0, "maximal-order peeling violated the lifting lemma"
+        corr = _pow(g, (best_order - j // m) % best_order, mul, one)
+        gens.append((mul(h, corr), m))
+    return gens
+
+
+def _scalar_group(c):
+    """(gen_elements, gen_orders, exponent_vectors, _flat, _dlog_matrix) of
+    the group mod c, by tuple arithmetic and a dict of discrete logs."""
+    units = unit_table(c)
+    box = residue_box(c)
+    keys = list(zip(units.x.tolist(), units.y.tolist()))
+
+    def mul(u, v):
+        return reduce_pair(u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0], box)
+
+    one = reduce_pair(1, 0, box)
+    gens = _abelian_generators(keys, mul, one)
+    table = {one: ()}
+    for gk, n in gens:
+        step = {}
+        p = one
+        for j in range(n):
+            for k, v in table.items():
+                step[mul(k, p)] = v + (j,)
+            p = mul(p, gk)
+        table = step
+    assert len(table) == len(keys), "generators do not span the unit group"
+
+    orders = tuple(n for _, n in gens)
+    exponent = math.lcm(*orders) if gens else 1
+    logs = [table[k] for k in keys]
+    flat = []
+    for v in logs:
+        i = 0
+        for a, n in zip(v, orders):
+            i = i * n + a
+        flat.append(i)
+    exps = np.indices(orders, dtype=np.int64).reshape(len(gens), len(keys)).T
+    dlog = np.array(logs, dtype=np.int64).reshape(len(keys), len(gens)) * np.array(
+        [exponent // n for n in orders], dtype=np.int64
+    )
+    return tuple(GaussianInt(*gk) for gk, _ in gens), orders, exps, flat, dlog
+
+
+def _assert_matches_scalar(c):
+    grp = CharGroup(c)
+    elements, orders, exps, flat, dlog = _scalar_group(c)
+    assert grp.gen_elements == elements, c
+    assert grp.gen_orders == orders, c
+    assert grp.exponent_vectors.tolist() == exps.tolist(), c
+    assert grp._flat.tolist() == flat, c
+    assert grp._flat.dtype == np.int64 and grp._dlog_matrix.dtype == np.int64
+    assert np.array_equal(grp._dlog_matrix, dlog) and grp._dlog_matrix.shape == dlog.shape, c
+
+
+def test_basis_matches_scalar_oracle_to_norm_300():
+    # one generator per ideal: the group data depends only on the ideal
+    for ideal in ideals_up_to_norm(300):
+        _assert_matches_scalar(ideal.gen)
+
+
+@with_edge_moduli
+@given(engine_moduli)
+def test_basis_matches_scalar_oracle(c):
+    _assert_matches_scalar(c)
+
+
+def test_group_guard_at_int64_limit():
+    # N(46341) = 46341^2 >= 2^31: the int64 products would not stay exact
+    with pytest.raises(DomainError, match="too large"):
+        char_group(GaussianInt(46341, 0))
+
+
+def test_group_construction_memory_is_linear():
+    # phi(231) = 46,080: a phi x phi table would take gigabytes; every
+    # array of the construction has phi entries
+    c = GaussianInt(231, 0)
+    unit_table(c)
+    tracemalloc.start()
+    try:
+        grp = CharGroup(c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grp.order == 46080 and grp.gen_orders == (240, 24, 8)
+    assert peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------------------
