@@ -100,7 +100,7 @@ class ExperimentReport:
     @property
     def ratio(self) -> float:
         """lhs / rhs_bound, 0 if rhs_bound is 0."""
-        return self.lhs / self.rhs_bound if self.rhs_bound > 0 else 0.0
+        return _ratio(self.lhs, self.rhs_bound)
 
     def csv_header(self) -> str:
         names = ",".join(name for name, _ in self.parameters)
@@ -123,6 +123,10 @@ class ExperimentReport:
             "ratio": self.ratio,
             "seed": self.seed,
         }
+
+
+def _ratio(lhs: float, rhs: float) -> float:
+    return lhs / rhs if rhs > 0 else 0.0
 
 
 def _render(value: object) -> str:
@@ -161,17 +165,19 @@ def run_trials(task: Callable[[int], R], trials: int) -> list[R]:
     return [task(index) for index in range(trials)]
 
 
+#: One trial's (lhs, rhs, parameters), as the *_ratio functions return it.
+Trial = tuple[float, float, dict[str, object]]
+
+
 def _worst_trial(
-    experiment: str, one: Callable[[int], ExperimentReport], trials: int, seed: int
+    experiment: str, one: Callable[[int], Trial], trials: int, seed: int
 ) -> ExperimentReport:
-    """The trial of largest ratio (the first of any ties), stamped with
-    the number of trials and the seed."""
+    """The report of the trial of largest ratio (the first of any ties),
+    with the number of trials and the seed."""
     if trials < 1:
         raise DomainError("trials must be >= 1")
-    worst = max(run_trials(one, trials), key=lambda rep: rep.ratio)
-    return make_report(
-        experiment, dict(worst.parameters), worst.lhs, worst.rhs_bound, trials, seed
-    )
+    lhs, rhs, params = max(run_trials(one, trials), key=lambda t: _ratio(t[0], t[1]))
+    return make_report(experiment, params, lhs, rhs, trials, seed)
 
 
 def random_sign_sequence(
@@ -273,9 +279,10 @@ def quad_form_bound_ratio(
     b: CoefficientSequence,
     *,
     force: bool = False,
-) -> ExperimentReport:
-    """|quad_form| against C^(1+gamma)(K + sqrt(M) + sqrt(N) + C sqrt(MN)/K)
-    K^eps |a| |b| with K = C + sqrt(CMN)|theta|, eps = EPSILON, constant 1."""
+) -> Trial:
+    """(lhs, rhs, parameters): |quad_form| against C^(1+gamma)(K + sqrt(M)
+    + sqrt(N) + C sqrt(MN)/K) K^eps |a| |b| with K = C + sqrt(CMN)|theta|,
+    eps = EPSILON, constant 1."""
     lhs = abs(quad_form(d, theta, gamma, C, M, N, a, b, force=force))
     K = C + math.sqrt(C * M * N) * abs(theta)
     rhs = (
@@ -286,7 +293,7 @@ def quad_form_bound_ratio(
         * b.l2_norm()
     )
     params = {"d": d, "theta": complex(theta), "gamma": gamma, "C": C, "M": M, "N": N}
-    return make_report("quad_form", params, lhs, rhs, 1, 0)
+    return lhs, rhs, params
 
 
 def quad_form_experiment(
@@ -304,7 +311,7 @@ def quad_form_experiment(
     """Max ratio over random +-1 sequence pairs; reports the worst trial."""
     _check_caps(force, ("trials", trials, DESK_CAPS["trials"]))
 
-    def one(index: int) -> ExperimentReport:
+    def one(index: int) -> Trial:
         a = random_sign_sequence((M, 2 * M), [seed, 2 * index])
         b = random_sign_sequence((N, 2 * N), [seed, 2 * index + 1])
         return quad_form_bound_ratio(d, theta, gamma, C, M, N, a, b, force=force)
@@ -356,16 +363,14 @@ def hybrid_lhs(C: float, T: float, a: CoefficientSequence, *, force: bool = Fals
     return total
 
 
-def hybrid_ratio(
-    C: float, T: float, a: CoefficientSequence, *, force: bool = False
-) -> ExperimentReport:
-    """hybrid_lhs against (C^2 T^2 + N)(CT)^eps sum|a|^2, N the window top."""
+def hybrid_ratio(C: float, T: float, a: CoefficientSequence, *, force: bool = False) -> Trial:
+    """(lhs, rhs, parameters): hybrid_lhs against (C^2 T^2 + N)(CT)^eps
+    sum|a|^2, N the window top."""
     lhs = hybrid_lhs(C, T, a, force=force)
     N = a.norm_window[1]
     norm_sq = sum(abs(v) ** 2 for _, v in a.entries)
     rhs = (C**2 * T**2 + N) * (C * T) ** EPSILON * norm_sq
-    params = {"C": C, "T": T, "N": N}
-    return make_report("hybrid", params, lhs, rhs, 1, 0)
+    return lhs, rhs, {"C": C, "T": T, "N": N}
 
 
 def hybrid_experiment(
@@ -382,7 +387,7 @@ def hybrid_experiment(
         force, ("trials", trials, DESK_CAPS["trials"]), ("N", N, DESK_CAPS["sequence_norm"])
     )
 
-    def one(index: int) -> ExperimentReport:
+    def one(index: int) -> Trial:
         a = random_sign_sequence((0, N), [seed, index])
         return hybrid_ratio(C, T, a, force=force)
 
@@ -394,9 +399,10 @@ def hybrid_experiment(
 # ---------------------------------------------------------------------------
 
 
-def eisenstein_ratio(T: float, P: float, a: CoefficientSequence) -> ExperimentReport:
-    """eisenstein_sieve_sum(a, T, P) against the square-coefficient bound
-    {TP(T^2+P^2) + TPN + ((T^2+P^2)/TP)(1/T^2+1/P^2)N^2}(TPN)^eps sum|a|^2."""
+def eisenstein_ratio(T: float, P: float, a: CoefficientSequence) -> Trial:
+    """(lhs, rhs, parameters): eisenstein_sieve_sum(a, T, P) against the
+    square-coefficient bound {TP(T^2+P^2) + TPN +
+    ((T^2+P^2)/TP)(1/T^2+1/P^2)N^2}(TPN)^eps sum|a|^2."""
     lhs = eisenstein_sieve_sum(a, T, P) if not a.is_zero() else 0.0
     N = a.norm_window[1]
     norm_sq = sum(abs(v) ** 2 for _, v in a.entries)
@@ -409,8 +415,7 @@ def eisenstein_ratio(T: float, P: float, a: CoefficientSequence) -> ExperimentRe
         * (T * P * N) ** EPSILON
         * norm_sq
     )
-    params = {"T": T, "P": P, "N": N}
-    return make_report("eisenstein", params, lhs, rhs, 1, 0)
+    return lhs, rhs, {"T": T, "P": P, "N": N}
 
 
 def eisenstein_experiment(
@@ -427,7 +432,7 @@ def eisenstein_experiment(
         force, ("trials", trials, DESK_CAPS["trials"]), ("N", N, DESK_CAPS["sequence_norm"])
     )
 
-    def one(index: int) -> ExperimentReport:
+    def one(index: int) -> Trial:
         a = random_sign_sequence((0, N), [seed, index])
         return eisenstein_ratio(T, P, a)
 

@@ -307,21 +307,23 @@ def test_criterion_11_ratio_experiments():
     # scale invariance of the reported ratios under sequence scaling
     a = random_sign_sequence((5, 10), [1, 0])
     b = random_sign_sequence((5, 10), [1, 1])
-    quad_base = quad_form_bound_ratio(ONE, 1.0, 0.0, 5.0, 5.0, 5.0, a, b)
-    quad_scaled = quad_form_bound_ratio(
-        ONE, 1.0, 0.0, 5.0, 5.0, 5.0, a.scaled(5.0), b.scaled(5.0)
+    def ratio(trial):
+        lhs, rhs, _ = trial
+        return lhs / rhs
+
+    quad_base = ratio(quad_form_bound_ratio(ONE, 1.0, 0.0, 5.0, 5.0, 5.0, a, b))
+    quad_scaled = ratio(
+        quad_form_bound_ratio(ONE, 1.0, 0.0, 5.0, 5.0, 5.0, a.scaled(5.0), b.scaled(5.0))
     )
     seq = random_sign_sequence((0, 20), [1, 2])
-    hyb_base, hyb_scaled = hybrid_ratio(4.0, 2.0, seq), hybrid_ratio(
-        4.0, 2.0, seq.scaled(3.0)
-    )
-    eis_base, eis_scaled = eisenstein_ratio(2.0, 1.0, seq), eisenstein_ratio(
-        2.0, 1.0, seq.scaled(3.0)
-    )
+    hyb_base = ratio(hybrid_ratio(4.0, 2.0, seq))
+    hyb_scaled = ratio(hybrid_ratio(4.0, 2.0, seq.scaled(3.0)))
+    eis_base = ratio(eisenstein_ratio(2.0, 1.0, seq))
+    eis_scaled = ratio(eisenstein_ratio(2.0, 1.0, seq.scaled(3.0)))
     scale_defect = max(
-        abs(quad_scaled.ratio - quad_base.ratio) / quad_base.ratio,
-        abs(hyb_scaled.ratio - hyb_base.ratio) / hyb_base.ratio,
-        abs(eis_scaled.ratio - eis_base.ratio) / eis_base.ratio,
+        abs(quad_scaled - quad_base) / quad_base,
+        abs(hyb_scaled - hyb_base) / hyb_base,
+        abs(eis_scaled - eis_base) / eis_base,
     )
 
     worst_change = max(changes.values())

@@ -36,6 +36,7 @@ from gisieve.sievelab import (
     quad_form_experiment,
     random_sign_sequence,
     run_trials,
+    _worst_trial,
 )
 from gisieve.spectral import CoefficientSequence, eisenstein_sieve_sum
 from conftest import make_sequence
@@ -341,9 +342,9 @@ def test_quad_form_bound_ratio_formula():
     a = random_sign_sequence((2, 4), [1])
     b = random_sign_sequence((2, 4), [2])
     d, theta, gamma, C, M, N = ONE, 0.25, 0.5, 4.0, 2.0, 2.0
-    rep = quad_form_bound_ratio(d, theta, gamma, C, M, N, a, b)
-    assert rep.experiment == "quad_form"
-    assert rep.lhs == pytest.approx(abs(quad_form(d, theta, gamma, C, M, N, a, b)))
+    lhs, rhs, params = quad_form_bound_ratio(d, theta, gamma, C, M, N, a, b)
+    assert params == {"d": d, "theta": complex(theta), "gamma": gamma, "C": C, "M": M, "N": N}
+    assert lhs == pytest.approx(abs(quad_form(d, theta, gamma, C, M, N, a, b)))
     K = C + math.sqrt(C * M * N) * abs(theta)
     want_rhs = (
         C ** (1 + gamma)
@@ -352,19 +353,42 @@ def test_quad_form_bound_ratio_formula():
         * a.l2_norm()
         * b.l2_norm()
     )
-    assert rep.rhs_bound == pytest.approx(want_rhs, rel=1e-12)
-    assert rep.ratio == pytest.approx(rep.lhs / rep.rhs_bound, rel=1e-12)
+    assert rhs == pytest.approx(want_rhs, rel=1e-12)
+
+
+def test_quad_form_experiment_reports_its_trial():
+    # one trial: the report carries that trial's sides and parameters,
+    # with the experiment's own trial count and seed
+    rep = quad_form_experiment(ONE, 0.25, 0.5, 4.0, 2.0, 2.0, trials=1, seed=5)
+    a = random_sign_sequence((2.0, 4.0), [5, 0])
+    b = random_sign_sequence((2.0, 4.0), [5, 1])
+    lhs, rhs, params = quad_form_bound_ratio(ONE, 0.25, 0.5, 4.0, 2.0, 2.0, a, b)
+    assert rep == make_report("quad_form", params, lhs, rhs, 1, 5)
+
+
+def test_worst_trial_takes_the_first_largest_ratio():
+    # ratios 0.5, 1.5, 1.5 and 0 (zero rhs): the first 1.5 wins
+    trials = [
+        (1.0, 2.0, {"k": 0}),
+        (3.0, 2.0, {"k": 1}),
+        (1.5, 1.0, {"k": 2}),
+        (0.0, 0.0, {"k": 3}),
+    ]
+    rep = _worst_trial("demo", lambda index: trials[index], 4, 9)
+    assert rep == make_report("demo", {"k": 1}, 3.0, 2.0, 4, 9)
+    with pytest.raises(DomainError, match="trials"):
+        _worst_trial("demo", lambda index: trials[index], 0, 9)
 
 
 def test_quad_form_ratio_scale_invariant():
     a = random_sign_sequence((2, 4), [3])
     b = random_sign_sequence((2, 4), [4])
-    base = quad_form_bound_ratio(ONE, 0.25, 0.0, 4.0, 2.0, 2.0, a, b)
-    scaled = quad_form_bound_ratio(
+    lhs, rhs, _ = quad_form_bound_ratio(ONE, 0.25, 0.0, 4.0, 2.0, 2.0, a, b)
+    lhs6, rhs6, _ = quad_form_bound_ratio(
         ONE, 0.25, 0.0, 4.0, 2.0, 2.0, a.scaled(3.0), b.scaled(2.0)
     )
-    assert scaled.ratio == pytest.approx(base.ratio, rel=1e-12)
-    assert scaled.lhs == pytest.approx(6.0 * base.lhs, rel=1e-12)
+    assert lhs6 / rhs6 == pytest.approx(lhs / rhs, rel=1e-12)
+    assert lhs6 == pytest.approx(6.0 * lhs, rel=1e-12)
 
 
 def test_quad_form_cap_names_the_doubled_modulus():
@@ -468,14 +492,14 @@ def test_hybrid_lhs_monotone_in_window_and_length():
 def test_hybrid_ratio_formula_and_scale_invariance():
     seq = random_sign_sequence((0, 10), [12])
     C, T = 4.0, 2.0
-    rep = hybrid_ratio(C, T, seq)
+    lhs, rhs, params = hybrid_ratio(C, T, seq)
     norm_sq = sum(abs(v) ** 2 for _, v in seq.entries)
     want_rhs = (C**2 * T**2 + 10) * (C * T) ** EPSILON * norm_sq
-    assert rep.experiment == "hybrid"
-    assert rep.rhs_bound == pytest.approx(want_rhs, rel=1e-12)
-    assert rep.lhs == pytest.approx(hybrid_lhs(C, T, seq), rel=1e-12)
-    scaled = hybrid_ratio(C, T, seq.scaled(2.0))
-    assert scaled.ratio == pytest.approx(rep.ratio, rel=1e-12)
+    assert params == {"C": C, "T": T, "N": 10}
+    assert rhs == pytest.approx(want_rhs, rel=1e-12)
+    assert lhs == pytest.approx(hybrid_lhs(C, T, seq), rel=1e-12)
+    lhs2, rhs2, _ = hybrid_ratio(C, T, seq.scaled(2.0))
+    assert lhs2 / rhs2 == pytest.approx(lhs / rhs, rel=1e-12)
 
 
 def test_hybrid_experiment_deterministic():
@@ -496,25 +520,26 @@ def test_hybrid_experiment_deterministic():
 def test_eisenstein_ratio_zero_sequence():
     # A zero sequence has zero l2 norm, so both sides vanish and the
     # report falls back to ratio = 0 rather than dividing by zero.
-    rep = eisenstein_ratio(2.0, 1.0, _seq({(1, 0): 0.0}))
-    assert rep.lhs == 0.0
-    assert rep.rhs_bound == 0.0
-    assert rep.ratio == 0.0
+    lhs, rhs, params = eisenstein_ratio(2.0, 1.0, _seq({(1, 0): 0.0}))
+    assert lhs == 0.0
+    assert rhs == 0.0
+    assert make_report("eisenstein", params, lhs, rhs, 1, 3).ratio == 0.0
 
 
 def test_eisenstein_ratio_formula():
     seq = random_sign_sequence((0, 8), [13])
     T, P = 2.0, 1.0
-    rep = eisenstein_ratio(T, P, seq)
+    lhs, rhs, params = eisenstein_ratio(T, P, seq)
     norm_sq = sum(abs(v) ** 2 for _, v in seq.entries)
     want_rhs = (
         T * P * (T**2 + P**2)
         + T * P * 8
         + ((T**2 + P**2) / (T * P)) * (1 / T**2 + 1 / P**2) * 64
     ) * (T * P * 8) ** EPSILON * norm_sq
-    assert rep.rhs_bound == pytest.approx(want_rhs, rel=1e-12)
-    assert rep.lhs == pytest.approx(eisenstein_sieve_sum(seq, T, P), rel=1e-12)
-    assert rep.ratio > 0
+    assert params == {"T": T, "P": P, "N": 8}
+    assert rhs == pytest.approx(want_rhs, rel=1e-12)
+    assert lhs == pytest.approx(eisenstein_sieve_sum(seq, T, P), rel=1e-12)
+    assert lhs > 0
 
 
 def test_eisenstein_experiment_deterministic():
