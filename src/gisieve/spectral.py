@@ -72,13 +72,11 @@ from .gauss import (
 )
 
 __all__ = [
-    "ExcludedPointError",
     "CoefficientSequence",
     "HeckeZetaValue",
     "KuznetsovGeometric",
     "tau_s_p",
     "hecke_zeta",
-    "eisenstein_weight",
     "eisenstein_sieve_sum",
     "kuznetsov_geometric",
     "POLE_BAND_HALF_WIDTH",
@@ -87,10 +85,6 @@ __all__ = [
     "IDEAL_DENSITY",
     "ZETA_EULER_CONSTANT",
 ]
-
-
-class ExcludedPointError(ValueError):
-    """A weight was requested inside the excluded band around a pole."""
 
 
 #: Half-width of the band around t = 0 excluded from omega(t, 0): the
@@ -330,30 +324,16 @@ def hecke_zeta(
 
 
 def _omega(t: np.ndarray, p: int, cutoff: float) -> np.ndarray:
-    """omega(t, p) at every entry of the 1-D array t, from one lattice pass."""
+    """omega(t, p) = 1 / |zeta(1 + 2it, 2p)|^2 at every entry of the 1-D
+    array t, from one lattice pass.
+
+    Documented accuracy target: 1e-2 relative for |t| <= 5, |p| <= 8 at the
+    default cutoff.  At p = 0, omega -> 0 toward t = 0; the sieve sum skips
+    the band |t| < POLE_BAND_HALF_WIDTH rather than modelling it.
+    """
     if cutoff < 4:
         raise DomainError("cutoff too small to say anything")
     return 1.0 / np.abs(_smoothed_zeta(1.0 + 2j * t, 2 * p, cutoff)) ** 2
-
-
-def eisenstein_weight(t: float, p: int, cutoff: float = DEFAULT_WEIGHT_CUTOFF) -> float:
-    """omega(t, p) = 1 / |zeta(1 + 2it, 2p)|^2.
-
-    Documented accuracy target: 1e-2 relative for |t| <= 5, |p| <= 8 at the
-    default cutoff.  Raises ExcludedPointError inside the pole band
-    |t| < POLE_BAND_HALF_WIDTH when p = 0 (omega -> 0 there; the band is
-    skipped by the quadrature rather than modelled).
-    """
-    if p == 0 and abs(t) < POLE_BAND_HALF_WIDTH:
-        raise ExcludedPointError(
-            f"omega(t, 0) is excluded for |t| < {POLE_BAND_HALF_WIDTH}"
-        )
-    if cutoff < 4:
-        raise DomainError("cutoff too small to say anything")
-    z = _smoothed_zeta(np.array([1.0 + 2j * float(t)]), 2 * int(p), float(cutoff))[0]
-    # scalar float ** 2, not NumPy's square: the two differ in the last bit
-    # for some values, and this is exactly 1 / |hecke_zeta(...).value|^2
-    return 1.0 / abs(complex(z)) ** 2
 
 
 @dataclass(frozen=True)
