@@ -105,16 +105,14 @@ def _basis(units, mul, one: int) -> list[tuple[int, int]]:
     if phi == 1:
         return []
     every = np.arange(phi)
+    square = mul(every, every)
     sigma = {}
     for q, _ in factor_int(phi):
-        sq, base, k = None, every, q
-        while True:  # square-and-multiply, never multiplying by one
-            if k & 1:
-                sq = base if sq is None else mul(sq, base)
-            k >>= 1
-            if not k:
-                break
-            base = mul(base, base)
+        sq = every
+        for bit in bin(q)[3:]:  # square-and-multiply from the leading bit
+            sq = square[sq]
+            if bit == "1":
+                sq = mul(sq, every)
         sigma[q] = sq
 
     def power(y, m):  # y^m for m | phi, composed from the prime power maps
