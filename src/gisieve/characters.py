@@ -73,15 +73,16 @@ __all__ = [
 
 def _unit_mul(units, box):
     """The product of unit positions (ints or int arrays, broadcast), by
-    exact int64 arithmetic on the box coordinates of unit_table: the
-    Hermite box reduction of reduce_pair, with the y-step by one divmod."""
+    exact int64 arithmetic on the box coordinates of unit_table and the
+    Hermite box reduction of reduce_pair."""
     d, e, g = box
     x, y, position = units.x, units.y, units.position
 
     def mul(p, q):
         ax, ay, bx, by = x[p], y[p], x[q], y[q]
-        k, ry = np.divmod(ax * by + ay * bx, g)
-        return position[ry * d + (ax * bx - ay * by - k * e) % d]
+        im = ax * by + ay * bx
+        k = im // g
+        return position[(im - k * g) * d + (ax * bx - ay * by - k * e) % d]
 
     return mul
 
@@ -162,7 +163,7 @@ def _basis(units, mul, one: int) -> list[tuple[int, int]]:
             powers = _orbit(step, np.array([one]), o)[:, 0]
             cyc = label[powers]
         for h, m in gens:
-            j = int(np.flatnonzero(cyc == label[power(h, m)])[0])
+            j = int(np.argmax(cyc == label[power(h, m)]))
             assert j % m == 0, "maximal-order peeling violated the lifting lemma"
             lifted.append((int(by_rank[label[mul(h, powers[(o - j // m) % o])]]), m))
         gens = lifted
@@ -218,16 +219,15 @@ class CharGroup:
         self._grid = self.gen_orders or (1,)
         self._flat = np.empty(len(grid), dtype=np.int64)
         self._flat[grid] = np.arange(len(grid))
-        # dlog matrix in residue enumeration order, pre-scaled to /exponent
-        # (with no generators, the grid's one axis is dropped)
-        logs = np.stack(np.unravel_index(self._flat, self._grid), axis=1)[:, : len(gens)]
-        scale = [self.exponent // n for n in self.gen_orders]
-        self._dlog_matrix = logs.astype(np.int64) * np.array(scale, dtype=np.int64)
         #: exponent vectors of all characters, one row each in characters() order
         self.exponent_vectors = np.indices(self.gen_orders, dtype=np.int64).reshape(
             len(gens), len(grid)
         ).T
         self.exponent_vectors.setflags(write=False)
+        # dlog matrix in residue enumeration order, pre-scaled to /exponent:
+        # row t of exponent_vectors is the grid point t
+        scale = [self.exponent // n for n in self.gen_orders]
+        self._dlog_matrix = self.exponent_vectors[self._flat] * np.array(scale, dtype=np.int64)
         self._fhat: dict[GaussianInt, np.ndarray] = {}
         self._conductors: tuple[GIdeal, ...] | None = None
 
