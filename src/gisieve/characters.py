@@ -28,7 +28,11 @@ generator of the modulus ideal is used inside F; the magnitude does not.
 
 Over all characters at once, fhat is one fftn of F placed on the
 discrete-log grid Z/n_1 x ... x Z/n_r (CharGroup.transform), and each
-group finds the conductors of all its characters in one pass.
+group finds the conductors of all its characters in one pass.  The
+class of a character and its local case formula depend only on its
+conductor (and, for the formula, on whether chi^2 is trivial), so
+CharGroup.classes and local_prediction evaluate them once per distinct
+conductor and return arrays in characters() order.
 """
 
 from __future__ import annotations
@@ -58,7 +62,6 @@ from .gauss import (
 __all__ = [
     "CharGroup",
     "DirichletChar",
-    "MagnitudePrediction",
     "char_group",
     "f_sum_hat",
     "local_prediction",
@@ -331,6 +334,32 @@ class CharGroup:
         self._conductors = tuple(found)
         return self._conductors
 
+    def classes(self) -> tuple[str, ...]:
+        """The class of every character, in characters() order, one of
+        'trivial', 'primitive', 'semi-primitive', 'mixed':
+
+        trivial        <=> conductor = (1)   (takes precedence at modulus (1))
+        primitive      <=> conductor = modulus
+        semi-primitive <=> 1 <= v_p(conductor) < v_p(modulus) at every prime p
+
+        Each distinct conductor is classified once.
+        """
+        fac = factor(self.modulus.gen).factors
+
+        def classify(cond: GIdeal) -> str:
+            if cond == UNIT_IDEAL:
+                return "trivial"
+            if cond == self.modulus:
+                return "primitive"
+            cond_exp = dict(factor(cond.gen).factors)
+            if all(1 <= cond_exp.get(p, 0) < e for p, e in fac):
+                return "semi-primitive"
+            return "mixed"
+
+        conds = self.conductors()
+        by_conductor = {d: classify(d) for d in set(conds)}
+        return tuple(by_conductor[d] for d in conds)
+
     def value_matrix(self) -> np.ndarray:
         """Matrix X[j, i] = chi_j(alpha_i) over all characters/residues."""
         units = unit_table(self.element)
@@ -346,38 +375,15 @@ class DirichletChar:
         self.group = group
         self.exps = exps
 
-    def is_quadratic_or_trivial(self) -> bool:
-        """Whether chi^2 is the trivial character."""
-        return all((2 * a) % n == 0 for a, n in zip(self.exps, self.group.gen_orders))
-
     def __call__(self, z: GaussianInt) -> complex:
         """chi(z), and 0 where z is not a unit."""
         w = int(self.group.weights([self.exps], [z.re], [z.im])[0, 0])
         return 0j if w < 0 else complex(_exp_table(self.group.exponent)[w])
 
-    # -- conductor and classification -------------------------------------
-
     def conductor(self) -> GIdeal:
         """Smallest ideal d | (c) such that chi factors through (Z[i]/d)^x."""
         grp = self.group
         return grp.conductors()[grp.index(self.exps)]
-
-    def char_class(self) -> str:
-        """One of 'trivial', 'primitive', 'semi-primitive', 'mixed'.
-
-        trivial        <=> conductor = (1)   (takes precedence at modulus (1))
-        primitive      <=> conductor = modulus
-        semi-primitive <=> 1 <= v_p(conductor) < v_p(modulus) at every prime p
-        """
-        cond = self.conductor()
-        if cond == UNIT_IDEAL:
-            return "trivial"
-        if cond == self.group.modulus:
-            return "primitive"
-        cond_exp = {p: e for p, e in factor(cond.gen).factors}
-        if all(1 <= cond_exp.get(p, 0) < e for p, e in factor(self.group.modulus.gen).factors):
-            return "semi-primitive"
-        return "mixed"
 
 
 @lru_cache(maxsize=512)
@@ -404,22 +410,10 @@ def f_sum_hat(chi: DirichletChar, element: GaussianInt | None = None) -> complex
     return complex(grp.fhat_table(c)[grp.index(chi.exps)])
 
 
-class MagnitudePrediction:
-    """Predicted |fhat(chi)|; is_bound marks 'upper bound only' cases."""
-
-    __slots__ = ("value", "is_bound")
-
-    def __init__(self, value: float, is_bound: bool = False):
-        self.value = value
-        self.is_bound = is_bound
-
-    def __repr__(self):
-        rel = "<=" if self.is_bound else "="
-        return f"MagnitudePrediction(|fhat| {rel} {self.value:.6g})"
-
-
-def local_prediction(chi: DirichletChar) -> MagnitudePrediction:
-    """Exact |fhat| (or an upper bound) for a prime-power modulus p^k.
+def local_prediction(grp: CharGroup) -> tuple[np.ndarray, np.ndarray]:
+    """Exact |fhat| (or an upper bound) for every character of a
+    prime-power modulus p^k, in characters() order: the arrays (values,
+    is_bound), where is_bound marks the 'upper bound only' cases.
 
     Cases, with q = N(p), kstar = v_p(conductor):
       trivial chi:      1/(q-1) if k = 1;  q^{k/2} if k even;  0 otherwise
@@ -429,36 +423,44 @@ def local_prediction(chi: DirichletChar) -> MagnitudePrediction:
                         bound q^{k/2} if chi^2 trivial;
                         2^{5/2} iff q = 2 and k = kstar + 2, else 0
     The unit modulus (1) carries only the trivial character, with fhat = 1.
+    Each case is evaluated once per (kstar, chi^2 trivial) pair.
     """
-    grp = chi.group
     fac = factor(grp.modulus.gen).factors
     if not fac:
-        return MagnitudePrediction(1.0)
+        return np.array([1.0]), np.array([False])
     if len(fac) > 1:
         raise DomainError("local prediction needs a prime-power modulus")
     p, k = fac[0]
     q = p.norm
-    cond = chi.conductor()
-    kstar = 0 if cond == UNIT_IDEAL else factor(cond.gen).factors[0][1]
 
-    if kstar == 0:  # trivial character mod p^k
-        if k == 1:
-            return MagnitudePrediction(1.0 / (q - 1))
-        return MagnitudePrediction(float(q) ** (k // 2) if k % 2 == 0 else 0.0)
-    if kstar == k:  # primitive
-        if q == 2:
-            return MagnitudePrediction(0.0)
-        if chi.is_quadratic_or_trivial():
-            return MagnitudePrediction(math.sqrt(q) / (q - 1))
-        return MagnitudePrediction(q / (q - 1))
-    # semi-primitive: 1 <= kstar < k
-    if (k - kstar) % 2 == 1:
-        return MagnitudePrediction(0.0)
-    if chi.is_quadratic_or_trivial():
-        return MagnitudePrediction(float(q) ** (k / 2.0), is_bound=True)
-    if q == 2 and k == kstar + 2:
-        return MagnitudePrediction(2.0 ** 2.5)
-    return MagnitudePrediction(0.0)
+    def case(kstar: int, quadratic: bool) -> tuple[float, bool]:
+        if kstar == 0:  # trivial character mod p^k
+            if k == 1:
+                return 1.0 / (q - 1), False
+            return (float(q) ** (k // 2) if k % 2 == 0 else 0.0), False
+        if kstar == k:  # primitive
+            if q == 2:
+                return 0.0, False
+            return (math.sqrt(q) / (q - 1) if quadratic else q / (q - 1)), False
+        # semi-primitive: 1 <= kstar < k
+        if (k - kstar) % 2 == 1:
+            return 0.0, False
+        if quadratic:
+            return float(q) ** (k / 2.0), True
+        return (2.0 ** 2.5 if q == 2 and k == kstar + 2 else 0.0), False
+
+    conds = grp.conductors()
+    exps_of = {d: 0 if d == UNIT_IDEAL else factor(d.gen).factors[0][1] for d in set(conds)}
+    kstar = np.array([exps_of[d] for d in conds])
+    # chi^2 is trivial iff 2 a_i = 0 mod n_i on every axis
+    quadratic = ((2 * grp.exponent_vectors) % grp.gen_orders == 0).all(axis=1)
+    values = np.empty(grp.order)
+    is_bound = np.empty(grp.order, dtype=bool)
+    for ks in set(exps_of.values()):
+        for quad in (False, True):
+            at = (kstar == ks) & (quadratic == quad)
+            values[at], is_bound[at] = case(ks, quad)
+    return values, is_bound
 
 
 def twisted_mult_residual(chi1: DirichletChar, chi2: DirichletChar) -> complex:

@@ -39,7 +39,7 @@ from .archimedean import (
     plancherel_integral,
     plancherel_integral_quadrature,
 )
-from .characters import char_group, f_sum_hat
+from .characters import char_group
 from .expsums import f_sum, kloosterman
 from .gauss import DomainError, GaussianInt
 from .sievelab import (
@@ -157,15 +157,16 @@ def _fsum(args) -> Outcome:
 
 def _charsum(args) -> Outcome:
     c = GaussianInt.parse(args.c)
-    wanted = tuple(int(x) for x in args.exps.split(",")) if args.exps else None
+    grp = char_group(c)
+    picked = range(grp.order)
+    if args.exps:  # reduced mod the generator orders
+        picked = [grp.index(grp.character([int(x) for x in args.exps.split(",")]).exps)]
+    fhat, classes, conductors = grp.fhat_table(), grp.classes(), grp.conductors()
     rows = []
-    for chi in char_group(c).characters():
-        if wanted is None or chi.exps == wanted:
-            v = f_sum_hat(chi)
-            exps = ":".join(map(str, chi.exps))
-            rows.append((exps, chi.char_class(), str(chi.conductor().gen), v.real, v.imag, abs(v)))
-    if not rows:
-        raise DomainError(f"--exps {args.exps} matches no character mod {c}")
+    for i in picked:
+        v = complex(fhat[i])
+        exps = ":".join(map(str, grp.exponent_vectors[i].tolist()))
+        rows.append((exps, classes[i], str(conductors[i].gen), v.real, v.imag, abs(v)))
     columns = ("exps", "class", "conductor", "fhat_re", "fhat_im", "abs")
     return dict(c=c, characters=len(rows)), columns, rows, [], 0
 

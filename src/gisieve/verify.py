@@ -116,34 +116,30 @@ def lemma_pass(max_norm: float, tol: float) -> tuple[SuiteResult, list[tuple]]:
     Returns the suite verdict and, per character, the row (modulus,
     exps, class, |fhat|, "=" or "<=", predicted value, within tolerance).
     """
+    if not max_norm >= 2:  # also rejects NaN
+        raise DomainError("lemma-check needs max_norm >= 2")
     worst, fails, rows = 0.0, [], []
     for ideal in prime_power_ideals_up_to_norm(max_norm):
         grp = char_group(ideal.gen)
-        for chi, fhat in zip(grp.characters(), grp.fhat_table().tolist()):
-            pred = local_prediction(chi)
-            got = abs(fhat)
-            if pred.is_bound:
-                res = max(0.0, got - pred.value)
-            else:
-                res = abs(got - pred.value)
-            worst = max(worst, res)
-            rel = "<=" if pred.is_bound else "="
-            if res > tol:
+        values, is_bound = local_prediction(grp)
+        got = np.array([abs(f) for f in grp.fhat_table().tolist()])
+        res = np.where(is_bound, np.maximum(0.0, got - values), np.abs(got - values))
+        worst = max(worst, float(res.max()))
+        for exps, cls, g, v, bound, r in zip(
+            grp.exponent_vectors.tolist(),
+            grp.classes(),
+            got.tolist(),
+            values.tolist(),
+            is_bound.tolist(),
+            res.tolist(),
+        ):
+            rel = "<=" if bound else "="
+            if r > tol:
                 fails.append(
-                    f"modulus {grp.element} exps {chi.exps}: |fhat| = {got:.6f}, "
-                    f"case formula says {rel} {pred.value:.6f}"
+                    f"modulus {grp.element} exps {tuple(exps)}: |fhat| = {g:.6f}, "
+                    f"case formula says {rel} {v:.6f}"
                 )
-            rows.append(
-                (
-                    str(grp.element),
-                    ":".join(map(str, chi.exps)),
-                    chi.char_class(),
-                    got,
-                    rel,
-                    pred.value,
-                    res <= tol,
-                )
-            )
+            rows.append((str(grp.element), ":".join(map(str, exps)), cls, g, rel, v, r <= tol))
     return SuiteResult("lemma", len(rows), worst, fails), rows
 
 

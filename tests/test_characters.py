@@ -2,12 +2,13 @@
 
 The array construction of each group's generators and discrete-log grid
 is checked against the scalar construction it replaced (tuple arithmetic
-and a dict of discrete logs), kept here as the oracle.  Also includes an independent transform oracle (characters applied to the
-brute-force F table from test_expsums) and a frozen truth table for
-|fhat| at the powers of (1+i), where the values were established by
-that brute-force route.  The all-at-once fhat tables and conductors are
-checked against the per-character dot product and conductor search they
-replaced.
+and a dict of discrete logs), kept here as the oracle.  Also includes an
+independent transform oracle (characters applied to the brute-force F
+table from test_expsums) and a frozen truth table for |fhat| at the
+powers of (1+i), where the values were established by that brute-force
+route.  The all-at-once fhat tables, conductors, classes and case-formula
+predictions are checked against the per-character dot product, conductor
+search, class rule and case analysis they replaced.
 """
 
 import math
@@ -33,6 +34,7 @@ from gisieve.gauss import (
     GIdeal,
     UNIT_IDEAL,
     euler_phi,
+    factor,
     factor_int,
     ideal_divisors,
     ideals_up_to_norm,
@@ -296,22 +298,42 @@ def test_group_construction_memory_is_linear():
 @given(moduli)
 def test_conductor_divides_modulus(c):
     grp = char_group(c)
-    for chi in grp.characters():
+    for chi, cls in zip(grp.characters(), grp.classes()):
         cond = chi.conductor()
         assert cond.divides(grp.modulus)
-        assert (chi.char_class() == "primitive") == (cond == grp.modulus)
+        assert (cls == "primitive") == (cond == grp.modulus)
 
 
 def test_trivial_character_conductor():
     grp = char_group(GaussianInt(4, 2))
     assert _trivial(grp).conductor() == UNIT_IDEAL
-    assert _trivial(grp).char_class() == "trivial"
+    assert grp.classes()[grp.index(_trivial(grp).exps)] == "trivial"
 
 
 def test_char_classes_partition():
     grp = char_group(GaussianInt(5, 0).times_i() * GaussianInt(1, 1))  # norm 50
-    seen = {chi.char_class() for chi in grp.characters()}
-    assert seen <= {"trivial", "primitive", "semi-primitive", "mixed"}
+    classes = grp.classes()
+    assert len(classes) == grp.order
+    assert set(classes) <= {"trivial", "primitive", "semi-primitive", "mixed"}
+
+
+def _oracle_class(chi):
+    """The class of one character, from its conductor's factorization."""
+    cond = chi.conductor()
+    if cond == UNIT_IDEAL:
+        return "trivial"
+    if cond == chi.group.modulus:
+        return "primitive"
+    cond_exp = {p: e for p, e in factor(cond.gen).factors}
+    if all(1 <= cond_exp.get(p, 0) < e for p, e in factor(chi.group.modulus.gen).factors):
+        return "semi-primitive"
+    return "mixed"
+
+
+def test_classes_against_per_character_oracle():
+    for ideal in ideals_up_to_norm(300):
+        grp = char_group(ideal.gen)
+        assert grp.classes() == tuple(_oracle_class(chi) for chi in grp.characters())
 
 
 def _search_conductor(chi):
@@ -522,27 +544,62 @@ def test_ramified_nonzero_counts():
 # ---------------------------------------------------------------------------
 
 
+def _oracle_prediction(chi):
+    """(value, is_bound) of the case formulas for one character of a
+    prime-power modulus, from its conductor and its exponents."""
+    fac = factor(chi.group.modulus.gen).factors
+    if not fac:
+        return 1.0, False
+    (p, k), = fac
+    q = p.norm
+    cond = chi.conductor()
+    kstar = 0 if cond == UNIT_IDEAL else factor(cond.gen).factors[0][1]
+    quadratic = all((2 * a) % n == 0 for a, n in zip(chi.exps, chi.group.gen_orders))
+    if kstar == 0:
+        if k == 1:
+            return 1.0 / (q - 1), False
+        return float(q) ** (k // 2) if k % 2 == 0 else 0.0, False
+    if kstar == k:
+        if q == 2:
+            return 0.0, False
+        if quadratic:
+            return math.sqrt(q) / (q - 1), False
+        return q / (q - 1), False
+    if (k - kstar) % 2 == 1:
+        return 0.0, False
+    if quadratic:
+        return float(q) ** (k / 2.0), True
+    if q == 2 and k == kstar + 2:
+        return 2.0 ** 2.5, False
+    return 0.0, False
+
+
+def test_local_prediction_against_per_character_oracle():
+    for ideal in [UNIT_IDEAL, *prime_power_ideals_up_to_norm(400)]:
+        grp = char_group(ideal.gen)
+        values, is_bound = local_prediction(grp)
+        want = [_oracle_prediction(chi) for chi in grp.characters()]
+        assert values.tolist() == [v for v, _ in want]
+        assert is_bound.tolist() == [b for _, b in want]
+
+
 def test_local_prediction_green_range():
     for ideal in prime_power_ideals_up_to_norm(60):
         grp = char_group(ideal.gen)
-        for chi in grp.characters():
-            pred = local_prediction(chi)
-            got = abs(f_sum_hat(chi))
-            if pred.is_bound:
-                assert got <= pred.value + 1e-9
-            else:
-                assert got == pytest.approx(pred.value, abs=1e-9)
+        values, is_bound = local_prediction(grp)
+        got = np.abs(grp.fhat_table())
+        assert (got[is_bound] <= values[is_bound] + 1e-9).all()
+        assert np.allclose(got[~is_bound], values[~is_bound], rtol=0, atol=1e-9)
 
 
 def test_local_prediction_unit_modulus():
-    grp = char_group(GaussianInt(1, 0))
-    pred = local_prediction(_trivial(grp))
-    assert not pred.is_bound and pred.value == 1.0
+    values, is_bound = local_prediction(char_group(GaussianInt(1, 0)))
+    assert values.tolist() == [1.0] and is_bound.tolist() == [False]
 
 
 def test_local_prediction_rejects_composite():
     with pytest.raises(DomainError):
-        local_prediction(_trivial(char_group(GaussianInt(3, 0) * GaussianInt(2, 1))))
+        local_prediction(char_group(GaussianInt(3, 0) * GaussianInt(2, 1)))
 
 
 def test_primitive_magnitudes_odd_prime():

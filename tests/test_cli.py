@@ -74,6 +74,19 @@ def test_charsum_exps_filter(capsys):
     assert filtered[0] == all_rows[0]
 
 
+@pytest.mark.parametrize(
+    "c, exps, reduced",
+    [("3", "9", "1"), ("3", "-7", "1"), ("3", "-1", "7"), ("5", "9,9", "1,1"), ("5", "4,-1", "0,3")],
+)
+def test_charsum_exps_reduced_mod_generator_orders(capsys, c, exps, reduced):
+    # (Z[i]/3)^x is cyclic of order 8; (Z[i]/5)^x has generator orders 4, 4
+    assert run(["charsum", "--c", c, "--exps", reduced, "--format", "json"]) == 0
+    want = _json_payload(capsys)["rows"]
+    assert run(["charsum", "--c", c, "--exps", exps, "--format", "json"]) == 0
+    assert _json_payload(capsys)["rows"] == want
+    assert want[0][0] == reduced.replace(",", ":")
+
+
 def test_bessel_three_representations_agree(capsys):
     code = run(
         ["bessel", "--z", "0.5", "--T", "1", "--P", "1", "--compare", "--format", "json"]
@@ -181,6 +194,12 @@ def test_verify_unknown_suite_is_usage_error(capsys):
 
 def test_verify_max_norm_too_small(capsys):
     assert run(["verify", "--max-norm", "1"]) == 2
+    assert "max_norm >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("max_norm", ["0", "1.5", "-3"])
+def test_lemma_check_max_norm_too_small(capsys, max_norm):
+    assert run(["lemma-check", "--max-norm", max_norm]) == 2
     assert "max_norm >= 2" in capsys.readouterr().err
 
 
@@ -385,9 +404,10 @@ def test_non_finite_numbers_are_usage_errors(capsys, argv, named):
 
 
 def test_exps_matching_no_character(capsys):
-    assert run(["charsum", "--c", "5", "--exps", "9,9"]) == 2
-    err = capsys.readouterr().err
-    assert "--exps 9,9 matches no character mod 5" in err
+    # (Z[i]/5)^x has two generators; 9,9 is the character 1,1, but a
+    # vector of another length names no character
+    assert run(["charsum", "--c", "5", "--exps", "9,9,9"]) == 2
+    assert "exponent vector has wrong length" in capsys.readouterr().err
 
 
 def test_help_exits_zero(capsys):
