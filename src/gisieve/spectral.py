@@ -509,8 +509,10 @@ def kuznetsov_geometric(
                        |H(z)| <= B |z|^2 with B the small-argument constant
                        of the weighted representation.
 
-    H is even, so only two of the four associates of each c need a Bessel
-    integral; S(m, n; c) itself is summed for every associate.
+    Over the four associates of each c: S(m, n; -c) = S(m, n; c) by
+    a -> -a, S(m, n; ic) = S(m, -n; c) by a -> ia, and S is real; H is
+    even.  So each ideal takes two Kloosterman sums and two Bessel
+    integrals, at c and at ic.
     """
     if m.is_zero() or n.is_zero():
         raise DomainError("kuznetsov_geometric requires nonzero m, n")
@@ -520,11 +522,10 @@ def kuznetsov_geometric(
     root = cmath.sqrt(complex(m) * complex(n))
     term = 0.0 + 0.0j
     for ideal in ideals_up_to_norm(c_norm_max):
-        for c in (ideal.gen, ideal.gen.times_i()):
-            z = 2.0 * math.pi * root / complex(c)
-            bessel = _bessel_integral_cached(z, tf, cfg)
-            for cc in (c, -c):  # H(-z) = H(z)
-                term += kloosterman(m, n, cc) / ideal.norm * bessel
+        c = ideal.gen
+        for kl, cc in ((kloosterman(m, n, c), c), (kloosterman(m, -n, c), c.times_i())):
+            z = 2.0 * math.pi * root / complex(cc)
+            term += 2.0 * kl.real / ideal.norm * _bessel_integral_cached(z, tf, cfg)
     term /= 32.0 * math.pi**3
 
     b_const = small_z_bound_constant(tf)

@@ -156,6 +156,17 @@ def test_kloosterman_against_loop_oracle(c):
             assert kloosterman(m, n, c) == _loop_kloosterman(m, n, c)
 
 
+@with_edge_moduli
+@given(engine_moduli)
+def test_kloosterman_associate_symmetries(c):
+    # a -> -a gives S(m, n; -c) = S(m, n; c), and a -> ia gives
+    # S(m, n; ic) = S(m, -n; c): the Kuznetsov sum takes two sums per ideal
+    for m in LOOP_ARGS:
+        for n in LOOP_ARGS:
+            assert abs(kloosterman(m, n, -c) - kloosterman(m, n, c)) < 1e-9
+            assert abs(kloosterman(m, n, c.times_i()) - kloosterman(m, -n, c)) < 1e-9
+
+
 @pytest.mark.parametrize(
     "c",
     [
