@@ -28,11 +28,9 @@ generator of the modulus ideal is used inside F; the magnitude does not.
 
 Over all characters at once, fhat is one fftn of F placed on the
 discrete-log grid Z/n_1 x ... x Z/n_r (CharGroup.transform), and each
-group finds the conductors of all its characters in one pass.  The
-class of a character and its local case formula depend only on its
-conductor (and, for the formula, on whether chi^2 is trivial), so
-CharGroup.classes and local_prediction evaluate them once per distinct
-conductor and return arrays in characters() order.
+group finds the conductors of all its characters in one pass.  From
+them, CharGroup.classes and local_prediction evaluate each class and
+each case formula once per distinct conductor.
 """
 
 from __future__ import annotations
@@ -341,8 +339,6 @@ class CharGroup:
         trivial        <=> conductor = (1)   (takes precedence at modulus (1))
         primitive      <=> conductor = modulus
         semi-primitive <=> 1 <= v_p(conductor) < v_p(modulus) at every prime p
-
-        Each distinct conductor is classified once.
         """
         fac = factor(self.modulus.gen).factors
 
@@ -423,7 +419,6 @@ def local_prediction(grp: CharGroup) -> tuple[np.ndarray, np.ndarray]:
                         bound q^{k/2} if chi^2 trivial;
                         2^{5/2} iff q = 2 and k = kstar + 2, else 0
     The unit modulus (1) carries only the trivial character, with fhat = 1.
-    Each case is evaluated once per (kstar, chi^2 trivial) pair.
     """
     fac = factor(grp.modulus.gen).factors
     if not fac:
@@ -450,17 +445,12 @@ def local_prediction(grp: CharGroup) -> tuple[np.ndarray, np.ndarray]:
         return (2.0 ** 2.5 if q == 2 and k == kstar + 2 else 0.0), False
 
     conds = grp.conductors()
-    exps_of = {d: 0 if d == UNIT_IDEAL else factor(d.gen).factors[0][1] for d in set(conds)}
-    kstar = np.array([exps_of[d] for d in conds])
+    kstar = {d: 0 if d == UNIT_IDEAL else factor(d.gen).factors[0][1] for d in set(conds)}
+    cases = {(ks, quad): case(ks, quad) for ks in set(kstar.values()) for quad in (False, True)}
     # chi^2 is trivial iff 2 a_i = 0 mod n_i on every axis
-    quadratic = ((2 * grp.exponent_vectors) % grp.gen_orders == 0).all(axis=1)
-    values = np.empty(grp.order)
-    is_bound = np.empty(grp.order, dtype=bool)
-    for ks in set(exps_of.values()):
-        for quad in (False, True):
-            at = (kstar == ks) & (quadratic == quad)
-            values[at], is_bound[at] = case(ks, quad)
-    return values, is_bound
+    quadratic = ((2 * grp.exponent_vectors) % grp.gen_orders == 0).all(axis=1).tolist()
+    values, is_bound = zip(*(cases[kstar[d], quad] for d, quad in zip(conds, quadratic)))
+    return np.array(values), np.array(is_bound)
 
 
 def twisted_mult_residual(chi1: DirichletChar, chi2: DirichletChar) -> complex:

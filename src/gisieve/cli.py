@@ -156,8 +156,7 @@ def _fsum(args) -> Outcome:
 
 
 def _charsum(args) -> Outcome:
-    c = GaussianInt.parse(args.c)
-    grp = char_group(c)
+    grp = char_group(GaussianInt.parse(args.c))
     picked = range(grp.order)
     if args.exps:  # reduced mod the generator orders
         picked = [grp.index(grp.character([int(x) for x in args.exps.split(",")]).exps)]
@@ -168,7 +167,7 @@ def _charsum(args) -> Outcome:
         exps = ":".join(map(str, grp.exponent_vectors[i].tolist()))
         rows.append((exps, classes[i], str(conductors[i].gen), v.real, v.imag, abs(v)))
     columns = ("exps", "class", "conductor", "fhat_re", "fhat_im", "abs")
-    return dict(c=c, characters=len(rows)), columns, rows, [], 0
+    return dict(c=grp.element, characters=len(rows)), columns, rows, [], 0
 
 
 def _lemma_check(args) -> Outcome:

@@ -509,10 +509,9 @@ def kuznetsov_geometric(
                        |H(z)| <= B |z|^2 with B the small-argument constant
                        of the weighted representation.
 
-    Over the four associates of each c: S(m, n; -c) = S(m, n; c) by
-    a -> -a, S(m, n; ic) = S(m, -n; c) by a -> ia, and S is real; H is
-    even.  So each ideal takes two Kloosterman sums and two Bessel
-    integrals, at c and at ic.
+    S(m, n; -c) = S(m, n; c) by a -> -a, S(m, n; ic) = S(m, -n; c) by
+    a -> ia, S is real and H is even: each ideal takes two sums and two
+    Bessel integrals, at c and at ic, for its four associates.
     """
     if m.is_zero() or n.is_zero():
         raise DomainError("kuznetsov_geometric requires nonzero m, n")
