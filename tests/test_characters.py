@@ -581,6 +581,7 @@ def test_local_prediction_against_per_character_oracle():
         want = [_oracle_prediction(chi) for chi in grp.characters()]
         assert values.tolist() == [v for v, _ in want]
         assert is_bound.tolist() == [b for _, b in want]
+        assert grp.classes() == tuple(_oracle_class(chi) for chi in grp.characters())
 
 
 def test_local_prediction_green_range():
