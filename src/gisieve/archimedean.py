@@ -29,6 +29,11 @@ from Hankel's expansion of J_0, J_1 with forward recurrence above.  What
 remains is a 1-D integral over r >= 0 on Gauss-Legendre panels graded so
 that each panel sees a bounded amount of phase, following the local
 frequency 2|z| cosh(r).
+
+The geometric forms take a scalar z or an array of z, through one engine.
+The panel layouts of all z are built at once, each z keeping exactly its
+own nodes and weights, and the panels of all z are walked in blocks of a
+bounded number of nodes, so a whole Kuznetsov sum is one pass.
 """
 
 from __future__ import annotations
@@ -351,30 +356,33 @@ def bessel_integral_spectral(
     return total
 
 
-def _graded_r_panels(z_abs: float, tf: TestFunction, cfg: QuadratureConfig):
-    """Midpoints and half-widths of the Gauss-Legendre panels on [0, r_cut/T].
+def _graded_r_panels(z_abs: np.ndarray, tf: TestFunction, cfg: QuadratureConfig):
+    """Gauss-Legendre panels on [0, r_cut/T] for every entry of the 1-D array
+    z_abs: (midpoints, half-widths, owners), each panel owned by the index
+    of its |z|, owners in increasing order.
 
     The range is cut into half-unit cells (in units of 1/T); within a cell
     the phase rate is at most 2|z| cosh(b) at its right end b, so a panel
-    count proportional to that rate keeps the phase seen per panel within
-    the budget phase_rad_per_panel.
+    count n proportional to that rate keeps the phase seen per panel within
+    the budget phase_rad_per_panel.  The panel edges of a cell [a, b] are
+    a + i (b - a)/n and b, as np.linspace(a, b, n + 1) gives them.
     """
     r_max = cfg.r_cut / tf.T
     cell_w = 0.5 / tf.T
-    n_cells = max(1, int(math.ceil(r_max / cell_w)))
-    budget = cfg.phase_rad_per_panel
-    mids, halves = [], []
-    for j in range(n_cells):
-        a = j * cell_w
-        b = min((j + 1) * cell_w, r_max)
-        if b <= a:
-            continue
-        rate = 2.0 * z_abs * math.cosh(b) + 1.0
-        n_r = max(cfg.r_base_panels, int(math.ceil((b - a) * rate / budget)))
-        edges = np.linspace(a, b, n_r + 1)
-        mids.append((edges[:-1] + edges[1:]) / 2.0)
-        halves.append((edges[1:] - edges[:-1]) / 2.0)
-    return np.concatenate(mids), np.concatenate(halves)
+    j = np.arange(max(1, int(math.ceil(r_max / cell_w))))
+    a, b = j * cell_w, np.minimum((j + 1) * cell_w, r_max)
+    a, b = a[b > a], b[b > a]
+    rate = np.multiply.outer(2.0 * z_abs, [math.cosh(v) for v in b]) + 1.0
+    counts = np.maximum(cfg.r_base_panels, np.ceil((b - a) * rate / cfg.phase_rad_per_panel))
+    counts = counts.astype(np.int64).ravel()  # (z, cell) pairs, z-major
+    pair = np.repeat(np.arange(counts.size), counts)
+    i = np.arange(pair.size) - (np.cumsum(counts) - counts)[pair]
+    n, cell = counts[pair], pair % b.size
+    lo, hi = a[cell], b[cell]
+    step = (hi - lo) / n
+    left = i * step + lo
+    right = np.where(i + 1 == n, hi, (i + 1) * step + lo)
+    return (left + right) / 2.0, (right - left) / 2.0, pair // b.size
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +396,12 @@ _MILLER_MIN_X = 40.0
 #: x >= 40 the last is below 1e-19.
 _HANKEL_TERMS = 18
 #: Miller's unnormalised values are rescaled by this factor before they
-#: can overflow; each recurrence step grows them by at most 2m/x.
+#: can overflow; each recurrence step grows them by at most 2m/x + 1, so
+#: they are checked only as often as keeps the growth between two checks
+#: below 10^_MILLER_HEADROOM (or at every step, where one step may grow
+#: them by more).
 _MILLER_RESCALE = 1e150
+_MILLER_HEADROOM = 100.0
 
 
 def _bessel_j_table(n: int, x: np.ndarray) -> np.ndarray:
@@ -417,6 +429,8 @@ def _bessel_j_miller(n: int, x: np.ndarray) -> np.ndarray:
     start = 2 * ((int(top) + 20 + int(math.sqrt(40.0 * (top + 1.0)))) // 2)
     zero = x == 0.0
     two_over_x = 2.0 / np.where(zero, 1.0, x)
+    growth = math.log10(start * float(np.max(two_over_x)) + 1.0)
+    every = max(1, int(_MILLER_HEADROOM / growth))
     out = np.zeros((n + 1, x.size))
     above = np.zeros_like(x)
     cur = np.full_like(x, 1e-300)
@@ -427,7 +441,9 @@ def _bessel_j_miller(n: int, x: np.ndarray) -> np.ndarray:
         if k % 2 == 0:
             norm += 2.0 * cur
         above, cur = cur, k * two_over_x * cur - above
-        big = np.abs(cur) > _MILLER_RESCALE
+        if k % every:
+            continue
+        big = np.maximum(np.abs(cur), np.abs(above)) > _MILLER_RESCALE
         if np.any(big):
             scale = np.where(big, 1.0 / _MILLER_RESCALE, 1.0)
             above *= scale
@@ -471,11 +487,12 @@ def _bessel_j_hankel(n: int, x: np.ndarray) -> np.ndarray:
 #: coefficient of theta below exp(-42) < 1e-18.
 _THETA_K_PER_P = 6.5
 #: r-nodes evaluated together; bounds the (orders x nodes) Bessel table.
-_R_BLOCK = 1 << 13
+_R_BLOCK = 1 << 11
 
 
-def _geometric_integral(z: complex, tf: TestFunction, cfg: QuadratureConfig, weighted: bool) -> float:
-    """Common engine for the two (r, omega) representations.
+def _geometric_integral(z, tf: TestFunction, cfg: QuadratureConfig, weighted: bool):
+    """Common engine for the two (r, omega) representations, at a scalar z
+    (a float back) or at every entry of an array z (an array back).
 
     weighted=True : |2z|^2 iint cos(2 Re(z cosh(r + iw))) (sinh^2 r + sin^2 w) k theta
     weighted=False:      - iint cos(2 Re(z cosh(r + iw))) (k'' theta + k theta'')
@@ -491,9 +508,13 @@ def _geometric_integral(z: complex, tf: TestFunction, cfg: QuadratureConfig, wei
     int cos(2R cos(w + phi)) sum_k c_k e^{2ikw} dw
         = pi sum_k c_k (-1)^k J_2|k|(2R) e^{-2ik phi}.
     The result is even in r, so [0, r_cut/T] is integrated and doubled.
+
+    The panels of every z, each z with its own, are walked in one sequence,
+    _R_BLOCK nodes at a time; each z sums its panels in a block by one dot
+    product.
     """
-    z = complex(z)
-    x, y = z.real, z.imag
+    z = np.asarray(z, dtype=complex)
+    flat = z.ravel()
     k_max = int(_THETA_K_PER_P * tf.P + 2)
     k = np.arange(k_max + 1)
     a_wide = np.exp(-((np.arange(-1, k_max + 2) / tf.P) ** 2))  # a_-1 .. a_{k_max+1}
@@ -505,14 +526,17 @@ def _geometric_integral(z: complex, tf: TestFunction, cfg: QuadratureConfig, wei
     # c_k and c_-k folded together: weight 1 at k = 0, 2 above, sign (-1)^k
     coeffs = np.where(k == 0, 1.0, 2.0) * (-1.0) ** k * np.stack((a, second))
     gl_x, gl_w = _gl_rule(cfg.gl_order)
-    mid, half = _graded_r_panels(abs(z), tf, cfg)
+    z_abs = np.abs(flat)
+    mid, half, owner = _graded_r_panels(z_abs, tf, cfg)
     step = max(1, _R_BLOCK // cfg.gl_order)
-    total = 0.0
+    total = np.zeros(flat.size)
     for s in range(0, mid.size, step):
+        own = owner[s : s + step]
         r = (mid[s : s + step, None] + half[s : s + step, None] * gl_x).ravel()
         wts = (half[s : s + step, None] * gl_w).ravel()
+        node_z = flat[np.repeat(own, cfg.gl_order)]
         sinh_r = np.sinh(r)
-        u, v = x * np.cosh(r), y * sinh_r
+        u, v = node_z.real * np.cosh(r), node_z.imag * sinh_r
         bessel = _bessel_j_table(2 * k_max, 2.0 * np.hypot(u, v))[::2]
         bessel *= np.cos(np.multiply.outer(2.0 * k, np.arctan2(v, u)))
         with_a, with_second = coeffs @ bessel
@@ -521,31 +545,32 @@ def _geometric_integral(z: complex, tf: TestFunction, cfg: QuadratureConfig, wei
             inner = k_r * (sinh_r**2 * with_a + with_second)
         else:
             inner = k_r_dd * with_a + k_r * with_second
-        total += float(wts @ inner)
+        # the block's panels run through its owners in order
+        edges = [0, *(np.flatnonzero(np.diff(own)) + 1) * cfg.gl_order, r.size]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            total[own[lo // cfg.gl_order]] += wts[lo:hi] @ inner[lo:hi]
     total *= 2.0 * math.pi
-    if weighted:
-        return 4.0 * abs(z) ** 2 * total
-    return -total
+    out = 4.0 * z_abs**2 * total if weighted else -total
+    out = out.reshape(z.shape)
+    return float(out) if z.ndim == 0 else out
 
 
-def bessel_integral_deriv(
-    z: complex, tf: TestFunction, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> float:
+def bessel_integral_deriv(z, tf: TestFunction, cfg: QuadratureConfig = DEFAULT_QUADRATURE):
     """Kernel integral via differentiated smoothing kernels.
 
     -iint cos(2 Re(z cosh(r + iw))) (k''(r) theta(w) + k(r) theta''(w));
-    valid for every z, no series restriction.
+    valid for every z, no series restriction.  A scalar z gives a float, an
+    array of z an array of the same shape.
     """
     return _geometric_integral(z, tf, cfg, weighted=False)
 
 
-def bessel_integral_weighted(
-    z: complex, tf: TestFunction, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> float:
+def bessel_integral_weighted(z, tf: TestFunction, cfg: QuadratureConfig = DEFAULT_QUADRATURE):
     """Kernel integral with the derivatives moved onto the cosine.
 
     |2z|^2 iint cos(2 Re(z cosh(r + iw))) (sinh^2 r + sin^2 w) k theta; the
-    |2z|^2 prefactor exhibits the quadratic small-z bound directly.
+    |2z|^2 prefactor exhibits the quadratic small-z bound directly.  A
+    scalar z gives a float, an array of z an array of the same shape.
     """
     return _geometric_integral(z, tf, cfg, weighted=True)
 

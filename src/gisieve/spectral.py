@@ -37,7 +37,10 @@ with diagonal = H_total/(8 pi^3) when m = +-n (the squares of the units
 are {1, -1}), H_total the Plancherel integral, and H(z) the Bessel
 integral of the test function.  H is even, so the principal square root
 of mn is as good as any.  The c-sum here runs over elements — all four
-associates — because H(z) is not invariant under rotating z by i.
+associates — because H(z) is not invariant under rotating z by i.  Two
+Kloosterman sums per ideal cover its associates, and the H(z) of all
+ideals are one batched call of the weighted representation; nothing is
+cached between calls.
 """
 
 from __future__ import annotations
@@ -452,13 +455,6 @@ class KuznetsovGeometric(NamedTuple):
     tail_bound: float
 
 
-@lru_cache(maxsize=2048)
-def _bessel_integral_cached(
-    z: complex, tf: TestFunction, cfg: QuadratureConfig
-) -> float:
-    return bessel_integral_weighted(z, tf, cfg)
-
-
 @lru_cache(maxsize=1)
 def _zeta_f_32_upper() -> float:
     """An upper bound for zeta_F(3/2), self-contained."""
@@ -511,7 +507,8 @@ def kuznetsov_geometric(
 
     S(m, n; -c) = S(m, n; c) by a -> -a, S(m, n; ic) = S(m, -n; c) by
     a -> ia, S is real and H is even: each ideal takes two sums and two
-    Bessel integrals, at c and at ic, for its four associates.
+    Bessel integrals, at c and at ic, for its four associates.  The Bessel
+    integrals of all ideals are one batch.
     """
     if m.is_zero() or n.is_zero():
         raise DomainError("kuznetsov_geometric requires nonzero m, n")
@@ -519,13 +516,14 @@ def kuznetsov_geometric(
     diagonal = h_total / (8.0 * math.pi**3) if (m == n or m == -n) else 0.0
 
     root = cmath.sqrt(complex(m) * complex(n))
-    term = 0.0 + 0.0j
+    weights, zs = [], []
     for ideal in ideals_up_to_norm(c_norm_max):
         c = ideal.gen
         for kl, cc in ((kloosterman(m, n, c), c), (kloosterman(m, -n, c), c.times_i())):
-            z = 2.0 * math.pi * root / complex(cc)
-            term += 2.0 * kl.real / ideal.norm * _bessel_integral_cached(z, tf, cfg)
-    term /= 32.0 * math.pi**3
+            weights.append(2.0 * kl.real / ideal.norm)
+            zs.append(2.0 * math.pi * root / complex(cc))
+    h = bessel_integral_weighted(np.array(zs, dtype=complex), tf, cfg)
+    term = complex(math.fsum(np.multiply(weights, h)) / (32.0 * math.pi**3))
 
     b_const = small_z_bound_constant(tf)
     norm_g = gcd(m, n).norm

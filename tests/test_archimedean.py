@@ -6,7 +6,8 @@ kernel second derivatives.  The gamma, Bessel and kernel tests call the
 array functions that the spectral representation runs on.  The 2-D
 (r, omega) quadrature that the geometric representations replaced by a
 1-D r-integral lives here as their oracle, with the periodized angular
-kernel theta that it integrates against.
+kernel theta that it integrates against.  So does the one-z-at-a-time
+engine that the batched one replaced: its panel loop and its per-z sum.
 """
 
 import cmath
@@ -31,6 +32,8 @@ from gisieve.archimedean import (
     _bessel_j_table,
     _bessel_kernel_grid,
     _bessel_series_array,
+    _gl_rule,
+    _graded_r_panels,
     _panel_rule,
     _radial_kernel,
     _reciprocal_gamma_array,
@@ -529,3 +532,111 @@ def test_geometric_forms_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# The batched engine against the one-z-at-a-time engine
+# ---------------------------------------------------------------------------
+
+
+def _graded_r_panels_oracle(z_abs, tf, cfg):
+    """Midpoints and half-widths of one z's panels, cell by cell with
+    np.linspace, as the engine built them before it took arrays of z."""
+    r_max = cfg.r_cut / tf.T
+    cell_w = 0.5 / tf.T
+    n_cells = max(1, int(math.ceil(r_max / cell_w)))
+    mids, halves = [], []
+    for j in range(n_cells):
+        a = j * cell_w
+        b = min((j + 1) * cell_w, r_max)
+        if b <= a:
+            continue
+        rate = 2.0 * z_abs * math.cosh(b) + 1.0
+        n_r = max(cfg.r_base_panels, int(math.ceil((b - a) * rate / cfg.phase_rad_per_panel)))
+        edges = np.linspace(a, b, n_r + 1)
+        mids.append((edges[:-1] + edges[1:]) / 2.0)
+        halves.append((edges[1:] - edges[:-1]) / 2.0)
+    return np.concatenate(mids), np.concatenate(halves)
+
+
+def _geometric_integral_oracle(z, tf, cfg, weighted):
+    """One z's geometric form on its own panels, in blocks of 8192 nodes,
+    each block summed by one dot product."""
+    z = complex(z)
+    x, y = z.real, z.imag
+    k_max = int(6.5 * tf.P + 2)
+    k = np.arange(k_max + 1)
+    a_wide = np.exp(-((np.arange(-1, k_max + 2) / tf.P) ** 2))
+    a = a_wide[1:-1]
+    second = a / 2.0 - (a_wide[:-2] + a_wide[2:]) / 4.0 if weighted else -4.0 * k * k * a
+    coeffs = np.where(k == 0, 1.0, 2.0) * (-1.0) ** k * np.stack((a, second))
+    gl_x, gl_w = _gl_rule(cfg.gl_order)
+    mid, half = _graded_r_panels_oracle(abs(z), tf, cfg)
+    step = max(1, 8192 // cfg.gl_order)
+    total = 0.0
+    for s in range(0, mid.size, step):
+        r = (mid[s : s + step, None] + half[s : s + step, None] * gl_x).ravel()
+        wts = (half[s : s + step, None] * gl_w).ravel()
+        sinh_r = np.sinh(r)
+        u, v = x * np.cosh(r), y * sinh_r
+        bessel = _bessel_j_table(2 * k_max, 2.0 * np.hypot(u, v))[::2]
+        bessel *= np.cos(np.multiply.outer(2.0 * k, np.arctan2(v, u)))
+        with_a, with_second = coeffs @ bessel
+        k_r, k_r_dd = _radial_kernel(tf, r)
+        if weighted:
+            inner = k_r * (sinh_r**2 * with_a + with_second)
+        else:
+            inner = k_r_dd * with_a + k_r * with_second
+        total += float(wts @ inner)
+    total *= 2.0 * math.pi
+    return 4.0 * abs(z) ** 2 * total if weighted else -total
+
+
+#: (T, P, z): one batch of small z at T = 2, several to a block; one at
+#: T = 0.5, where each z runs through many blocks and its panels cross
+#: block edges.  Each holds a duplicate and z on both axes.
+BATCHES = {
+    "T2": (2.0, 1.0, [0.05, 9.4j, 0.3 + 0.1j, -2.5j, 0.3 + 0.1j, 4.0, -1.7 + 2.2j,
+                      *(9.4 / (a + 1j * b) for a in range(1, 7) for b in range(-6, 7))]),
+    "T0.5": (0.5, 1.5, [0.05j, 0.3, -0.3, 0.3, 0.2 - 0.1j]),
+}
+
+
+@pytest.mark.parametrize("T", [0.5, 1.0, 2.0, 3.7])
+def test_batched_panels_equal_per_z_oracle(T):
+    # bit for bit, z by z, also with a partial last cell (T = 3.7)
+    tf = TestFunction(T, 1.0)
+    z_abs = np.array([0.0, 0.05, 0.3, 0.3, 1.0, 2.5, 9.4])
+    for cfg in (DEFAULT_QUADRATURE, DEFAULT_QUADRATURE.refined(), QuadratureConfig(r_base_panels=3)):
+        mid, half, owner = _graded_r_panels(z_abs, tf, cfg)
+        assert np.array_equal(owner, np.sort(owner))
+        for i, za in enumerate(z_abs):
+            want_mid, want_half = _graded_r_panels_oracle(float(za), tf, cfg)
+            assert np.array_equal(mid[owner == i], want_mid)
+            assert np.array_equal(half[owner == i], want_half)
+
+
+@pytest.mark.parametrize("batch", sorted(BATCHES))
+@pytest.mark.parametrize("form", sorted(GEOMETRIC_FORMS))
+def test_batched_forms_against_per_z_oracle(form, batch):
+    T, P, zs = BATCHES[batch]
+    tf = TestFunction(T, P)
+    z = np.array(zs)
+    got = GEOMETRIC_FORMS[form](z, tf)
+    panels = _graded_r_panels(np.abs(z), tf, DEFAULT_QUADRATURE)[0].size
+    assert panels * DEFAULT_QUADRATURE.gl_order > 4 * 2048  # several blocks
+    assert got.shape == z.shape
+    for zi, value in zip(zs, got):
+        want = _geometric_integral_oracle(zi, tf, DEFAULT_QUADRATURE, weighted=form == "weighted")
+        assert abs(value - want) <= 1e-13 * abs(want), zi
+
+
+@pytest.mark.parametrize("form", sorted(GEOMETRIC_FORMS))
+def test_one_element_batch_equals_scalar_call(form):
+    fn = GEOMETRIC_FORMS[form]
+    for T, P, zs in BATCHES.values():
+        tf = TestFunction(T, P)
+        for zi in zs[:4]:
+            scalar = fn(zi, tf)
+            assert type(scalar) is float
+            assert fn(np.array([zi]), tf)[0] == scalar

@@ -250,7 +250,6 @@ def test_module_caches_are_bounded():
         if hasattr(obj, "cache_parameters") and obj.__module__ == module.__name__
     }
     assert "gisieve.expsums.f_sum_values" in caches
-    assert "gisieve.spectral._bessel_integral_cached" in caches
     assert "gisieve.spectral._grid_weights" in caches
     assert [name for name, obj in caches.items() if obj.cache_parameters()["maxsize"] is None] == []
 

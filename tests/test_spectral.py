@@ -444,6 +444,21 @@ def test_kuznetsov_symmetry_and_tail():
     assert wider.tail_bound < a.tail_bound
 
 
+def test_kuznetsov_memory_bounded():
+    # the Bessel integrals of all 2,512 z up to N(c) = 1600 (485,504
+    # r-nodes at T = 2) are one batch, walked in blocks of nodes; one
+    # unblocked pass would peak near 190 MiB.  The unit tables that the
+    # call leaves cached are not working memory.
+    tf = TestFunction(2.0, 1.0)
+    tracemalloc.start()
+    try:
+        kuznetsov_geometric(GaussianInt(1, 0), GaussianInt(2, 1), tf, 1600)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - current < 8 * 2**20
+
+
 def test_kuznetsov_rejects_zero_frequency():
     tf = TestFunction(1.0, 1.0)
     with pytest.raises(DomainError):
