@@ -15,7 +15,8 @@ a flag the subcommand does not take.
 
 Gaussian integers on the command line are literals like 2+i, 1-3i, 4,
 -i (no spaces).  General complex values accept the same with either i
-or j.  Numbers must be finite.
+or j.  A literal that starts with '-' may follow its flag as the next
+word (--m -i) or after '=' (--m=-i).  Numbers must be finite.
 """
 
 from __future__ import annotations
@@ -424,9 +425,34 @@ def _execute(cmd: Command, args: argparse.Namespace) -> int:
     return status
 
 
+def _glue_literal_values(argv: list[str]) -> list[str]:
+    """'--m -i' -> '--m=-i' for the subcommand's flags that take literals.
+
+    argparse reads a token that starts with '-' and is not a plain negative
+    number as a flag, so -i, -1+i or -1,4 would leave their flag without a
+    value.  A flag takes literals when it has no type and no action.
+    """
+    words = [tok for tok in argv if not tok.startswith("-")]
+    cmd = next((c for c in COMMANDS if words and c.name == words[0]), None)
+    if cmd is None:
+        return argv
+    literal = {
+        flag for flag, options in cmd.args
+        if flag.startswith("--") and not {"type", "action"} & options.keys()
+    }
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in literal and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse argv, execute one subcommand, return the exit status."""
     parser = _build_parser()
+    argv = _glue_literal_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args, unknown = parser.parse_known_args(argv)
         if unknown:  # named in the subcommand's own usage, not the root one

@@ -347,6 +347,56 @@ def test_every_flag_acts(tmp_path, capsys, command, flag):
 
 
 # ---------------------------------------------------------------------------
+# Literals that start with '-'
+# ---------------------------------------------------------------------------
+
+#: Every Gaussian-integer, complex and --exps flag, with a value that
+#: starts with '-' and is no plain negative number, in a cheap run.
+DASH_VALUES = [
+    ("kloosterman", ["--n", "1", "--c", "2+i"], "--m", "-i"),
+    ("kloosterman", ["--n", "1", "--c", "2+i"], "--m", "-1+i"),
+    ("kloosterman", ["--m", "1", "--c", "2+i"], "--n", "-1-2i"),
+    ("kloosterman", ["--m", "1", "--n", "1"], "--c", "-2+i"),
+    ("fsum", ["--c", "2+i"], "--w", "-i"),
+    ("fsum", ["--w", "1"], "--c", "-3i"),
+    ("charsum", ["--c", "5"], "--exps", "-1,4"),
+    ("charsum", [], "--c", "-3+3i"),
+    ("bessel", ["--T", "2", "--P", "2"], "--z", "-1-i"),
+    ("zeta", ["--cutoff", "1000"], "--s", "-0.5+2i"),
+    ("quadform", ["--C", "3", "--M", "3", "--N", "3", "--trials", "2"], "--d", "-1+i"),
+    ("quadform", ["--C", "3", "--M", "3", "--N", "3", "--trials", "2"], "--theta", "-1+0.5i"),
+    ("kuznetsov-geom", ["--n", "2+i", "--c-norm-max", "5"], "--m", "-i"),
+    ("kuznetsov-geom", ["--m", "1", "--c-norm-max", "5"], "--n", "-2+i"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, rest, flag, value", DASH_VALUES, ids=[f"{c}{f}{v}" for c, _, f, v in DASH_VALUES]
+)
+def test_literal_starting_with_dash_as_next_word(capsys, command, rest, flag, value):
+    # "--m -i" reads as "--m=-i", byte for byte
+    assert run([command, *rest, f"{flag}={value}"]) == 0
+    want = capsys.readouterr()
+    assert run([command, *rest, flag, value]) == 0
+    got = capsys.readouterr()
+    assert got.out == want.out
+    assert got.err == want.err == ""
+
+
+def test_unknown_flag_after_dash_literal_is_usage_error(capsys):
+    assert run(["kloosterman", "--m", "-i", "--n", "1", "--c", "2+i", "--bogus", "-x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: gisieve kloosterman ")
+    assert "unrecognized arguments: --bogus -x" in err
+
+
+def test_flag_is_not_taken_as_a_literal(capsys):
+    # a word that starts with '--' stays a flag: --m has no value
+    assert run(["kloosterman", "--m", "--n", "1", "--c", "2+i"]) == 2
+    assert "argument --m: expected one argument" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
 # Usage errors
 # ---------------------------------------------------------------------------
 
