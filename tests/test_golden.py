@@ -13,12 +13,15 @@ from __future__ import annotations
 import functools
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
+import gisieve
 from gisieve.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -95,6 +98,25 @@ def test_reports_do_not_depend_on_cache_state(argv, tmp_path):
     assert _clear_package_caches() > 0
     cold = _run(argv, tmp_path / "cold")
     assert cold == warm
+
+
+@pytest.mark.parametrize("name", ["kuznetsov-geom", "bessel-compare"])
+def test_reports_do_not_depend_on_blas_threads(name):
+    # the geometric forms reach BLAS through their (orders x nodes) matrix
+    # product, and NumPy may link a threaded OpenBLAS: one and two threads
+    # must print the same bytes, the golden ones
+    src = str(Path(gisieve.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = [
+        subprocess.run(
+            [sys.executable, "-m", "gisieve.cli", *CASES[name]],
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True,
+            check=True,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert outs[0] == outs[1] == (GOLDEN / f"{name}.out").read_bytes()
 
 
 if __name__ == "__main__":
