@@ -602,12 +602,14 @@ BATCHES = {
 }
 
 
-@pytest.mark.parametrize("T", [0.5, 1.0, 2.0, 3.7])
+@pytest.mark.parametrize("T", [0.5, 0.7, 1.0, 2.0, 3.7])
 def test_batched_panels_equal_per_z_oracle(T):
-    # bit for bit, z by z, also with a partial last cell (T = 3.7)
+    # bit for bit, z by z, also with a partial last cell (T = 3.7) and
+    # cells whose last edge a + n (b - a)/n rounds away from b (T = 0.7
+    # with 5 panels a cell)
     tf = TestFunction(T, 1.0)
     z_abs = np.array([0.0, 0.05, 0.3, 0.3, 1.0, 2.5, 9.4])
-    for cfg in (DEFAULT_QUADRATURE, DEFAULT_QUADRATURE.refined(), QuadratureConfig(r_base_panels=3)):
+    for cfg in (DEFAULT_QUADRATURE, DEFAULT_QUADRATURE.refined(), QuadratureConfig(r_base_panels=5)):
         mid, half, owner = _graded_r_panels(z_abs, tf, cfg)
         assert np.array_equal(owner, np.sort(owner))
         for i, za in enumerate(z_abs):
