@@ -356,16 +356,17 @@ def bessel_integral_spectral(
     return total
 
 
-def _graded_r_panels(z_abs: np.ndarray, tf: TestFunction, cfg: QuadratureConfig):
+def _graded_r_panels(z_abs: np.ndarray, tf: TestFunction, cfg: QuadratureConfig, block: int):
     """Gauss-Legendre panels on [0, r_cut/T] for every entry of the 1-D array
-    z_abs: (midpoints, half-widths, owners), each panel owned by the index
-    of its |z|, owners in increasing order.
+    z_abs, in z order: (midpoints, half-widths, owners) for `block` panels at
+    a time, each panel owned by the index of its |z|.
 
     The range is cut into half-unit cells (in units of 1/T); within a cell
     the phase rate is at most 2|z| cosh(b) at its right end b, so a panel
     count n proportional to that rate keeps the phase seen per panel within
     the budget phase_rad_per_panel.  The panel edges of a cell [a, b] are
-    a + i (b - a)/n and b, as np.linspace(a, b, n + 1) gives them.
+    a + i (b - a)/n and b, as np.linspace(a, b, n + 1) gives them.  Only the
+    panel counts are held for every z, so memory stays bounded by the block.
     """
     r_max = cfg.r_cut / tf.T
     cell_w = 0.5 / tf.T
@@ -375,14 +376,18 @@ def _graded_r_panels(z_abs: np.ndarray, tf: TestFunction, cfg: QuadratureConfig)
     rate = np.multiply.outer(2.0 * z_abs, [math.cosh(v) for v in b]) + 1.0
     counts = np.maximum(cfg.r_base_panels, np.ceil((b - a) * rate / cfg.phase_rad_per_panel))
     counts = counts.astype(np.int64).ravel()  # (z, cell) pairs, z-major
-    pair = np.repeat(np.arange(counts.size), counts)
-    i = np.arange(pair.size) - (np.cumsum(counts) - counts)[pair]
-    n, cell = counts[pair], pair % b.size
-    lo, hi = a[cell], b[cell]
-    step = (hi - lo) / n
-    left = i * step + lo
-    right = np.where(i + 1 == n, hi, (i + 1) * step + lo)
-    return (left + right) / 2.0, (right - left) / 2.0, pair // b.size
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    for s in range(0, total, block):
+        panel = np.arange(s, min(s + block, total))
+        pair = np.searchsorted(ends, panel, side="right")
+        n, cell = counts[pair], pair % b.size
+        i = panel - (ends[pair] - n)
+        lo, hi = a[cell], b[cell]
+        step = (hi - lo) / n
+        left = i * step + lo
+        right = np.where(i + 1 == n, hi, (i + 1) * step + lo)
+        yield (left + right) / 2.0, (right - left) / 2.0, pair // b.size
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +403,8 @@ _HANKEL_TERMS = 18
 #: Miller's unnormalised values are rescaled by this factor before they
 #: can overflow; each recurrence step grows them by at most 2m/x + 1, so
 #: they are checked only as often as keeps the growth between two checks
-#: below 10^_MILLER_HEADROOM (or at every step, where one step may grow
-#: them by more).
+#: below 1e100 (at every step where one step may grow them by more).
 _MILLER_RESCALE = 1e150
-_MILLER_HEADROOM = 100.0
 
 
 def _bessel_j_table(n: int, x: np.ndarray) -> np.ndarray:
@@ -430,7 +433,7 @@ def _bessel_j_miller(n: int, x: np.ndarray) -> np.ndarray:
     zero = x == 0.0
     two_over_x = 2.0 / np.where(zero, 1.0, x)
     growth = math.log10(start * float(np.max(two_over_x)) + 1.0)
-    every = max(1, int(_MILLER_HEADROOM / growth))
+    every = max(1, int(100.0 / growth))
     out = np.zeros((n + 1, x.size))
     above = np.zeros_like(x)
     cur = np.full_like(x, 1e-300)
@@ -527,13 +530,10 @@ def _geometric_integral(z, tf: TestFunction, cfg: QuadratureConfig, weighted: bo
     coeffs = np.where(k == 0, 1.0, 2.0) * (-1.0) ** k * np.stack((a, second))
     gl_x, gl_w = _gl_rule(cfg.gl_order)
     z_abs = np.abs(flat)
-    mid, half, owner = _graded_r_panels(z_abs, tf, cfg)
-    step = max(1, _R_BLOCK // cfg.gl_order)
     total = np.zeros(flat.size)
-    for s in range(0, mid.size, step):
-        own = owner[s : s + step]
-        r = (mid[s : s + step, None] + half[s : s + step, None] * gl_x).ravel()
-        wts = (half[s : s + step, None] * gl_w).ravel()
+    for mid, half, own in _graded_r_panels(z_abs, tf, cfg, max(1, _R_BLOCK // cfg.gl_order)):
+        r = (mid[:, None] + half[:, None] * gl_x).ravel()
+        wts = (half[:, None] * gl_w).ravel()
         node_z = flat[np.repeat(own, cfg.gl_order)]
         sinh_r = np.sinh(r)
         u, v = node_z.real * np.cosh(r), node_z.imag * sinh_r
