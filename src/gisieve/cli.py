@@ -432,8 +432,8 @@ def _glue_literal_values(argv: list[str]) -> list[str]:
     number as a flag, so -i, -1+i or -1,4 would leave their flag without a
     value.  A flag takes literals when it has no type and no action.
     """
-    words = [tok for tok in argv if not tok.startswith("-")]
-    cmd = next((c for c in COMMANDS if words and c.name == words[0]), None)
+    first = next((tok for tok in argv if not tok.startswith("-")), None)
+    cmd = next((c for c in COMMANDS if c.name == first), None)
     if cmd is None:
         return argv
     literal = {
