@@ -25,12 +25,20 @@ The transform of interest is the finite Fourier coefficient
 whose modulus, for prime-power moduli, is pinned by an exact local case
 analysis (local_prediction below).  fhat depends mildly on which
 generator of the modulus ideal is used inside F; the magnitude does not.
+Each group uses its own element c, and associates share their group, so
+char_group(i*c).fhat_table() is the transform with F(.; i*c).
 
 Over all characters at once, fhat is one fftn of F placed on the
 discrete-log grid Z/n_1 x ... x Z/n_r (CharGroup.transform), and each
 group finds the conductors of all its characters in one pass.  From
 them, CharGroup.classes and local_prediction evaluate each class and
-each case formula once per distinct conductor.
+each case formula once per distinct conductor.  Twisted multiplicativity
+
+    fhat(chi1 chi2 mod c1 c2) = conj(chi1(c2) chi2(c1)) fhat(chi1) fhat(chi2)
+
+is one table per pair of coprime moduli (twisted_mult_table): by CRT
+the units mod c1 c2 fill the product of the two discrete-log grids, so
+one fftn of F(.; c1 c2) there gives every left side.
 """
 
 from __future__ import annotations
@@ -64,6 +72,7 @@ __all__ = [
     "f_sum_hat",
     "local_prediction",
     "twisted_mult_residual",
+    "twisted_mult_table",
 ]
 
 
@@ -229,7 +238,7 @@ class CharGroup:
         # row t of exponent_vectors is the grid point t
         scale = [self.exponent // n for n in self.gen_orders]
         self._dlog_matrix = self.exponent_vectors[self._flat] * np.array(scale, dtype=np.int64)
-        self._fhat: dict[GaussianInt, np.ndarray] = {}
+        self._fhat: np.ndarray | None = None
         self._conductors: tuple[GIdeal, ...] | None = None
 
     # -- basic views ---------------------------------------------------------
@@ -288,18 +297,13 @@ class CharGroup:
         grid = np.fft.ifftn(np.reshape(fhat, self._grid)).ravel() * self.order
         return grid[self._flat]
 
-    def fhat_table(self, element: GaussianInt | None = None) -> np.ndarray:
-        """fhat(chi) for every chi in characters() order, with F(.; element).
-
-        element is any generator of the modulus (default the group's own);
-        each table is computed once and is read-only.
-        """
-        c = self.element if element is None else element
-        if c not in self._fhat:
-            table = self.transform(f_sum_values(c))
-            table.setflags(write=False)
-            self._fhat[c] = table
-        return self._fhat[c]
+    def fhat_table(self) -> np.ndarray:
+        """fhat(chi) for every chi in characters() order, with F(.; element);
+        computed once and read-only."""
+        if self._fhat is None:
+            self._fhat = self.transform(f_sum_values(self.element))
+            self._fhat.setflags(write=False)
+        return self._fhat
 
     def conductors(self) -> tuple[GIdeal, ...]:
         """The conductor of every character, in characters() order.
@@ -392,18 +396,10 @@ def char_group(element: GaussianInt) -> CharGroup:
 # ---------------------------------------------------------------------------
 
 
-def f_sum_hat(chi: DirichletChar, element: GaussianInt | None = None) -> complex:
-    """fhat(chi) = (1/phi) sum_a conj(chi(a)) F(a; c).
-
-    `element` may be any generator of the modulus ideal (defaults to the
-    group's own); changing it permutes fhat by a unit twist of the
-    argument, leaving |fhat| unchanged.
-    """
+def f_sum_hat(chi: DirichletChar) -> complex:
+    """fhat(chi) = (1/phi) sum_a conj(chi(a)) F(a; c), c the group's element."""
     grp = chi.group
-    c = grp.element if element is None else element
-    if GIdeal.of(c) != grp.modulus:
-        raise DomainError("element generates a different ideal than the character modulus")
-    return complex(grp.fhat_table(c)[grp.index(chi.exps)])
+    return complex(grp.fhat_table()[grp.index(chi.exps)])
 
 
 def local_prediction(grp: CharGroup) -> tuple[np.ndarray, np.ndarray]:
@@ -453,35 +449,32 @@ def local_prediction(grp: CharGroup) -> tuple[np.ndarray, np.ndarray]:
     return np.array(values), np.array(is_bound)
 
 
-def twisted_mult_residual(chi1: DirichletChar, chi2: DirichletChar) -> complex:
-    """fhat(chi1*chi2 mod c1*c2) - conj(chi1(c2) chi2(c1)) fhat(chi1) fhat(chi2).
+def twisted_mult_table(grp1: CharGroup, grp2: CharGroup) -> np.ndarray:
+    """r[j1, j2] = fhat(chi1 chi2 mod c1 c2) - conj(chi1(c2) chi2(c1)) fhat(chi1) fhat(chi2)
+    for chi1, chi2 the characters j1 of grp1 and j2 of grp2, in characters() order.
 
     The product modulus element is literally c1*c2 with the same c1, c2
     used in the unit twists, which is what makes this an exact identity.
+    By CRT, each unit mod c1 c2 sits at one point of the product of the
+    two discrete-log grids, so one fftn gives every left side.
     """
-    c1 = chi1.group.element
-    c2 = chi2.group.element
+    c1, c2 = grp1.element, grp2.element
     if not is_coprime(c1, c2):
         raise DomainError("moduli must be coprime")
-    c = c1 * c2
-    units = unit_table(c)
-    # the cached F table is built before the weight calls, so that it does
-    # not land above their freed temporaries and raise the peak memory
-    f = f_sum_values(c)
-    # the last point of each call is the other modulus, a unit since the
-    # moduli are coprime: its value is the twist chi1(c2) or chi2(c1)
-    values1 = _exp_table(chi1.group.exponent)[
-        chi1.group.weights([chi1.exps], np.append(units.x, c2.re), np.append(units.y, c2.im))[0]
-    ]
-    values2 = _exp_table(chi2.group.exponent)[
-        chi2.group.weights([chi2.exps], np.append(units.x, c1.re), np.append(units.y, c1.im))[0]
-    ]
-    phase = values1[:-1] * values2[:-1]
-    lhs = np.conj(phase) @ f / len(phase)
-    rhs = (
-        complex(values1[-1]).conjugate()
-        * complex(values2[-1]).conjugate()
-        * f_sum_hat(chi1)
-        * f_sum_hat(chi2)
-    )
-    return complex(lhs - rhs)
+    units = unit_table(c1 * c2)
+    grid = np.zeros((grp1.order, grp2.order), dtype=np.complex128)
+    grid[
+        grp1._flat[unit_positions(c1, units.x, units.y)],
+        grp2._flat[unit_positions(c2, units.x, units.y)],
+    ] = f_sum_values(c1 * c2)
+    lhs = np.fft.fftn(grid.reshape(grp1._grid + grp2._grid)).reshape(grid.shape) / grid.size
+    # the other modulus is a unit, since the moduli are coprime
+    twist1 = _exp_table(grp1.exponent)[grp1.weights(grp1.exponent_vectors, [c2.re], [c2.im])[:, 0]]
+    twist2 = _exp_table(grp2.exponent)[grp2.weights(grp2.exponent_vectors, [c1.re], [c1.im])[:, 0]]
+    return lhs - np.outer(np.conj(twist1) * grp1.fhat_table(), np.conj(twist2) * grp2.fhat_table())
+
+
+def twisted_mult_residual(chi1: DirichletChar, chi2: DirichletChar) -> complex:
+    """The entry of twisted_mult_table at the pair (chi1, chi2)."""
+    grp1, grp2 = chi1.group, chi2.group
+    return complex(twisted_mult_table(grp1, grp2)[grp1.index(chi1.exps), grp2.index(chi2.exps)])

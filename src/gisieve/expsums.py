@@ -58,8 +58,9 @@ def _exp_table(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(n) / n)
 
 
-def kloosterman(m: GaussianInt, n: GaussianInt, c: GaussianInt) -> complex:
-    """S(m, n; c).  Accumulation follows the fixed residue order.
+def kloosterman(m: GaussianInt, n: GaussianInt, c: GaussianInt) -> float:
+    """S(m, n; c), which is real by a -> -a: the real parts of its terms,
+    accumulated in the fixed residue order.
 
     With mc = m * conj(c) and nc = n * conj(c) reduced mod N(c), the
     exponent of each term is Re(a mc) + Re(a^{-1} nc) mod N(c); every
@@ -78,7 +79,7 @@ def kloosterman(m: GaussianInt, n: GaussianInt, c: GaussianInt) -> complex:
         + units.inv_x * (nc.re % big_n)
         - units.inv_y * (nc.im % big_n)
     ) % big_n
-    return complex(np.cumsum(_exp_table(big_n)[k])[-1])
+    return float(np.cumsum(_exp_table(big_n)[k].real)[-1])
 
 
 def f_sum(w: GaussianInt, c: GaussianInt) -> complex:

@@ -78,7 +78,6 @@ __all__ = [
     "CoefficientSequence",
     "HeckeZetaValue",
     "KuznetsovGeometric",
-    "tau_s_p",
     "hecke_zeta",
     "eisenstein_sieve_sum",
     "kuznetsov_geometric",
@@ -131,18 +130,6 @@ def _divisor_geometry(n: GIdeal) -> tuple[np.ndarray, np.ndarray]:
         dargs.append(math.atan2(d.gen.im, d.gen.re) - math.atan2(e.im, e.re))
         dlogs.append(math.log(d.norm) - math.log(e.norm))
     return np.array(dargs), np.array(dlogs)
-
-
-def tau_s_p(n: GIdeal, s: complex, p: int) -> complex:
-    """Twisted divisor sum: sum over d*e = n of lambda_{4p}(d/e)(N(d)/N(e))^s.
-
-    Exact finite sum; multiplicative on coprime ideals.  For n = (1+i) and
-    s = it this is (-1)^p * 2 cos(t log 2).
-    """
-    if n.gen.is_zero():
-        raise DomainError("tau_s_p requires a nonzero ideal")
-    dargs, dlogs = _divisor_geometry(n)
-    return complex(np.sum(np.exp(4j * p * dargs + complex(s) * dlogs)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@
 Each suite takes (max_norm, tolerance) and returns a SuiteResult with the
 number of checks, the worst residual, and one message per failure.
 ``verify_all`` runs a selection of them; the ``verify`` and
-``lemma-check`` commands of the CLI report their results.
+``lemma-check`` commands of the CLI report their results.  The
+character suites work on whole tables: mellin and parseval on a group's
+fhat table, twisted on one twisted_mult_table per coprime pair of
+moduli, and lemma on the case-formula arrays of local_prediction.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .archimedean import (
     plancherel_integral,
     plancherel_integral_quadrature,
 )
-from .characters import CharGroup, char_group, local_prediction, twisted_mult_residual
+from .characters import CharGroup, char_group, local_prediction, twisted_mult_table
 from .expsums import (
     f_sum_values,
     selberg_residual,
@@ -97,15 +100,25 @@ def _suite_parseval(max_norm: float, tol: float) -> SuiteResult:
     return _tally("parseval", checks, tol, "modulus {} residual {:.3e}")
 
 
+def _twisted_checks(c1, c2) -> Iterator[tuple[float, tuple]]:
+    """The twisted residuals of every character pair mod (c1, c2), from one
+    table, chi1 outermost."""
+    g1, g2 = char_group(c1), char_group(c2)
+    exps2 = list(map(tuple, g2.exponent_vectors.tolist()))
+    rows = np.abs(twisted_mult_table(g1, g2)).tolist()
+    for e1, row in zip(g1.exponent_vectors.tolist(), rows):
+        for e2, value in zip(exps2, row):
+            yield value, (c1, c2, tuple(e1), e2)
+
+
 def _suite_twisted(max_norm: float, tol: float) -> SuiteResult:
     moduli = [ideal.gen for ideal in ideals_up_to_norm(math.sqrt(max_norm) * 4)]
     checks = (
-        (abs(twisted_mult_residual(chi1, chi2)), (c1, c2, chi1.exps, chi2.exps))
+        check
         for i, c1 in enumerate(moduli)
         for c2 in moduli[i + 1 :]
         if c1.norm * c2.norm <= max_norm and is_coprime(c1, c2)
-        for chi1 in char_group(c1).characters()
-        for chi2 in char_group(c2).characters()
+        for check in _twisted_checks(c1, c2)
     )
     return _tally("twisted", checks, tol, "moduli {},{} exps {},{} residual {:.3e}")
 

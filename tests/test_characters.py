@@ -16,7 +16,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from gisieve.characters import (
@@ -25,6 +25,7 @@ from gisieve.characters import (
     f_sum_hat,
     local_prediction,
     twisted_mult_residual,
+    twisted_mult_table,
 )
 from gisieve.expsums import f_sum_values
 from gisieve.gauss import (
@@ -48,7 +49,7 @@ from gisieve.gauss import (
     unit_table,
 )
 
-from conftest import engine_moduli, ramified_power, with_edge_moduli
+from conftest import EDGE_MODULI, engine_moduli, ramified_power, with_edge_moduli
 from test_expsums import _brute_f_table, _loop_f_table
 
 small = st.integers(min_value=-7, max_value=7)
@@ -397,14 +398,14 @@ def test_f_hat_against_brute_force(c):
 @with_edge_moduli
 @given(engine_moduli)
 def test_f_hat_table_against_dot_product(c):
-    grp = char_group(c)
     for element in (c, c.times_i()):
+        grp = char_group(element)
         values = _loop_f_table(element)
-        table = grp.fhat_table(element)
+        table = grp.fhat_table()
         for chi, row, got in zip(grp.characters(), grp.value_matrix(), table):
             direct = complex(np.conj(row) @ values / grp.order)
             assert abs(got - direct) < 1e-10
-            assert f_sum_hat(chi, element=element) == got
+            assert f_sum_hat(chi) == got
         assert np.max(np.abs(grp.inverse_transform(table) - values)) < 1e-10
 
 
@@ -462,16 +463,13 @@ def test_f_hat_generator_invariance(c, k):
     other = c
     for _ in range(k):
         other = other.times_i()
+    assoc = char_group(other)
+    # associates have the same generators, so equal exponents are one character
+    assert assoc.gen_elements == grp.gen_elements
     for chi in list(grp.characters())[:3]:
-        assert abs(f_sum_hat(chi, element=other)) == pytest.approx(
+        assert abs(f_sum_hat(assoc.character(chi.exps))) == pytest.approx(
             abs(f_sum_hat(chi)), abs=1e-9
         )
-
-
-def test_f_hat_rejects_wrong_element():
-    grp = char_group(GaussianInt(3, 0))
-    with pytest.raises(DomainError):
-        f_sum_hat(_trivial(grp), element=GaussianInt(5, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +654,42 @@ def test_twisted_residual_matches_scalar_twists():
         c1, c2 = GaussianInt(*c1), GaussianInt(*c2)
         for chi1 in char_group(c1).characters():
             for chi2 in list(char_group(c2).characters())[:4]:
-                assert twisted_mult_residual(chi1, chi2) == _scalar_twist_residual(chi1, chi2)
+                # the table's left side is an FFT, the oracle's a dot product
+                got = twisted_mult_residual(chi1, chi2)
+                assert abs(got - _scalar_twist_residual(chi1, chi2)) < 1e-12
+
+
+#: Coprime pairs of edge moduli small enough for the scalar oracle at
+#: every character pair: phi(c1) phi(c2) <= 64.  They include the units 1
+#: and i, the powers (1+i)^k up to k = 7, and 3(1+i), 3(1+2i), 3(2+i).
+EDGE_PAIRS = [
+    (c1, c2)
+    for i, c1 in enumerate(EDGE_MODULI)
+    for c2 in EDGE_MODULI[i + 1 :]
+    if is_coprime(c1, c2) and euler_phi(GIdeal.of(c1)) * euler_phi(GIdeal.of(c2)) <= 64
+]
+
+
+@pytest.mark.parametrize("c1, c2", EDGE_PAIRS, ids=str)
+def test_twisted_table_against_scalar_oracle(c1, c2):
+    g1, g2 = char_group(c1), char_group(c2)
+    table = twisted_mult_table(g1, g2)
+    assert table.shape == (g1.order, g2.order)
+    for j1, chi1 in enumerate(g1.characters()):
+        for j2, chi2 in enumerate(g2.characters()):
+            assert abs(table[j1, j2] - _scalar_twist_residual(chi1, chi2)) < 1e-12
+
+
+@given(engine_moduli, engine_moduli, st.integers(0, 10**6), st.integers(0, 10**6))
+def test_twisted_table_entry_against_scalar_oracle(c1, c2, j1, j2):
+    assume(is_coprime(c1, c2) and c1.norm * c2.norm <= 1000)
+    g1, g2 = char_group(c1), char_group(c2)
+    j1, j2 = j1 % g1.order, j2 % g2.order
+    chi1 = g1.character(g1.exponent_vectors[j1].tolist())
+    chi2 = g2.character(g2.exponent_vectors[j2].tolist())
+    got = twisted_mult_table(g1, g2)[j1, j2]
+    assert abs(got - _scalar_twist_residual(chi1, chi2)) < 1e-12
+    assert twisted_mult_residual(chi1, chi2) == got
 
 
 def test_twisted_needs_coprime():

@@ -186,6 +186,25 @@ def test_verify_charsum_group_only(capsys):
     assert all(float(row[2]) < 1e-9 for row in payload["rows"])
 
 
+def _twisted_csv_row(capsys, max_norm: str) -> list[str]:
+    assert run(["verify", "twisted", "--max-norm", max_norm, "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == "suite,checked,worst_residual,failures,status"
+    return lines[-1].split(",")
+
+
+def test_verify_twisted_at_norm_1000(capsys):
+    # one table per pair of moduli: 179,055 character pairs
+    name, checked, worst, failures, status = _twisted_csv_row(capsys, "1000")
+    assert (name, checked, failures, status) == ("twisted", "179055", "0", "pass")
+    assert float(worst) < 1e-13
+
+
+@pytest.mark.parametrize("max_norm, checked", [("60", 663), ("200", 6847), ("400", 28687)])
+def test_verify_twisted_check_counts(capsys, max_norm, checked):
+    assert int(_twisted_csv_row(capsys, max_norm)[1]) == checked
+
+
 def test_verify_unknown_suite_is_usage_error(capsys):
     assert run(["verify", "bogus"]) == 2
     err = capsys.readouterr().err

@@ -4,7 +4,9 @@ quadratic form, and the geometric side of the trace identity.
 mpmath supplies the zeta oracle on the p = 0 line:
 zeta_F(s) = zeta(s) L(s, chi_{-4}), with the L-function evaluated
 through Hurwitz zetas.  The p != 0 values are checked for internal
-consistency (conjugation, cutoff stability, multiplicativity).
+consistency (conjugation, cutoff stability, multiplicativity).  The
+twisted divisor sum tau_{s,p} lives here, summed term by term, as the
+oracle of the sieve sum's divisor-sum linear forms.
 """
 
 import math
@@ -27,6 +29,8 @@ from gisieve.gauss import (
     GaussianInt,
     GIdeal,
     divisor_count,
+    exact_div,
+    ideal_divisors,
     is_coprime,
 )
 from gisieve.spectral import (
@@ -42,7 +46,6 @@ from gisieve.spectral import (
     eisenstein_sieve_sum,
     hecke_zeta,
     kuznetsov_geometric,
-    tau_s_p,
     ZETA_EULER_CONSTANT,
 )
 from conftest import make_sequence
@@ -68,6 +71,21 @@ nonzero_ideals = (
 # ---------------------------------------------------------------------------
 # Twisted divisor sums
 # ---------------------------------------------------------------------------
+
+
+def tau_s_p(n, s, p):
+    """Twisted divisor sum: sum over d*e = n of lambda_{4p}(d/e)(N(d)/N(e))^s,
+    term by term from the ratio d/e.  The oracle for the divisor-sum linear
+    forms of the Eisenstein sieve sum; for n = (1+i) and s = it it is
+    (-1)^p * 2 cos(t log 2).
+    """
+    if n.gen.is_zero():
+        raise DomainError("tau_s_p requires a nonzero ideal")
+    total = 0j
+    for d in ideal_divisors(n):
+        ratio = complex(d.gen) / complex(exact_div(n.gen, d.gen))
+        total += (ratio / abs(ratio)) ** (4 * p) * abs(ratio) ** (2 * s)
+    return total
 
 
 def test_tau_unit_ideal():
