@@ -12,8 +12,9 @@ Every exponent Re((...)*conj(c))/N(c) is an exact rational with integer
 numerator, so each value is a sum of N(c)-th roots of unity looked up in
 a shared table.  Two expressions that agree in the algebra then agree
 numerically to ~1e-13, which is what lets the identity tests run at 1e-9.
-The table of F over all units (f_sum_values) is one FFT of such
-roots per modulus and agrees with the direct sums to ~1e-12.
+kloosterman_matrix sums S(m_i, n_j; c) for two lists of arguments, and
+the identities take lists too; the table of F over all units
+(f_sum_values) is one FFT per modulus, within ~1e-12 of the direct sums.
 
 For a unit modulus the quotient is the zero ring, its one residue class
 is invertible, and every sum degenerates to the single term 1.
@@ -21,7 +22,6 @@ is invertible, and every sum degenerates to the single term 1.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -31,9 +31,8 @@ from .gauss import (
     DomainError,
     GIdeal,
     GaussianInt,
-    divisor_count,
+    divides,
     exact_div,
-    gcd,
     ideal_divisors,
     is_coprime,
     moebius,
@@ -44,11 +43,12 @@ from .gauss import (
 
 __all__ = [
     "kloosterman",
+    "kloosterman_matrix",
     "f_sum",
     "f_sum_values",
-    "selberg_residual",
-    "shift_vanishing_residual",
-    "weil_ratio",
+    "selberg_residuals",
+    "shift_residuals",
+    "weil_ratios",
 ]
 
 
@@ -58,28 +58,35 @@ def _exp_table(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(n) / n)
 
 
-def kloosterman(m: GaussianInt, n: GaussianInt, c: GaussianInt) -> float:
-    """S(m, n; c), which is real by a -> -a: the real parts of its terms,
-    accumulated in the fixed residue order.
+def _exponent_rows(xs, ux, uy, c: GaussianInt) -> np.ndarray:
+    """Re(u x conj(c)) for x of xs (rows) and the units u = ux + i uy
+    (columns), with x conj(c) reduced mod N(c) first."""
+    big_n, cbar = c.norm, c.conj()
+    xc = [[z.re % big_n, z.im % big_n] for z in (x * cbar for x in xs)]
+    xc = np.array(xc, dtype=np.int64).reshape(-1, 2)
+    return ux * xc[:, :1] - uy * xc[:, 1:]
 
-    With mc = m * conj(c) and nc = n * conj(c) reduced mod N(c), the
-    exponent of each term is Re(a mc) + Re(a^{-1} nc) mod N(c); every
-    int64 product stays below N(c)^2 < 2^62.
+
+def kloosterman_matrix(ms, ns, c: GaussianInt) -> np.ndarray:
+    """S(m_i, n_j; c) for every m_i of ms and n_j of ns, as a float array.
+
+    S is real by a -> -a: each entry is the real parts of its terms,
+    accumulated in the fixed residue order.  The exponent of a term is
+    Re(a m conj(c)) + Re(a^{-1} n conj(c)) mod N(c), one int64 row per
+    argument on each side; every product stays below N(c)^2 < 2^62.
     """
     if c.is_zero():
         raise DomainError("Kloosterman sum needs a nonzero modulus")
     units = unit_table(c)  # rejects moduli too large before the N(c)-long table is built
-    big_n = c.norm
-    cbar = c.conj()
-    mc = m * cbar
-    nc = n * cbar
-    k = (
-        units.x * (mc.re % big_n)
-        - units.y * (mc.im % big_n)
-        + units.inv_x * (nc.re % big_n)
-        - units.inv_y * (nc.im % big_n)
-    ) % big_n
-    return float(np.cumsum(_exp_table(big_n)[k].real)[-1])
+    rows_m = _exponent_rows(ms, units.x, units.y, c)
+    rows_n = _exponent_rows(ns, units.inv_x, units.inv_y, c)
+    k = (rows_m[:, None, :] + rows_n[None, :, :]) % c.norm
+    return np.cumsum(_exp_table(c.norm).real[k], axis=-1)[..., -1]
+
+
+def kloosterman(m: GaussianInt, n: GaussianInt, c: GaussianInt) -> float:
+    """S(m, n; c): the 1 x 1 case of kloosterman_matrix."""
+    return float(kloosterman_matrix([m], [n], c)[0, 0])
 
 
 def f_sum(w: GaussianInt, c: GaussianInt) -> complex:
@@ -127,45 +134,48 @@ def f_sum_values(c: GaussianInt) -> np.ndarray:
     return out
 
 
-def selberg_residual(m: GaussianInt, n: GaussianInt, c: GaussianInt) -> complex:
-    """S(m^2, n^2; c) - sum_{d | (m^2, n^2, c)} N(d) S((mn/d)^2, 1; c/d).
+def _common_divisors(divisors: list[GIdeal], ms, ns) -> np.ndarray:
+    """Boolean array: [k, i, j] is whether divisors[k] divides ms[i] and ns[j]."""
+    in_m = np.array([[divides(d.gen, m) for m in ms] for d in divisors], dtype=bool)
+    in_n = np.array([[divides(d.gen, n) for n in ns] for d in divisors], dtype=bool)
+    return in_m[:, :, None] & in_n[:, None, :]
 
-    Zero in exact arithmetic; the divisor sum is over ideals, and the
-    summand is independent of the generator chosen for d.
+
+def selberg_residuals(ms, ns, c: GaussianInt) -> np.ndarray:
+    """S(m^2, n^2; c) - sum_{d | (m^2, n^2, c)} N(d) S((mn/d)^2, 1; c/d) for
+    m of ms (rows) and n of ns (columns); zero in exact arithmetic.
+
+    The divisors of (m^2, n^2, c) are those of c that divide m^2 and n^2,
+    in the same order, so one divisor list serves every pair.
     """
-    lhs = kloosterman(m * m, n * n, c)
-    g = gcd(gcd(m * m, n * n), c)
-    rhs = 0j
-    mn = m * n
-    for d in ideal_divisors(GIdeal.of(g)):
-        w = exact_div(mn, d.gen)
-        rhs += d.norm * kloosterman(w * w, ONE, exact_div(c, d.gen))
+    squares_m, squares_n = [m * m for m in ms], [n * n for n in ns]
+    lhs = kloosterman_matrix(squares_m, squares_n, c)
+    divisors = ideal_divisors(GIdeal.of(c))
+    rhs = np.zeros(lhs.shape)
+    for d, common in zip(divisors, _common_divisors(divisors, squares_m, squares_n)):
+        w2 = [exact_div(ms[i] * ns[j], d.gen) ** 2 for i, j in zip(*np.nonzero(common))]
+        rhs[common] += d.norm * kloosterman_matrix(w2, [ONE], exact_div(c, d.gen))[:, 0]
     return lhs - rhs
 
 
-def shift_vanishing_residual(w: GaussianInt, c: GaussianInt, g: GaussianInt) -> complex:
-    """Residual of the shifted-argument identity for g | w:
+def shift_residuals(qs, c: GaussianInt, g: GaussianInt) -> np.ndarray:
+    """Residuals of the shifted-argument identity at w = q g, for each q of qs:
 
     S(w^2, 1; c*g) = 0                      if gcd(c, g) != (1)
-                   = mu((g)) S((w/g)^2, 1; c)  otherwise.
+                   = mu((g)) S(q^2, 1; c)   otherwise.
     """
-    try:
-        q = exact_div(w, g)
-    except DomainError:
-        raise DomainError(f"shift identity needs g | w; got w={w}, g={g}") from None
-    lhs = kloosterman(w * w, ONE, c * g)
+    lhs = kloosterman_matrix([(q * g) * (q * g) for q in qs], [ONE], c * g)[:, 0]
     if not is_coprime(c, g):
         return lhs
-    rhs = moebius(GIdeal.of(g)) * kloosterman(q * q, ONE, c)
-    return lhs - rhs
+    return lhs - moebius(GIdeal.of(g)) * kloosterman_matrix([q * q for q in qs], [ONE], c)[:, 0]
 
 
-def weil_ratio(m: GaussianInt, n: GaussianInt, c: GaussianInt) -> float:
-    """|S(m, n; c)| / (tau((c)) * sqrt(N((m,n,c))) * sqrt(N(c)))."""
-    if c.is_zero():
-        raise DomainError("weil_ratio needs a nonzero modulus")
-    # triple gcd (m, n, c); gcd handles single zeros, m = n = 0 gives (c) itself
-    g3 = gcd(gcd(m, n), c) if not (m.is_zero() and n.is_zero()) else gcd(c, c)
-    val = abs(kloosterman(m, n, c))
-    tau = divisor_count(GIdeal.of(c))
-    return val / (tau * math.sqrt(g3.norm) * math.sqrt(c.norm))
+def weil_ratios(ms, ns, c: GaussianInt) -> np.ndarray:
+    """|S(m, n; c)| / (tau((c)) sqrt(N((m,n,c))) sqrt(N(c))) for m of ms (rows)
+    and n of ns (columns); N((m, n, c)) is the largest norm among the
+    divisors of c that divide both m and n."""
+    val = np.abs(kloosterman_matrix(ms, ns, c))
+    divisors = ideal_divisors(GIdeal.of(c))
+    norms = np.array([d.norm for d in divisors], dtype=np.int64)[:, None, None]
+    g3 = np.max(np.where(_common_divisors(divisors, ms, ns), norms, 1), axis=0)
+    return val / (len(divisors) * np.sqrt(g3) * np.sqrt(c.norm))

@@ -258,12 +258,6 @@ def reduce_pair(x, y, box: tuple[int, int, int]):
     return x - (x // d) * d, y
 
 
-def residues(c: GaussianInt) -> list[GaussianInt]:
-    """All N(c) residue classes mod c, in fixed (y, x) raster order."""
-    d, _, g = residue_box(c)
-    return [GaussianInt(x, y) for y in range(g) for x in range(d)]
-
-
 #: Unit-table arithmetic multiplies box coordinates in int64; every
 #: product stays below 2 N(c)^2, which is exact for N(c) below this.
 MAX_UNIT_NORM = 2**31
@@ -271,8 +265,9 @@ MAX_UNIT_NORM = 2**31
 
 class UnitTable(NamedTuple):
     """The unit residues of c and their inverses as read-only int64 arrays,
-    in the raster order of residues(c), and the map from box index y*d + x
-    to the position of that residue in this order (-1 off the units)."""
+    in the (y, x) raster order of the Hermite box, and the map from box
+    index y*d + x to the position of that residue in this order (-1 off
+    the units)."""
 
     x: np.ndarray
     y: np.ndarray
@@ -393,9 +388,6 @@ class GIdeal:
     def __mul__(self, other: "GIdeal") -> "GIdeal":
         return GIdeal.of(self.gen * other.gen)
 
-    def divides(self, other: "GIdeal") -> bool:
-        return divides(self.gen, other.gen)
-
     def is_unit_ideal(self) -> bool:
         return self.gen == ONE
 
@@ -411,12 +403,6 @@ class Factorization(NamedTuple):
 
     unit: GaussianInt
     factors: tuple[tuple[GIdeal, int], ...]
-
-    def value(self) -> GaussianInt:
-        out = self.unit
-        for p, e in self.factors:
-            out = out * p.gen**e
-        return out
 
 
 @lru_cache(maxsize=4096)

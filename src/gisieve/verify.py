@@ -3,10 +3,11 @@
 Each suite takes (max_norm, tolerance) and returns a SuiteResult with the
 number of checks, the worst residual, and one message per failure.
 ``verify_all`` runs a selection of them; the ``verify`` and
-``lemma-check`` commands of the CLI report their results.  The
-character suites work on whole tables: mellin and parseval on a group's
-fhat table, twisted on one twisted_mult_table per coprime pair of
-moduli, and lemma on the case-formula arrays of local_prediction.
+``lemma-check`` commands of the CLI report their results.  Most suites
+work on whole tables: mellin and parseval on a group's fhat table,
+twisted on one twisted_mult_table per coprime pair of moduli, lemma on
+the arrays of local_prediction, and selberg, shift and weil on one array
+of residuals per modulus.
 """
 
 from __future__ import annotations
@@ -26,12 +27,7 @@ from .archimedean import (
     plancherel_integral_quadrature,
 )
 from .characters import CharGroup, char_group, local_prediction, twisted_mult_table
-from .expsums import (
-    f_sum_values,
-    selberg_residual,
-    shift_vanishing_residual,
-    weil_ratio,
-)
+from .expsums import f_sum_values, selberg_residuals, shift_residuals, weil_ratios
 from .gauss import (
     DomainError,
     ideals_up_to_norm,
@@ -112,7 +108,7 @@ def _twisted_checks(c1, c2) -> Iterator[tuple[float, tuple]]:
 
 
 def _suite_twisted(max_norm: float, tol: float) -> SuiteResult:
-    moduli = [ideal.gen for ideal in ideals_up_to_norm(math.sqrt(max_norm) * 4)]
+    moduli = [ideal.gen for ideal in ideals_up_to_norm(max_norm)]
     checks = (
         check
         for i, c1 in enumerate(moduli)
@@ -160,32 +156,37 @@ def _suite_lemma(max_norm: float, tol: float) -> SuiteResult:
     return lemma_pass(max_norm, tol)[0]
 
 
-def _small_pairs_by_modulus(max_norm: float) -> Iterator[tuple]:
-    """(m, n, c) with N(m), N(n) <= 10 and N(c) <= max_norm, c outermost."""
+def _small_grid_checks(identity, max_norm: float) -> Iterator[tuple[float, tuple]]:
+    """(|value|, (m, n, c)) of identity(small, small, c) with N(m), N(n) <= 10
+    and N(c) <= max_norm, c outermost."""
     small = [ideal.gen for ideal in ideals_up_to_norm(10)]
-    moduli = (ideal.gen for ideal in ideals_up_to_norm(max_norm))
-    return ((m, n, c) for c in moduli for m in small for n in small)
+    return (
+        (value, (m, n, ideal.gen))
+        for ideal in ideals_up_to_norm(max_norm)
+        for m, row in zip(small, np.abs(identity(small, small, ideal.gen)).tolist())
+        for n, value in zip(small, row)
+    )
 
 
 def _suite_selberg(max_norm: float, tol: float) -> SuiteResult:
-    checks = ((abs(selberg_residual(*mnc)), mnc) for mnc in _small_pairs_by_modulus(max_norm))
+    checks = _small_grid_checks(selberg_residuals, max_norm)
     return _tally("selberg", checks, tol, "(m,n,c)=({},{},{}) residual {:.3e}")
 
 
 def _suite_shift(max_norm: float, tol: float) -> SuiteResult:
     cap = max_norm * 40.0  # budget for N(c) * N(g)^2 * N(q)
-    wcg = (
-        (q.gen * g.gen, c.gen, g.gen)
+    checks = (
+        (value, (q * g.gen, c.gen, g.gen))
         for c in ideals_up_to_norm(max_norm)
         for g in ideals_up_to_norm(math.sqrt(cap / c.norm))
-        for q in ideals_up_to_norm(cap / (c.norm * g.norm**2))
+        for qs in [[q.gen for q in ideals_up_to_norm(cap / (c.norm * g.norm**2))]]
+        for q, value in zip(qs, np.abs(shift_residuals(qs, c.gen, g.gen)).tolist())
     )
-    checks = ((abs(shift_vanishing_residual(*t)), t) for t in wcg)
     return _tally("shift", checks, tol, "(w,c,g)=({},{},{}) residual {:.3e}")
 
 
 def _suite_weil(max_norm: float, tol: float) -> SuiteResult:
-    checks = ((weil_ratio(*mnc), mnc) for mnc in _small_pairs_by_modulus(max_norm))
+    checks = _small_grid_checks(weil_ratios, max_norm)
     return _tally("weil", checks, 2.0 + tol, "(m,n,c)=({},{},{}) ratio {:.6f}")
 
 

@@ -34,6 +34,7 @@ from gisieve.gauss import (
     GaussianInt,
     GIdeal,
     UNIT_IDEAL,
+    divides,
     euler_phi,
     factor,
     factor_int,
@@ -301,7 +302,7 @@ def test_conductor_divides_modulus(c):
     grp = char_group(c)
     for chi, cls in zip(grp.characters(), grp.classes()):
         cond = chi.conductor()
-        assert cond.divides(grp.modulus)
+        assert divides(cond.gen, grp.modulus.gen)
         assert (cls == "primitive") == (cond == grp.modulus)
 
 

@@ -9,6 +9,7 @@ domain errors.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 
@@ -16,6 +17,8 @@ import pytest
 
 from gisieve.archimedean import QuadratureConfig
 from gisieve.cli import run
+from gisieve.gauss import euler_phi, ideals_up_to_norm, is_coprime
+from test_expsums import scalar_selberg_residual, scalar_shift_residual, scalar_weil_ratio
 
 
 def _json_payload(capsys):
@@ -186,23 +189,59 @@ def test_verify_charsum_group_only(capsys):
     assert all(float(row[2]) < 1e-9 for row in payload["rows"])
 
 
-def _twisted_csv_row(capsys, max_norm: str) -> list[str]:
-    assert run(["verify", "twisted", "--max-norm", max_norm, "--format", "csv"]) == 0
+def _csv_rows(capsys, argv: list[str]) -> list[list[str]]:
+    assert run(argv + ["--format", "csv"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-2] == "suite,checked,worst_residual,failures,status"
-    return lines[-1].split(",")
+    header = lines.index("suite,checked,worst_residual,failures,status")
+    return [line.split(",") for line in lines[header + 1 :]]
+
+
+def _twisted_pair_count(max_norm: int) -> int:
+    """sum of phi(c1) phi(c2) over the coprime pairs of distinct ideals
+    with N(c1) N(c2) <= max_norm: one check per pair of characters."""
+    ideals = ideals_up_to_norm(max_norm)
+    return sum(
+        euler_phi(a) * euler_phi(b)
+        for a, b in itertools.combinations(ideals, 2)
+        if a.norm * b.norm <= max_norm and is_coprime(a.gen, b.gen)
+    )
 
 
 def test_verify_twisted_at_norm_1000(capsys):
-    # one table per pair of moduli: 179,055 character pairs
-    name, checked, worst, failures, status = _twisted_csv_row(capsys, "1000")
-    assert (name, checked, failures, status) == ("twisted", "179055", "0", "pass")
+    # one table per pair of moduli, every pair with N(c1) N(c2) <= 1000
+    [[name, checked, worst, failures, status]] = _csv_rows(
+        capsys, ["verify", "twisted", "--max-norm", "1000"]
+    )
+    assert (name, failures, status) == ("twisted", "0", "pass")
+    assert int(checked) == _twisted_pair_count(1000)
     assert float(worst) < 1e-13
 
 
-@pytest.mark.parametrize("max_norm, checked", [("60", 663), ("200", 6847), ("400", 28687)])
-def test_verify_twisted_check_counts(capsys, max_norm, checked):
-    assert int(_twisted_csv_row(capsys, max_norm)[1]) == checked
+@pytest.mark.parametrize("max_norm", [60, 200, 400])
+def test_verify_twisted_check_counts(capsys, max_norm):
+    [row] = _csv_rows(capsys, ["verify", "twisted", "--max-norm", str(max_norm)])
+    assert int(row[1]) == _twisted_pair_count(max_norm)
+
+
+def test_verify_identity_suites_match_scalar_oracles(capsys):
+    # the per-modulus arrays against the scalar identities over the same
+    # grids: the same number of checks and the same worst value, in full repr
+    small = [i.gen for i in ideals_up_to_norm(10)]
+    moduli = [i.gen for i in ideals_up_to_norm(100)]
+    selberg = [abs(scalar_selberg_residual(m, n, c)) for c in moduli for m in small for n in small]
+    weil = [scalar_weil_ratio(m, n, c) for c in moduli for m in small for n in small]
+    cap = 100 * 40.0
+    shift = [
+        abs(scalar_shift_residual(q.gen * g.gen, c.gen, g.gen))
+        for c in ideals_up_to_norm(100)
+        for g in ideals_up_to_norm(math.sqrt(cap / c.norm))
+        for q in ideals_up_to_norm(cap / (c.norm * g.norm**2))
+    ]
+    rows = _csv_rows(capsys, ["verify", "selberg", "shift", "weil", "--max-norm", "100"])
+    want = [("selberg", selberg), ("shift", shift), ("weil", weil)]
+    assert [row[:3] for row in rows] == [
+        [name, str(len(values)), repr(max(values))] for name, values in want
+    ]
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

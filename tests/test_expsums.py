@@ -4,12 +4,15 @@ The brute-force oracle below shares nothing with the library internals:
 residues are found by scanning an integer box, inverses by scanning,
 and phases are assembled from integer data directly.  The F table, which
 the library builds with one FFT, is also checked against the direct
-O(phi^2) double sum that it replaced, and the array Kloosterman sum
-against the real part of the scalar loop that it replaced, bit for bit.
+O(phi^2) double sum that it replaced, the Kloosterman matrix against the
+real part of the scalar loop that it replaced, and the per-modulus
+Selberg, shift and Weil arrays against the scalar functions that they
+replaced, all bit for bit.
 """
 
 import cmath
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -22,20 +25,27 @@ from gisieve.expsums import (
     f_sum,
     f_sum_values,
     kloosterman,
-    selberg_residual,
-    shift_vanishing_residual,
-    weil_ratio,
+    kloosterman_matrix,
+    selberg_residuals,
+    shift_residuals,
+    weil_ratios,
 )
 from gisieve.gauss import (
+    ONE,
     DomainError,
     GaussianInt,
     GIdeal,
     divisor_count,
+    exact_div,
+    gcd,
+    ideal_divisors,
+    ideals_up_to_norm,
     is_coprime,
     mod_inverse,
-    residues,
+    moebius,
     unit_residues,
 )
+from test_gauss import residues
 
 small = st.integers(min_value=-7, max_value=7)
 gints = st.builds(GaussianInt, small, small)
@@ -125,20 +135,23 @@ def _loop_f_table(c):
     return tab[idx].sum(axis=0) * tab[tw_idx]
 
 
+@lru_cache(maxsize=256)
+def _loop_units(c):
+    """(a, a^{-1}) for the units a mod c in raster order, by gcd and the
+    extended Euclid."""
+    return [(a, a if c.is_unit() else mod_inverse(a, c)) for a in residues(c) if is_coprime(a, c)]
+
+
 def _loop_kloosterman(m, n, c):
-    """S(m, n; c) by the scalar loop over the units in raster order, with
-    inverses from the extended Euclid and each term read from the shared
-    root-of-unity table: the same additions, in the same order, as the
-    library's array sum."""
+    """S(m, n; c) by the scalar loop over the units in raster order, each
+    term read from the shared root-of-unity table: the same additions, in
+    the same order, as the library's array sum."""
     big_n = c.norm
     tab = _exp_table(big_n)
     mc = m * c.conj()
     nc = n * c.conj()
     total = 0j
-    for a in residues(c):
-        if not is_coprime(a, c):
-            continue
-        ainv = a if c.is_unit() else mod_inverse(a, c)
+    for a, ainv in _loop_units(c):
         total += tab[((a * mc).re + (ainv * nc).re) % big_n]
     return complex(total)
 
@@ -151,10 +164,15 @@ LOOP_ARGS = (GaussianInt(0, 0), GaussianInt(2, 1), GaussianInt(-123, 57), Gaussi
 @with_edge_moduli
 @given(engine_moduli)
 def test_kloosterman_against_loop_oracle(c):
-    for m in LOOP_ARGS:
-        for n in LOOP_ARGS:
-            # S is real: the real parts of the same terms, in the same order
-            assert kloosterman(m, n, c) == _loop_kloosterman(m, n, c).real
+    # S is real: the real parts of the same terms, in the same order, for
+    # the matrix, its 1 x 1 case, and the associates -c and ic
+    for cc in (c, -c, c.times_i()):
+        matrix = kloosterman_matrix(LOOP_ARGS, LOOP_ARGS, cc).tolist()
+        for m, row in zip(LOOP_ARGS, matrix):
+            for n, value in zip(LOOP_ARGS, row):
+                want = _loop_kloosterman(m, n, cc).real
+                assert value == want
+                assert kloosterman(m, n, cc) == want
 
 
 @with_edge_moduli
@@ -234,15 +252,15 @@ def test_kloosterman_unit_substitution(m, n, c, idx):
 
 @given(gints, gints, moduli)
 def test_weil_ratio_bounded(m, n, c):
-    assert weil_ratio(m, n, c) <= 2.0 + 1e-9
+    assert weil_ratios([m], [n], c)[0, 0] <= 2.0 + 1e-9
 
 
 def test_weil_ratio_attained():
     # the unit modulus gives |S| = 1 = tau * sqrt(N(c)), ratio exactly 1
     one = GaussianInt(1, 0)
-    assert weil_ratio(GaussianInt(3, 1), one, one) == pytest.approx(1.0)
+    assert weil_ratios([GaussianInt(3, 1)], [one], one)[0, 0] == pytest.approx(1.0)
     # prime moduli come close to square-root size: ratio 0.9653 at c = 1+4i
-    near = weil_ratio(one, GaussianInt(3, 1), GaussianInt(1, 4))
+    near = weil_ratios([one], [GaussianInt(3, 1)], GaussianInt(1, 4))[0, 0]
     assert 0.9 < near <= 2.0
 
 
@@ -325,19 +343,64 @@ def test_f_sum_brute_force():
 # ---------------------------------------------------------------------------
 
 
+def scalar_selberg_residual(m, n, c):
+    """S(m^2, n^2; c) - sum_{d | (m^2, n^2, c)} N(d) S((mn/d)^2, 1; c/d),
+    one pair at a time, with the divisors of the triple gcd."""
+    lhs = kloosterman(m * m, n * n, c)
+    g = gcd(gcd(m * m, n * n), c)
+    rhs = 0j
+    mn = m * n
+    for d in ideal_divisors(GIdeal.of(g)):
+        w = exact_div(mn, d.gen)
+        rhs += d.norm * kloosterman(w * w, ONE, exact_div(c, d.gen))
+    return lhs - rhs
+
+
+def scalar_shift_residual(w, c, g):
+    """S(w^2, 1; c g), less mu((g)) S((w/g)^2, 1; c) when gcd(c, g) = (1)."""
+    q = exact_div(w, g)
+    lhs = kloosterman(w * w, ONE, c * g)
+    if not is_coprime(c, g):
+        return lhs
+    rhs = moebius(GIdeal.of(g)) * kloosterman(q * q, ONE, c)
+    return lhs - rhs
+
+
+def scalar_weil_ratio(m, n, c):
+    """|S(m, n; c)| / (tau((c)) * sqrt(N((m,n,c))) * sqrt(N(c))), with the
+    triple gcd by the Euclidean algorithm."""
+    g3 = gcd(gcd(m, n), c) if not (m.is_zero() and n.is_zero()) else gcd(c, c)
+    val = abs(kloosterman(m, n, c))
+    tau = divisor_count(GIdeal.of(c))
+    return val / (tau * math.sqrt(g3.norm) * math.sqrt(c.norm))
+
+
+#: The suites' argument grid: the nine ideals of norm <= 10.
+SMALL = [ideal.gen for ideal in ideals_up_to_norm(10)]
+
+
+@with_edge_moduli
+@given(engine_moduli)
+def test_identity_arrays_against_scalar_oracles(c):
+    selberg = selberg_residuals(SMALL, SMALL, c).tolist()
+    weil = weil_ratios(SMALL, SMALL, c).tolist()
+    for i, m in enumerate(SMALL):
+        for j, n in enumerate(SMALL):
+            assert selberg[i][j] == scalar_selberg_residual(m, n, c).real
+            assert weil[i][j] == scalar_weil_ratio(m, n, c)
+    for g in SMALL:
+        shift = shift_residuals(SMALL, c, g).tolist()
+        assert shift == [scalar_shift_residual(q * g, c, g) for q in SMALL]
+
+
 @given(nonzero, nonzero, moduli)
 def test_selberg_identity(m, n, c):
-    assert abs(selberg_residual(m, n, c)) < 1e-9
+    assert abs(selberg_residuals([m], [n], c)[0, 0]) < 1e-9
 
 
 @given(nonzero, nonzero, moduli)
 def test_shift_vanishing(q, g, c):
-    assert abs(shift_vanishing_residual(q * g, c, g)) < 1e-9
-
-
-def test_shift_needs_divisibility():
-    with pytest.raises(DomainError):
-        shift_vanishing_residual(GaussianInt(1, 0), GaussianInt(3, 0), GaussianInt(2, 0))
+    assert abs(shift_residuals([q], c, g)[0]) < 1e-9
 
 
 # ---------------------------------------------------------------------------
