@@ -52,6 +52,7 @@ def residues(c):
     d, _, g = residue_box(c)
     return [GaussianInt(x, y) for y in range(g) for x in range(d)]
 
+
 small = st.integers(min_value=-9, max_value=9)
 gints = st.builds(GaussianInt, small, small)
 nonzero = gints.filter(lambda z: not z.is_zero())
