@@ -518,7 +518,7 @@ def ideals_up_to_norm(limit: float) -> list[GIdeal]:
     for a in range(1, top + 1):
         bmax = math.isqrt(int(limit) - a * a)
         out.extend(GIdeal(GaussianInt(a, b)) for b in range(bmax + 1))
-    out.sort()
+    out.sort(key=GIdeal.sort_key)
     return out
 
 

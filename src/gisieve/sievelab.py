@@ -28,8 +28,15 @@ required (the argument of F, the twist e[mn theta/c], the character and
 lambda values); summing over canonical associates is what makes the
 Groessencharakter parity condition moot.
 
-Randomized trials run in trial-index order, each from its own seed key,
-so a report is a pure function of (parameters, seed).
+Each experiment draws the +-1 sign vectors of all its trials, each from
+its own seed key, as the rows of one coefficient matrix over one list of
+ideals.  The trial-independent part of its form is built once: the
+bilinear matrix Q of the quad form, the Gram matrix G of the hybrid
+sieve, the divisor sums of the Eisenstein sieve.  Every trial's lhs then
+comes from it in one pass, and the single-sequence functions are the
+one-row case of the same code.  The worst trial is the first of largest
+ratio in trial-index order, so a report is a pure function of
+(parameters, seed).
 """
 
 from __future__ import annotations
@@ -42,8 +49,8 @@ import numpy as np
 
 from .characters import char_group
 from .expsums import _exp_table, f_sum_values
-from .gauss import DomainError, GaussianInt, ideals_up_to_norm, unit_positions
-from .spectral import CoefficientSequence, eisenstein_sieve_sum
+from .gauss import DomainError, GaussianInt, GIdeal, ideals_up_to_norm, unit_positions
+from .spectral import CoefficientSequence, eisenstein_sieve_sum, eisenstein_sieve_sums
 
 __all__ = [
     "EPSILON",
@@ -169,15 +176,32 @@ def run_trials(task: Callable[[int], R], trials: int) -> list[R]:
 Trial = tuple[float, float, dict[str, object]]
 
 
+def _require_trials(trials: int) -> None:
+    if trials < 1:
+        raise DomainError("trials must be >= 1")
+
+
 def _worst_trial(
     experiment: str, one: Callable[[int], Trial], trials: int, seed: int
 ) -> ExperimentReport:
     """The report of the trial of largest ratio (the first of any ties),
     with the number of trials and the seed."""
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
+    _require_trials(trials)
     lhs, rhs, params = max(run_trials(one, trials), key=lambda t: _ratio(t[0], t[1]))
     return make_report(experiment, params, lhs, rhs, trials, seed)
+
+
+def _sign_rows(
+    norm_window: tuple[float, float], seed_keys: Sequence[Sequence[int] | int]
+) -> tuple[list[GIdeal], np.ndarray]:
+    """The ideals of the window (lo, hi], and one row of iid +-1 signs on
+    them per seed key, each row drawn from its own key."""
+    lo, hi = norm_window
+    ideals = [ideal for ideal in ideals_up_to_norm(hi) if ideal.norm > lo]
+    if not ideals:
+        raise DomainError(f"empty norm window ({lo}, {hi}]")
+    rows = [np.random.default_rng(key).integers(0, 2, size=len(ideals)) for key in seed_keys]
+    return ideals, np.array(rows) * 2 - 1
 
 
 def random_sign_sequence(
@@ -185,15 +209,17 @@ def random_sign_sequence(
 ) -> CoefficientSequence:
     """Coefficients +-1 (iid, from seed_key) on every ideal in the window."""
     lo, hi = norm_window
-    ideals = [ideal for ideal in ideals_up_to_norm(hi) if ideal.norm > lo]
-    if not ideals:
-        raise DomainError(f"empty norm window ({lo}, {hi}]")
-    rng = np.random.default_rng(seed_key)
-    signs = rng.integers(0, 2, size=len(ideals)) * 2 - 1
+    ideals, rows = _sign_rows((lo, hi), [seed_key])
     return CoefficientSequence(
-        tuple((ideal, complex(int(s))) for ideal, s in zip(ideals, signs)),
+        tuple((ideal, complex(int(s))) for ideal, s in zip(ideals, rows[0])),
         (lo, hi),
     )
+
+
+def _support(seq: CoefficientSequence) -> tuple[list[GIdeal], np.ndarray]:
+    """The ideals of seq's nonzero entries, and those entries as one row."""
+    entries = [(ideal, coeff) for ideal, coeff in seq.entries if coeff != 0]
+    return [ideal for ideal, _ in entries], np.array([[c for _, c in entries]], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +227,69 @@ def random_sign_sequence(
 # ---------------------------------------------------------------------------
 
 
-def _window_check(seq: CoefficientSequence, lo: float, hi: float, label: str) -> None:
-    for ideal, coeff in seq.entries:
-        if coeff != 0 and not (lo < ideal.norm <= hi):
+def _window_check(
+    ideals: Sequence[GIdeal], rows: np.ndarray, lo: float, hi: float, label: str
+) -> None:
+    for ideal, column in zip(ideals, rows.T):
+        if column.any() and not (lo < ideal.norm <= hi):
             raise DomainError(
                 f"{label}-entry at norm {ideal.norm} outside window ({lo}, {hi}]"
             )
+
+
+def _quad_form_rows(
+    d: GaussianInt,
+    theta: complex,
+    gamma: float,
+    C: float,
+    M: float,
+    N: float,
+    ms: Sequence[GIdeal],
+    a_rows: np.ndarray,
+    ns: Sequence[GIdeal],
+    b_rows: np.ndarray,
+    *,
+    force: bool = False,
+) -> np.ndarray:
+    """quad_form of every pair of rows (a_rows[k] on the ideals ms, b_rows[k]
+    on the ideals ns): one value a Q conj(b) per k.
+
+    Q[m, n] = sum over moduli c with C < N(c) <= 2C and (c, dmn) = (1) of
+    N(c)^gamma F(dmn; c) e[mn theta/c] is built once.  Per modulus, F(dmn; c)
+    is read for every pair (m, n) at once from the table of F over the units
+    mod c; a pair with dmn not a unit gets no term.
+    """
+    if d.is_zero():
+        raise DomainError("quad_form requires d != 0")
+    if theta == 0:
+        raise DomainError("quad_form requires theta != 0")
+    if min(C, M, N) < 0.5:
+        raise DomainError("quad_form requires C, M, N >= 1/2")
+    _check_caps(
+        force,
+        ("2C", 2 * C, DESK_CAPS["modulus_norm"]),
+        ("M", M, DESK_CAPS["sequence_norm"]),
+        ("N", N, DESK_CAPS["sequence_norm"]),
+    )
+    _window_check(ms, a_rows, M, 2 * M, "a")
+    _window_check(ns, b_rows, N, 2 * N, "b")
+    moduli = [ideal.gen for ideal in ideals_up_to_norm(2 * C) if ideal.norm > C]
+    mns = [m.gen * n.gen for m in ms for n in ns]
+    mx = np.array([mn.re for mn in mns], dtype=np.int64)
+    my = np.array([mn.im for mn in mns], dtype=np.int64)
+    twist = (mx + 1j * my) * complex(theta)
+    Q = np.zeros(len(mns), dtype=complex)
+    for c in moduli:
+        # d mod N(c) is in the class of d mod c (N(c) = c conj(c)), and small
+        # enough that d * mn stays exact in int64 for any d
+        dx, dy = d.re % c.norm, d.im % c.norm
+        pos = unit_positions(c, dx * mx - dy * my, dx * my + dy * mx)
+        unit = pos >= 0
+        # e[mn theta / c] = exp(2 pi i Re(mn theta / c))
+        phase = np.exp(2j * np.pi * np.real(twist[unit] / complex(c)))
+        Q[unit] += float(c.norm) ** gamma * (f_sum_values(c)[pos[unit]] * phase)
+    Q = Q.reshape(len(ms), len(ns))
+    return ((np.asarray(a_rows, dtype=complex) @ Q) * np.conj(b_rows)).sum(axis=1)
 
 
 def quad_form(
@@ -224,48 +307,24 @@ def quad_form(
     """Exact triple sum F^gamma(d, theta, C, M, N) by brute force.
 
     m runs over ideals with M < N(m) <= 2M carrying a, n likewise for b,
-    and c over canonical generators with C < N(c) <= 2C and (c, dmn) = (1).
-    Per modulus, F(dmn; c) is read for every pair (m, n) at once from the
-    table of F over the units mod c; a pair with dmn not a unit is skipped.
+    and c over canonical generators with C < N(c) <= 2C and (c, dmn) = (1):
+    the one-row case of the experiment's bilinear matrix.
     """
-    if d.is_zero():
-        raise DomainError("quad_form requires d != 0")
-    if theta == 0:
-        raise DomainError("quad_form requires theta != 0")
-    if min(C, M, N) < 0.5:
-        raise DomainError("quad_form requires C, M, N >= 1/2")
-    _check_caps(
-        force,
-        ("2C", 2 * C, DESK_CAPS["modulus_norm"]),
-        ("M", M, DESK_CAPS["sequence_norm"]),
-        ("N", N, DESK_CAPS["sequence_norm"]),
+    rows = _quad_form_rows(d, theta, gamma, C, M, N, *_support(a), *_support(b), force=force)
+    return complex(rows[0])
+
+
+def _quad_form_rhs(
+    theta: complex, gamma: float, C: float, M: float, N: float, a_norm: float, b_norm: float
+) -> float:
+    K = C + math.sqrt(C * M * N) * abs(theta)
+    return (
+        C ** (1.0 + gamma)
+        * (K + math.sqrt(M) + math.sqrt(N) + C * math.sqrt(M * N) / K)
+        * K**EPSILON
+        * a_norm
+        * b_norm
     )
-    _window_check(a, M, 2 * M, "a")
-    _window_check(b, N, 2 * N, "b")
-    moduli = [ideal.gen for ideal in ideals_up_to_norm(2 * C) if ideal.norm > C]
-    pairs = [
-        (m_ideal.gen * n_ideal.gen, a_m * b_n.conjugate())
-        for m_ideal, a_m in a.entries
-        if a_m != 0
-        for n_ideal, b_n in b.entries
-        if b_n != 0
-    ]
-    coeff = np.array([v for _, v in pairs], dtype=np.complex128)
-    mx = np.array([mn.re for mn, _ in pairs], dtype=np.int64)
-    my = np.array([mn.im for mn, _ in pairs], dtype=np.int64)
-    twist = (mx + 1j * my) * complex(theta)
-    total = 0.0 + 0.0j
-    for c in moduli:
-        # d mod N(c) is in the class of d mod c (N(c) = c conj(c)), and small
-        # enough that d * mn stays exact in int64 for any d
-        dx, dy = d.re % c.norm, d.im % c.norm
-        pos = unit_positions(c, dx * mx - dy * my, dx * my + dy * mx)
-        unit = pos >= 0
-        # e[mn theta / c] = exp(2 pi i Re(mn theta / c))
-        phase = np.exp(2j * np.pi * np.real(twist[unit] / complex(c)))
-        terms = coeff[unit] * f_sum_values(c)[pos[unit]] * phase
-        total += float(c.norm) ** gamma * complex(terms.sum())
-    return total
 
 
 def quad_form_bound_ratio(
@@ -284,14 +343,7 @@ def quad_form_bound_ratio(
     + sqrt(N) + C sqrt(MN)/K) K^eps |a| |b| with K = C + sqrt(CMN)|theta|,
     eps = EPSILON, constant 1."""
     lhs = abs(quad_form(d, theta, gamma, C, M, N, a, b, force=force))
-    K = C + math.sqrt(C * M * N) * abs(theta)
-    rhs = (
-        C ** (1.0 + gamma)
-        * (K + math.sqrt(M) + math.sqrt(N) + C * math.sqrt(M * N) / K)
-        * K**EPSILON
-        * a.l2_norm()
-        * b.l2_norm()
-    )
+    rhs = _quad_form_rhs(theta, gamma, C, M, N, a.l2_norm(), b.l2_norm())
     params = {"d": d, "theta": complex(theta), "gamma": gamma, "C": C, "M": M, "N": N}
     return lhs, rhs, params
 
@@ -310,13 +362,17 @@ def quad_form_experiment(
 ) -> ExperimentReport:
     """Max ratio over random +-1 sequence pairs; reports the worst trial."""
     _check_caps(force, ("trials", trials, DESK_CAPS["trials"]))
-
-    def one(index: int) -> Trial:
-        a = random_sign_sequence((M, 2 * M), [seed, 2 * index])
-        b = random_sign_sequence((N, 2 * N), [seed, 2 * index + 1])
-        return quad_form_bound_ratio(d, theta, gamma, C, M, N, a, b, force=force)
-
-    return _worst_trial("quad_form", one, trials, seed)
+    _require_trials(trials)
+    ms, a_rows = _sign_rows((M, 2 * M), [[seed, 2 * index] for index in range(trials)])
+    ns, b_rows = _sign_rows((N, 2 * N), [[seed, 2 * index + 1] for index in range(trials)])
+    lhs = _quad_form_rows(d, theta, gamma, C, M, N, ms, a_rows, ns, b_rows, force=force)
+    # every row is +-1 on its window, so |a| = sqrt(len(ms)) and |b| = sqrt(len(ns))
+    rhs = _quad_form_rhs(theta, gamma, C, M, N, math.sqrt(len(ms)), math.sqrt(len(ns)))
+    params = {"d": d, "theta": complex(theta), "gamma": gamma, "C": C, "M": M, "N": N}
+    # |lhs| by Python's abs, as quad_form_bound_ratio takes it (np.abs can differ by 1 ulp)
+    return _worst_trial(
+        "quad_form", lambda index: (abs(complex(lhs[index])), rhs, params), trials, seed
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -324,26 +380,28 @@ def quad_form_experiment(
 # ---------------------------------------------------------------------------
 
 
-def hybrid_lhs(C: float, T: float, a: CoefficientSequence, *, force: bool = False) -> float:
-    """sum over N(c) <= C and primitive chi mod c of the integral over
-    |t| <= T, p in Z with |p| <= floor(T), of
-    |sum_n a_(n) chi(n) lambda_{it,p}(n)|^2.
+def _hybrid_rows(
+    C: float, T: float, ideals: Sequence[GIdeal], rows: np.ndarray, *, force: bool = False
+) -> np.ndarray:
+    """hybrid_lhs of every row of coefficients on the ideals: one value
+    Re(a G conj(a)) per row, from one n x n Gram matrix G.
 
     The t-integral is done in closed form: with L_j = log|n_j| the square
     expands into pairs, and each pair integrates to 2 sin(T(L_j - L_k)) /
     (L_j - L_k) (diagonal 2T).  lambda and chi are evaluated on canonical
-    generators.  The sum over p joins the kernel as the factor
-    sum_p e^{ip(arg_j - arg_k)}; per modulus, one weight table gives every
-    primitive chi at every generator, and their quadratic forms are one
-    array sum.
+    generators.  The sum over p joins this kernel K as the factor
+    sum_p e^{ip(arg_j - arg_k)}.  With u_chi the row of chi at the
+    generators, G = K * sum over moduli and primitive chi of
+    u_chi^T conj(u_chi), entrywise; per modulus, one weight table gives
+    every primitive chi at every generator.
     """
     if C < 1 or T < 1:
         raise DomainError("hybrid_lhs requires C, T >= 1")
     _check_caps(force, ("C", C, DESK_CAPS["modulus_norm"]))
-    gens = [ideal.gen for ideal, coeff in a.entries if coeff != 0]
-    coeffs = np.array([coeff for _, coeff in a.entries if coeff != 0])
-    if len(gens) == 0:
-        return 0.0
+    rows = np.asarray(rows, dtype=complex)
+    if not ideals:
+        return np.zeros(len(rows))
+    gens = [ideal.gen for ideal in ideals]
     logs = np.array([0.5 * math.log(g.norm) for g in gens])
     args = np.array([math.atan2(g.im, g.re) for g in gens])
     delta = logs[:, None] - logs[None, :]
@@ -353,14 +411,28 @@ def hybrid_lhs(C: float, T: float, a: CoefficientSequence, *, force: bool = Fals
     kernel = kernel * np.real(phase.T @ np.conj(phase))
     x = [g.re for g in gens]
     y = [g.im for g in gens]
-    total = 0.0
+    chars = np.zeros((len(gens), len(gens)), dtype=complex)
     for ideal in ideals_up_to_norm(C):
         grp = char_group(ideal.gen)
         primitive = [cond == grp.modulus for cond in grp.conductors()]
         w = grp.weights(grp.exponent_vectors[primitive], x, y)  # (chi, n)
-        v = coeffs * np.where(w < 0, 0.0, _exp_table(grp.exponent)[w])
-        total += float(np.real((v @ kernel) * np.conj(v)).sum())
-    return total
+        u = np.where(w < 0, 0.0, _exp_table(grp.exponent)[w])
+        chars += u.T @ np.conj(u)
+    gram = kernel * chars
+    return np.real(((rows @ gram) * np.conj(rows)).sum(axis=1))
+
+
+def hybrid_lhs(C: float, T: float, a: CoefficientSequence, *, force: bool = False) -> float:
+    """sum over N(c) <= C and primitive chi mod c of the integral over
+    |t| <= T, p in Z with |p| <= floor(T), of
+    |sum_n a_(n) chi(n) lambda_{it,p}(n)|^2: the one-row case of the
+    experiment's Gram matrix, over a's nonzero entries.
+    """
+    return float(_hybrid_rows(C, T, *_support(a), force=force)[0])
+
+
+def _hybrid_rhs(C: float, T: float, N: float, norm_sq: float) -> float:
+    return (C**2 * T**2 + N) * (C * T) ** EPSILON * norm_sq
 
 
 def hybrid_ratio(C: float, T: float, a: CoefficientSequence, *, force: bool = False) -> Trial:
@@ -369,8 +441,7 @@ def hybrid_ratio(C: float, T: float, a: CoefficientSequence, *, force: bool = Fa
     lhs = hybrid_lhs(C, T, a, force=force)
     N = a.norm_window[1]
     norm_sq = sum(abs(v) ** 2 for _, v in a.entries)
-    rhs = (C**2 * T**2 + N) * (C * T) ** EPSILON * norm_sq
-    return lhs, rhs, {"C": C, "T": T, "N": N}
+    return lhs, _hybrid_rhs(C, T, N, norm_sq), {"C": C, "T": T, "N": N}
 
 
 def hybrid_experiment(
@@ -386,17 +457,29 @@ def hybrid_experiment(
     _check_caps(
         force, ("trials", trials, DESK_CAPS["trials"]), ("N", N, DESK_CAPS["sequence_norm"])
     )
-
-    def one(index: int) -> Trial:
-        a = random_sign_sequence((0, N), [seed, index])
-        return hybrid_ratio(C, T, a, force=force)
-
-    return _worst_trial("hybrid", one, trials, seed)
+    _require_trials(trials)
+    ideals, rows = _sign_rows((0, N), [[seed, index] for index in range(trials)])
+    lhs = _hybrid_rows(C, T, ideals, rows, force=force)
+    rhs = _hybrid_rhs(C, T, N, float(len(ideals)))  # sum |a|^2 of a +-1 row
+    params = {"C": C, "T": T, "N": N}
+    return _worst_trial("hybrid", lambda index: (float(lhs[index]), rhs, params), trials, seed)
 
 
 # ---------------------------------------------------------------------------
 # Eisenstein side
 # ---------------------------------------------------------------------------
+
+
+def _eisenstein_rhs(T: float, P: float, N: float, norm_sq: float) -> float:
+    return (
+        (
+            T * P * (T**2 + P**2)
+            + T * P * N
+            + ((T**2 + P**2) / (T * P)) * (1.0 / T**2 + 1.0 / P**2) * N**2
+        )
+        * (T * P * N) ** EPSILON
+        * norm_sq
+    )
 
 
 def eisenstein_ratio(T: float, P: float, a: CoefficientSequence) -> Trial:
@@ -406,16 +489,7 @@ def eisenstein_ratio(T: float, P: float, a: CoefficientSequence) -> Trial:
     lhs = eisenstein_sieve_sum(a, T, P) if not a.is_zero() else 0.0
     N = a.norm_window[1]
     norm_sq = sum(abs(v) ** 2 for _, v in a.entries)
-    rhs = (
-        (
-            T * P * (T**2 + P**2)
-            + T * P * N
-            + ((T**2 + P**2) / (T * P)) * (1.0 / T**2 + 1.0 / P**2) * N**2
-        )
-        * (T * P * N) ** EPSILON
-        * norm_sq
-    )
-    return lhs, rhs, {"T": T, "P": P, "N": N}
+    return lhs, _eisenstein_rhs(T, P, N, norm_sq), {"T": T, "P": P, "N": N}
 
 
 def eisenstein_experiment(
@@ -431,9 +505,9 @@ def eisenstein_experiment(
     _check_caps(
         force, ("trials", trials, DESK_CAPS["trials"]), ("N", N, DESK_CAPS["sequence_norm"])
     )
-
-    def one(index: int) -> Trial:
-        a = random_sign_sequence((0, N), [seed, index])
-        return eisenstein_ratio(T, P, a)
-
-    return _worst_trial("eisenstein", one, trials, seed)
+    _require_trials(trials)
+    ideals, rows = _sign_rows((0, N), [[seed, index] for index in range(trials)])
+    lhs = eisenstein_sieve_sums(ideals, rows, T, P)
+    rhs = _eisenstein_rhs(T, P, N, float(len(ideals)))  # sum |a|^2 of a +-1 row
+    params = {"T": T, "P": P, "N": N}
+    return _worst_trial("eisenstein", lambda index: (float(lhs[index]), rhs, params), trials, seed)

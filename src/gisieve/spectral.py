@@ -26,7 +26,9 @@ bands: per band of norms, the coefficients A(n) = sum over N(a) = n of
 lambda_{4p}(a) (1 - n/X)^kappa are binned once, and exp(-s log n) A(n) is
 added for a whole array of s at a time.  The Eisenstein sieve sum thus
 gets the weights of all its t-nodes on one panel grid from one pass over
-the lattice, in bounded memory whatever the cutoff.
+the lattice, in bounded memory whatever the cutoff.  It takes a matrix
+of coefficient rows over one list of ideals, so the divisor sums at the
+nodes are computed once per ideal and serve every row.
 
 The geometric side of the Kuznetsov identity is
 
@@ -49,7 +51,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,6 +82,7 @@ __all__ = [
     "KuznetsovGeometric",
     "hecke_zeta",
     "eisenstein_sieve_sum",
+    "eisenstein_sieve_sums",
     "kuznetsov_geometric",
     "POLE_BAND_HALF_WIDTH",
     "DEFAULT_ZETA_CUTOFF",
@@ -361,21 +364,6 @@ class CoefficientSequence:
         return all(v == 0 for _, v in self.entries)
 
 
-def _sieve_linear_form(
-    a: CoefficientSequence, t_nodes: np.ndarray, p: int
-) -> np.ndarray:
-    """V(t) = sum_n a_(n) tau_{it,p}(n^2) at each quadrature node."""
-    out = np.zeros(len(t_nodes), dtype=complex)
-    for ideal, coeff in a.entries:
-        if coeff == 0:
-            continue
-        square = GIdeal.of(ideal.gen * ideal.gen)
-        dargs, dlogs = _divisor_geometry(square)
-        phases = 4.0 * p * dargs[None, :] + t_nodes[:, None] * dlogs[None, :]
-        out += coeff * np.exp(1j * phases).sum(axis=1)
-    return out
-
-
 #: Radians of the fastest phase per t-panel, and Gauss-Legendre nodes per
 #: panel, of the sieve sum's t-quadrature.
 _SIEVE_PHASE_BUDGET = 6.0
@@ -401,20 +389,45 @@ def eisenstein_sieve_sum(
     """Integral over |t| <= T/2, sum over |p| <= floor(P/4), of
     omega(t, p) |sum_n a_(n) tau_{it,p}(n^2)|^2, with omega at weight_cutoff.
 
+    The one-row case of eisenstein_sieve_sums, over the ideals of a's
+    entries.  Nonnegative; nondecreasing in T and in P.
+    """
+    ideals = [ideal for ideal, _ in a.entries]
+    coeffs = np.array([[coeff for _, coeff in a.entries]], dtype=complex)
+    return float(eisenstein_sieve_sums(ideals, coeffs, T, P, weight_cutoff=weight_cutoff)[0])
+
+
+def eisenstein_sieve_sums(
+    ideals: Sequence[GIdeal],
+    coeffs: np.ndarray,
+    T: float,
+    P: float,
+    *,
+    weight_cutoff: float = DEFAULT_WEIGHT_CUTOFF,
+) -> np.ndarray:
+    """The Eisenstein sieve sum of every row of coeffs, a (rows x ideals)
+    array of the coefficients a_(n) on the given ideals: one total per row.
+
     The t-quadrature uses 16-point Gauss-Legendre panels sized so that the
-    fastest divisor-sum phase (rate 2 log N(n_max) per unit t) advances at
-    most 6 radians per panel.  The band |t| < POLE_BAND_HALF_WIDTH is
-    excluded at p = 0.  Nonnegative; nondecreasing in T and in P.
+    fastest divisor-sum phase (rate 2 log N(n_max) per unit t, n_max the
+    largest ideal given) advances at most 6 radians per panel.  The band
+    |t| < POLE_BAND_HALF_WIDTH is excluded at p = 0.  Per (p, interval),
+    the divisor sum tau_{it,p}(n^2) at the nodes is computed once per ideal
+    and added, times each row's coefficient, into every row's linear form,
+    ideal by ideal; an ideal whose coefficients are all 0 is skipped.  Each
+    row is thus summed as a lone sequence would be, bit for bit.
     """
     if T < 0.5 or P < 0.5:
         raise DomainError("eisenstein_sieve_sum requires T, P >= 1/2")
-    if not a.entries or a.is_zero():
-        return 0.0
+    coeffs = np.asarray(coeffs, dtype=complex)
+    totals = np.zeros(len(coeffs))
+    live = [(ideal, column) for ideal, column in zip(ideals, coeffs.T) if column.any()]
+    if not live:
+        return totals
     half = T / 2.0
     p_max = int(P // 4)
-    max_log = max(math.log(ideal.norm) for ideal, _ in a.entries)
+    max_log = max(math.log(ideal.norm) for ideal in ideals)
     rate = 4.0 * max_log + 1.0  # tau on n^2 doubles the log; +1 covers omega
-    total = 0.0
     for p in range(-p_max, p_max + 1):
         if p == 0:
             intervals = [(-half, -POLE_BAND_HALF_WIDTH), (POLE_BAND_HALF_WIDTH, half)]
@@ -425,10 +438,16 @@ def eisenstein_sieve_sum(
                 continue
             n_panels = max(2, math.ceil((hi - lo) * rate / _SIEVE_PHASE_BUDGET))
             nodes, wts = _panel_rule(lo, hi, n_panels, _SIEVE_GL_ORDER)
-            form = _sieve_linear_form(a, nodes, p)
+            # V(t) = sum_n a_(n) tau_{it,p}(n^2), one row per coefficient row
+            forms = np.zeros((len(coeffs), len(nodes)), dtype=complex)
+            for ideal, column in live:
+                dargs, dlogs = _divisor_geometry(GIdeal.of(ideal.gen * ideal.gen))
+                phases = 4.0 * p * dargs[None, :] + nodes[:, None] * dlogs[None, :]
+                forms += column[:, None] * np.exp(1j * phases).sum(axis=1)
             weights = _grid_weights(lo, hi, n_panels, p, float(weight_cutoff))
-            total += float(wts @ (weights * np.abs(form) ** 2))
-    return total
+            for row, form in enumerate(forms):
+                totals[row] += float(wts @ (weights * np.abs(form) ** 2))
+    return totals
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ of residuals per modulus.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -175,11 +176,20 @@ def _suite_selberg(max_norm: float, tol: float) -> SuiteResult:
 
 def _suite_shift(max_norm: float, tol: float) -> SuiteResult:
     cap = max_norm * 40.0  # budget for N(c) * N(g)^2 * N(q)
+    # one sorted list serves every range: ideals_up_to_norm(x) is its prefix
+    # of the ideals of norm <= x
+    ideals = ideals_up_to_norm(cap)
+    norms = [ideal.norm for ideal in ideals]
+    gens = [ideal.gen for ideal in ideals]
+
+    def upto(limit: float) -> int:
+        return bisect.bisect_right(norms, limit)
+
     checks = (
         (value, (q * g.gen, c.gen, g.gen))
-        for c in ideals_up_to_norm(max_norm)
-        for g in ideals_up_to_norm(math.sqrt(cap / c.norm))
-        for qs in [[q.gen for q in ideals_up_to_norm(cap / (c.norm * g.norm**2))]]
+        for c in ideals[: upto(max_norm)]
+        for g in ideals[: upto(math.sqrt(cap / c.norm))]
+        for qs in [gens[: upto(cap / (c.norm * g.norm**2))]]
         for q, value in zip(qs, np.abs(shift_residuals(qs, c.gen, g.gen)).tolist())
     )
     return _tally("shift", checks, tol, "(w,c,g)=({},{},{}) residual {:.3e}")

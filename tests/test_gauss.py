@@ -364,6 +364,17 @@ def test_ideals_up_to_norm(limit):
         assert n.gen == canonical_associate(n.gen)
 
 
+@pytest.mark.parametrize("limit", [0.5, 1, 2, 40, 1000.7, 10**4])
+def test_ideals_up_to_norm_against_lt_sorted_oracle(limit):
+    # sorted by sort_key, the list is the one GIdeal.__lt__ sorts
+    want = [
+        GIdeal(GaussianInt(a, b))
+        for a in range(1, math.isqrt(int(limit)) + 1)
+        for b in range(math.isqrt(int(limit) - a * a) + 1)
+    ]
+    assert ideals_up_to_norm(limit) == sorted(want)
+
+
 def test_prime_power_ideals():
     pps = prime_power_ideals_up_to_norm(100)
     for n in pps:

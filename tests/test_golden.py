@@ -100,11 +100,12 @@ def test_reports_do_not_depend_on_cache_state(argv, tmp_path):
     assert cold == warm
 
 
-@pytest.mark.parametrize("name", ["kuznetsov-geom", "bessel-compare"])
+@pytest.mark.parametrize("name", ["kuznetsov-geom", "bessel-compare", "quadform", "hybrid"])
 def test_reports_do_not_depend_on_blas_threads(name):
     # the geometric forms reach BLAS through their (orders x nodes) matrix
-    # product, and NumPy may link a threaded OpenBLAS: one and two threads
-    # must print the same bytes, the golden ones
+    # product, the quad form and the hybrid sieve through their coefficient
+    # rows times one matrix, and NumPy may link a threaded OpenBLAS: one and
+    # two threads must print the same bytes, the golden ones
     src = str(Path(gisieve.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outs = [

@@ -1,18 +1,24 @@
 """Tests for the desk-scale experiment layer.
 
-Covers the report dataclass and its consistency guard, the trial loop, random sign sequences, and the three experiment families.  The
+Covers the report dataclass and its consistency guard, the trial loop,
+random sign sequences, and the three experiment families.  The
 quadratic form is checked against an independent residue-level oracle
 (own Euclid gcd, own canonical-generator scan, Kloosterman sums from the
 first-principles helper in test_expsums); the hybrid sieve sum is
 checked against direct Gauss-Legendre integration of the defining
-t-integral.
+t-integral.  The batched forms (the bilinear matrix Q and the Gram
+matrix G, built once per experiment) are checked row by row against
+the per-sequence loops that each trial used to run.
 """
 
 from __future__ import annotations
 
+import argparse
 import cmath
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +26,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gisieve.characters import char_group
-from gisieve.gauss import DomainError, GaussianInt, GIdeal, ideals_up_to_norm
+from gisieve.expsums import _exp_table, f_sum_values
+from gisieve.gauss import DomainError, GaussianInt, GIdeal, ideals_up_to_norm, unit_positions
 from gisieve.sievelab import (
     DESK_CAPS,
     EPSILON,
@@ -36,11 +43,15 @@ from gisieve.sievelab import (
     quad_form_experiment,
     random_sign_sequence,
     run_trials,
+    _hybrid_rows,
+    _quad_form_rows,
+    _sign_rows,
     _worst_trial,
 )
 from gisieve.spectral import CoefficientSequence, eisenstein_sieve_sum
 from conftest import make_sequence
 from test_expsums import brute_kloosterman
+from test_spectral import coefficient_rows
 
 ONE = GaussianInt(1, 0)
 
@@ -366,6 +377,18 @@ def test_quad_form_experiment_reports_its_trial():
     assert rep == make_report("quad_form", params, lhs, rhs, 1, 5)
 
 
+def test_hybrid_experiment_reports_its_trial():
+    rep = hybrid_experiment(5.0, 2.0, 10.0, trials=1, seed=5)
+    lhs, rhs, params = hybrid_ratio(5.0, 2.0, random_sign_sequence((0, 10.0), [5, 0]))
+    assert rep == make_report("hybrid", params, lhs, rhs, 1, 5)
+
+
+def test_eisenstein_experiment_reports_its_trial():
+    rep = eisenstein_experiment(2.0, 4.0, 10.0, trials=1, seed=5)
+    lhs, rhs, params = eisenstein_ratio(2.0, 4.0, random_sign_sequence((0, 10.0), [5, 0]))
+    assert rep == make_report("eisenstein", params, lhs, rhs, 1, 5)
+
+
 def test_worst_trial_takes_the_first_largest_ratio():
     # ratios 0.5, 1.5, 1.5 and 0 (zero rhs): the first 1.5 wins
     trials = [
@@ -550,3 +573,194 @@ def test_eisenstein_experiment_deterministic():
     assert math.isfinite(first.ratio) and first.ratio > 0
     with pytest.raises(DomainError, match="trials = 101 exceeds"):
         eisenstein_experiment(2.0, 1.0, 8.0, trials=101)
+
+
+# ---------------------------------------------------------------------------
+# Batched forms against the per-sequence loops
+# ---------------------------------------------------------------------------
+
+
+def _loop_quad_form(d, theta, gamma, C, a, b):
+    """quad_form of one pair of sequences, summed modulus by modulus over
+    the (m, n) pairs of nonzero coefficients: the per-trial oracle."""
+    moduli = [ideal.gen for ideal in ideals_up_to_norm(2 * C) if ideal.norm > C]
+    pairs = [
+        (m_ideal.gen * n_ideal.gen, a_m * b_n.conjugate())
+        for m_ideal, a_m in a.entries
+        if a_m != 0
+        for n_ideal, b_n in b.entries
+        if b_n != 0
+    ]
+    coeff = np.array([v for _, v in pairs], dtype=np.complex128)
+    mx = np.array([mn.re for mn, _ in pairs], dtype=np.int64)
+    my = np.array([mn.im for mn, _ in pairs], dtype=np.int64)
+    twist = (mx + 1j * my) * complex(theta)
+    total = 0.0 + 0.0j
+    for c in moduli:
+        dx, dy = d.re % c.norm, d.im % c.norm
+        pos = unit_positions(c, dx * mx - dy * my, dx * my + dy * mx)
+        unit = pos >= 0
+        phase = np.exp(2j * np.pi * np.real(twist[unit] / complex(c)))
+        terms = coeff[unit] * f_sum_values(c)[pos[unit]] * phase
+        total += float(c.norm) ** gamma * complex(terms.sum())
+    return total
+
+
+def _loop_hybrid_lhs(C, T, a):
+    """hybrid_lhs of one sequence, summed modulus by modulus over the
+    quadratic forms of the primitive characters: the per-trial oracle."""
+    gens = [ideal.gen for ideal, coeff in a.entries if coeff != 0]
+    coeffs = np.array([coeff for _, coeff in a.entries if coeff != 0])
+    if len(gens) == 0:
+        return 0.0
+    logs = np.array([0.5 * math.log(g.norm) for g in gens])
+    args = np.array([math.atan2(g.im, g.re) for g in gens])
+    delta = logs[:, None] - logs[None, :]
+    safe = np.where(delta == 0.0, 1.0, delta)
+    kernel = np.where(delta == 0.0, 2.0 * T, 2.0 * np.sin(T * safe) / safe)
+    phase = np.exp(1j * np.arange(-int(T), int(T) + 1)[:, None] * args)
+    kernel = kernel * np.real(phase.T @ np.conj(phase))
+    x = [g.re for g in gens]
+    y = [g.im for g in gens]
+    total = 0.0
+    for ideal in ideals_up_to_norm(C):
+        grp = char_group(ideal.gen)
+        primitive = [cond == grp.modulus for cond in grp.conductors()]
+        w = grp.weights(grp.exponent_vectors[primitive], x, y)
+        v = coeffs * np.where(w < 0, 0.0, _exp_table(grp.exponent)[w])
+        total += float(np.real((v @ kernel) * np.conj(v)).sum())
+    return total
+
+
+def _window(lo, hi):
+    return [ideal for ideal in ideals_up_to_norm(hi) if ideal.norm > lo]
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize(
+    "d, theta, gamma, C, M, N",
+    [
+        (ONE, 1.0, 0.0, 5.0, 5.0, 5.0),
+        # ramified d, complex theta, gamma != 0; b on the one ideal (1+i)
+        (GaussianInt(1, 1), 0.3 - 0.2j, 0.5, 4.0, 4.0, 1.0),
+        # a on the one ideal (2); windows of different sizes
+        (GaussianInt(2, 1), 0.5 + 0.5j, -0.5, 5.0, 2.0, 10.0),
+        (ONE, -0.15 + 0.4j, 0.0, 8.0, 10.0, 5.0),
+    ],
+)
+def test_quad_form_rows_match_loop_oracle(d, theta, gamma, C, M, N):
+    ms, ns = _window(M, 2 * M), _window(N, 2 * N)
+    a_rows = coefficient_rows(len(ms), seed=1)
+    b_rows = coefficient_rows(len(ns), seed=2)
+    got = _quad_form_rows(d, theta, gamma, C, M, N, ms, a_rows, ns, b_rows)
+    assert got.shape == (len(a_rows),)
+    for k, value in enumerate(got):
+        a = make_sequence(dict(zip(ms, a_rows[k])), (M, 2 * M))
+        b = make_sequence(dict(zip(ns, b_rows[k])), (N, 2 * N))
+        want = _loop_quad_form(d, theta, gamma, C, a, b)
+        assert _close(value, want)
+        assert _close(quad_form(d, theta, gamma, C, M, N, a, b), want)
+    assert got[3] == 0 and abs(got[0]) > 1e-6
+
+
+@pytest.mark.parametrize(
+    "C, T, window",
+    [
+        (4.0, 2.0, (0, 20)),  # ramified (1+i), (2), (2+2i), (3+i), ...
+        (8.0, 1.0, (0, 10)),  # complex characters mod (2+i) and (1+2i)
+        (5.0, 3.0, (4, 5)),  # (2+i) and (1+2i)
+        (8.0, 2.0, (1, 2)),  # one ideal, (1+i)
+    ],
+)
+def test_hybrid_rows_match_loop_oracle(C, T, window):
+    ideals = _window(*window)
+    rows = coefficient_rows(len(ideals), seed=3)
+    got = _hybrid_rows(C, T, ideals, rows)
+    assert got.shape == (len(rows),)
+    for k, value in enumerate(got):
+        seq = make_sequence(dict(zip(ideals, rows[k])), window)
+        want = _loop_hybrid_lhs(C, T, seq)
+        assert _close(value, want)
+        assert _close(hybrid_lhs(C, T, seq), want)
+    assert got[3] == 0 and got[0] > 0
+
+
+def test_sign_rows_are_random_sign_sequences():
+    # the rows of one draw are the sequences of their keys, the quad_form
+    # keys [seed, 2i] and [seed, 2i + 1] included
+    keys = [[7, i] for i in range(3)] + [[7, 2 * i + 1] for i in range(3)] + [11]
+    ideals, rows = _sign_rows((2.0, 10.0), keys)
+    assert rows.shape == (len(keys), len(ideals))
+    for key, row in zip(keys, rows):
+        seq = random_sign_sequence((2.0, 10.0), key)
+        assert [ideal for ideal, _ in seq.entries] == ideals
+        assert [v for _, v in seq.entries] == [complex(s) for s in row]
+
+
+def _worst(trials):
+    return max(trials, key=lambda t: t[0] / t[1])
+
+
+def test_experiments_report_the_worst_of_their_trials():
+    # each trial draws the signs of its own keys; the report is the first
+    # trial of largest ratio among the one-sequence results
+    seed, trials = 4, 6
+    rep = quad_form_experiment(ONE, 0.5 + 0.5j, 0.0, 5.0, 5.0, 5.0, trials, seed)
+    lhs, rhs, params = _worst(
+        quad_form_bound_ratio(
+            ONE, 0.5 + 0.5j, 0.0, 5.0, 5.0, 5.0,
+            random_sign_sequence((5.0, 10.0), [seed, 2 * i]),
+            random_sign_sequence((5.0, 10.0), [seed, 2 * i + 1]),
+        )
+        for i in range(trials)
+    )
+    want = make_report("quad_form", params, lhs, rhs, trials, seed)
+    assert (rep.parameters, rep.rhs_bound) == (want.parameters, rhs) and _close(rep.lhs, lhs)
+    rep = hybrid_experiment(5.0, 2.0, 12.0, trials, seed)
+    lhs, rhs, _ = _worst(
+        hybrid_ratio(5.0, 2.0, random_sign_sequence((0, 12.0), [seed, i])) for i in range(trials)
+    )
+    assert rep.rhs_bound == rhs and _close(rep.lhs, lhs)
+    rep = eisenstein_experiment(2.0, 1.0, 12.0, trials, seed)
+    lhs, rhs, _ = _worst(
+        eisenstein_ratio(2.0, 1.0, random_sign_sequence((0, 12.0), [seed, i]))
+        for i in range(trials)
+    )
+    assert (rep.lhs, rep.rhs_bound) == (lhs, rhs)
+
+
+def test_experiments_reject_an_empty_window():
+    with pytest.raises(DomainError, match=r"empty norm window \(0.25, 0.5\]"):
+        quad_form_experiment(ONE, 1.0, 0.0, 2.0, 0.25, 2.0, trials=1)
+    with pytest.raises(DomainError, match=r"empty norm window \(0, 0.5\]"):
+        hybrid_experiment(2.0, 1.0, 0.5, trials=1)
+    with pytest.raises(DomainError, match=r"empty norm window \(0, 0.5\]"):
+        eisenstein_experiment(2.0, 1.0, 0.5, trials=1)
+
+
+def test_sweep_first_points_match_frozen_smoke_ratios():
+    # the benchmark's smoke run: scripts/run_experiments.py at the first
+    # point of each family, 2 trials, seed 1; its ratios are frozen in
+    # perfbench/frozen.json, checked there at 1e-9 and here at 1e-12
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "run_experiments", root / "scripts" / "run_experiments.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    for sweep in ("QUAD_SWEEP", "HYBRID_SWEEP", "EISENSTEIN_SWEEP"):
+        setattr(script, sweep, getattr(script, sweep)[:1])
+    families = script.sweep_reports(argparse.Namespace(force=False, trials=2, seed=1))
+    ratios = {
+        f"{family}/{i}": rep.ratio
+        for family, reports in families.items()
+        for i, rep in enumerate(reports)
+    }
+    frozen = json.loads((root / "perfbench" / "frozen.json").read_text())
+    frozen = frozen["sieve_ratios"]["smoke"]
+    assert sorted(ratios) == sorted(frozen)
+    for key, ratio in ratios.items():
+        assert abs(ratio - frozen[key]) <= 1e-12 * abs(frozen[key]), key

@@ -6,7 +6,8 @@ zeta_F(s) = zeta(s) L(s, chi_{-4}), with the L-function evaluated
 through Hurwitz zetas.  The p != 0 values are checked for internal
 consistency (conjugation, cutoff stability, multiplicativity).  The
 twisted divisor sum tau_{s,p} lives here, summed term by term, as the
-oracle of the sieve sum's divisor-sum linear forms.
+oracle of the sieve sum's divisor-sum linear forms; so does the
+one-sequence sieve sum, the oracle of the batched one row by row.
 """
 
 import math
@@ -31,6 +32,7 @@ from gisieve.gauss import (
     divisor_count,
     exact_div,
     ideal_divisors,
+    ideals_up_to_norm,
     is_coprime,
 )
 from gisieve.spectral import (
@@ -39,11 +41,15 @@ from gisieve.spectral import (
     POLE_BAND_HALF_WIDTH,
     PoleError,
     _NORM_BAND,
+    _SIEVE_GL_ORDER,
+    _SIEVE_PHASE_BUDGET,
+    _divisor_geometry,
     _grid_weights,
     _lattice_sum,
     _omega,
     _smoothed_zeta,
     eisenstein_sieve_sum,
+    eisenstein_sieve_sums,
     hecke_zeta,
     kuznetsov_geometric,
     ZETA_EULER_CONSTANT,
@@ -421,6 +427,84 @@ def test_eisenstein_quadratic_scaling():
     base = eisenstein_sieve_sum(seq, 2.0, 1.0, weight_cutoff=5e4)
     scaled = eisenstein_sieve_sum(seq.scaled(3.0), 2.0, 1.0, weight_cutoff=5e4)
     assert scaled == pytest.approx(9.0 * base, rel=1e-12)
+
+
+def _sieve_linear_form(a, t_nodes, p):
+    """V(t) = sum_n a_(n) tau_{it,p}(n^2) at each node, one sequence at a
+    time, in entry order."""
+    out = np.zeros(len(t_nodes), dtype=complex)
+    for ideal, coeff in a.entries:
+        if coeff == 0:
+            continue
+        square = GIdeal.of(ideal.gen * ideal.gen)
+        dargs, dlogs = _divisor_geometry(square)
+        phases = 4.0 * p * dargs[None, :] + t_nodes[:, None] * dlogs[None, :]
+        out += coeff * np.exp(1j * phases).sum(axis=1)
+    return out
+
+
+def loop_eisenstein_sieve_sum(a, T, P, weight_cutoff=DEFAULT_WEIGHT_CUTOFF):
+    """The sieve sum of one sequence, its linear form rebuilt per (p,
+    interval) from the sequence alone: the per-trial oracle."""
+    if not a.entries or a.is_zero():
+        return 0.0
+    half = T / 2.0
+    p_max = int(P // 4)
+    max_log = max(math.log(ideal.norm) for ideal, _ in a.entries)
+    rate = 4.0 * max_log + 1.0
+    total = 0.0
+    for p in range(-p_max, p_max + 1):
+        if p == 0:
+            intervals = [(-half, -POLE_BAND_HALF_WIDTH), (POLE_BAND_HALF_WIDTH, half)]
+        else:
+            intervals = [(-half, half)]
+        for lo, hi in intervals:
+            if hi <= lo:
+                continue
+            n_panels = max(2, math.ceil((hi - lo) * rate / _SIEVE_PHASE_BUDGET))
+            nodes, wts = _panel_rule(lo, hi, n_panels, _SIEVE_GL_ORDER)
+            form = _sieve_linear_form(a, nodes, p)
+            weights = _grid_weights(lo, hi, n_panels, p, float(weight_cutoff))
+            total += float(wts @ (weights * np.abs(form) ** 2))
+    return total
+
+
+def coefficient_rows(n, seed):
+    """Four rows on n ideals: complex, complex with a zero, +-1, all zero;
+    with n > 1, the second ideal is 0 in every row."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
+    rows[1, 0] = 0.0
+    rows[2] = rng.integers(0, 2, size=n) * 2 - 1
+    rows[3] = 0.0
+    if n > 1:
+        rows[:, 1] = 0.0
+    return rows
+
+
+@pytest.mark.parametrize(
+    "window, T, P",
+    [
+        ((0, 12), 2.0, 1.0),  # ramified (1+i), (2), (2+2i) in the window
+        ((0, 12), 2.0, 4.5),  # p = -1, 0, 1
+        ((4, 6), 3.0, 8.0),  # (2+i) and (1+2i); p = -2, ..., 2
+        ((8, 9), 1.0, 1.0),  # one ideal, (3)
+    ],
+)
+def test_eisenstein_sums_match_loop_oracle(window, T, P):
+    # every row, bit for bit, as the one-sequence loop sums it over the
+    # same entries, zero coefficients included
+    lo, hi = window
+    ideals = [ideal for ideal in ideals_up_to_norm(hi) if ideal.norm > lo]
+    rows = coefficient_rows(len(ideals), seed=len(ideals))
+    got = eisenstein_sieve_sums(ideals, rows, T, P, weight_cutoff=5e4)
+    assert got.shape == (len(rows),)
+    for row, value in zip(rows, got):
+        seq = make_sequence(dict(zip(ideals, row)), window)
+        want = loop_eisenstein_sieve_sum(seq, T, P, weight_cutoff=5e4)
+        assert value == want
+        assert value == eisenstein_sieve_sum(seq, T, P, weight_cutoff=5e4)
+    assert got[3] == 0.0 and got[0] > 0.0
 
 
 # ---------------------------------------------------------------------------
