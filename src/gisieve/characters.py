@@ -55,11 +55,11 @@ from .gauss import (
     GIdeal,
     GaussianInt,
     UNIT_IDEAL,
+    divides_points,
     factor,
     factor_int,
     ideal_divisors,
     is_coprime,
-    reduce_pair,
     residue_box,
     unit_positions,
     unit_table,
@@ -318,8 +318,7 @@ class CharGroup:
         found: list[GIdeal | None] = [None] * self.order
         open_ = np.arange(self.order)
         for d in ideal_divisors(self.modulus):
-            rx, ry = reduce_pair(units.x - 1, units.y, residue_box(d.gen))
-            sub = (rx == 0) & (ry == 0)
+            sub = divides_points(d.gen, units.x - 1, units.y)
             x, y = units.x[sub], units.y[sub]
             # characters x subgroup in row blocks of bounded size
             step = max(1, (1 << 20) // len(x))

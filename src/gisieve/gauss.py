@@ -192,6 +192,13 @@ def divides(b: GaussianInt, a: GaussianInt) -> bool:
     return divmod_nearest(a, b)[1].is_zero()
 
 
+def divides_points(g: GaussianInt, x, y) -> np.ndarray:
+    """The mask of g | x + iy, g != 0, over int64 arrays x and y (broadcast):
+    (x + iy) conj(g) = 0 mod N(g), exact while x g and y g fit in int64."""
+    n = g.norm
+    return ((x * g.re + y * g.im) % n == 0) & ((y * g.re - x * g.im) % n == 0)
+
+
 def gcd(a: GaussianInt, b: GaussianInt) -> GaussianInt:
     """Greatest common divisor, returned as a canonical associate."""
     if a.is_zero() and b.is_zero():
@@ -280,8 +287,8 @@ class UnitTable(NamedTuple):
 def unit_table(c: GaussianInt) -> UnitTable:
     """Units mod c and their inverses, by exact int64 array arithmetic.
 
-    A residue a is a unit when no Gaussian prime p | c divides it, i.e.
-    when a*conj(p) is not 0 mod N(p).  The inverses are a^(phi - 1) by
+    A residue a is a unit when no Gaussian prime p | c divides it
+    (divides_points).  The inverses are a^(phi - 1) by
     square-and-multiply, each product reduced into the Hermite box.  For
     a unit modulus the single class [0] is its own inverse.
     """
@@ -297,8 +304,7 @@ def unit_table(c: GaussianInt) -> UnitTable:
     y, x = np.divmod(np.arange(d * g, dtype=np.int64), d)
     unit = np.ones(d * g, dtype=bool)
     for p, _ in factor(c).factors:
-        q, n = p.gen, p.norm
-        unit &= ((x * q.re + y * q.im) % n != 0) | ((y * q.re - x * q.im) % n != 0)
+        unit &= ~divides_points(p.gen, x, y)
     position = np.cumsum(unit) - 1
     position[~unit] = -1
     x, y = x[unit], y[unit]

@@ -47,9 +47,17 @@ from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .characters import char_group
-from .expsums import _exp_table, f_sum_values
-from .gauss import DomainError, GaussianInt, GIdeal, ideals_up_to_norm, unit_positions
+from .expsums import f_sum_values
+from .gauss import (
+    DomainError,
+    GaussianInt,
+    GIdeal,
+    divides_points,
+    euler_phi,
+    factor,
+    ideals_up_to_norm,
+    unit_positions,
+)
 from .spectral import CoefficientSequence, eisenstein_sieve_sum, eisenstein_sieve_sums
 
 __all__ = [
@@ -197,6 +205,8 @@ def _sign_rows(
     """The ideals of the window (lo, hi], and one row of iid +-1 signs on
     them per seed key, each row drawn from its own key."""
     lo, hi = norm_window
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"norm window ({lo}, {hi}] is not finite")
     ideals = [ideal for ideal in ideals_up_to_norm(hi) if ideal.norm > lo]
     if not ideals:
         raise DomainError(f"empty norm window ({lo}, {hi}]")
@@ -263,8 +273,8 @@ def _quad_form_rows(
         raise DomainError("quad_form requires d != 0")
     if theta == 0:
         raise DomainError("quad_form requires theta != 0")
-    if min(C, M, N) < 0.5:
-        raise DomainError("quad_form requires C, M, N >= 1/2")
+    if not (np.isfinite([theta, gamma]).all() and all(0.5 <= v < math.inf for v in (C, M, N))):
+        raise DomainError("quad_form requires finite theta, gamma and finite C, M, N >= 1/2")
     _check_caps(
         force,
         ("2C", 2 * C, DESK_CAPS["modulus_norm"]),
@@ -390,13 +400,12 @@ def _hybrid_rows(
     expands into pairs, and each pair integrates to 2 sin(T(L_j - L_k)) /
     (L_j - L_k) (diagonal 2T).  lambda and chi are evaluated on canonical
     generators.  The sum over p joins this kernel K as the factor
-    sum_p e^{ip(arg_j - arg_k)}.  With u_chi the row of chi at the
-    generators, G = K * sum over moduli and primitive chi of
-    u_chi^T conj(u_chi), entrywise; per modulus, one weight table gives
-    every primitive chi at every generator.
+    sum_p e^{ip(arg_j - arg_k)}.  The sum over moduli and primitive chi of
+    chi(n_j) conj(chi(n_k)) is the integer matrix _primitive_character_sums,
+    so G = K * that matrix, entrywise.
     """
-    if C < 1 or T < 1:
-        raise DomainError("hybrid_lhs requires C, T >= 1")
+    if not (1 <= C < math.inf and 1 <= T < math.inf):
+        raise DomainError("hybrid_lhs requires finite C, T >= 1")
     _check_caps(force, ("C", C, DESK_CAPS["modulus_norm"]))
     rows = np.asarray(rows, dtype=complex)
     if not ideals:
@@ -409,17 +418,28 @@ def _hybrid_rows(
     kernel = np.where(delta == 0.0, 2.0 * T, 2.0 * np.sin(T * safe) / safe)
     phase = np.exp(1j * np.arange(-int(T), int(T) + 1)[:, None] * args)  # (p, n)
     kernel = kernel * np.real(phase.T @ np.conj(phase))
-    x = [g.re for g in gens]
-    y = [g.im for g in gens]
-    chars = np.zeros((len(gens), len(gens)), dtype=complex)
-    for ideal in ideals_up_to_norm(C):
-        grp = char_group(ideal.gen)
-        primitive = [cond == grp.modulus for cond in grp.conductors()]
-        w = grp.weights(grp.exponent_vectors[primitive], x, y)  # (chi, n)
-        u = np.where(w < 0, 0.0, _exp_table(grp.exponent)[w])
-        chars += u.T @ np.conj(u)
-    gram = kernel * chars
+    gram = kernel * _primitive_character_sums(C, gens)
     return np.real(((rows @ gram) * np.conj(rows)).sum(axis=1))
+
+
+def _primitive_character_sums(C: float, gens: Sequence[GaussianInt]) -> np.ndarray:
+    """The int64 matrix of sums over N(c) <= C and primitive chi mod c of
+    chi(g_j) conj(chi(g_k)).  By Moebius inversion over conductors and the
+    CRT, the sum at c is a product over p^e || c of [(g_j g_k, p) = 1] times
+    phi(p^e) [p^e | g_j - g_k] - phi(p^(e-1)) [p^(e-1) | g_j - g_k], phi((1)) = 1."""
+    x, y = np.array([(g.re, g.im) for g in gens], dtype=np.int64).T
+    dx, dy = x[:, None] - x[None, :], y[:, None] - y[None, :]
+    total = np.zeros((len(gens), len(gens)), dtype=np.int64)
+    for ideal in ideals_up_to_norm(C):
+        term = np.ones_like(total)
+        for p, e in factor(ideal.gen).factors:
+            unit = ~divides_points(p.gen, x, y)
+            q, r = p.gen**e, p.gen ** (e - 1)
+            local = euler_phi(GIdeal.of(q)) * divides_points(q, dx, dy)
+            local -= euler_phi(GIdeal.of(r)) * divides_points(r, dx, dy) if e > 1 else 1
+            term *= local * np.outer(unit, unit)
+        total += term
+    return total
 
 
 def hybrid_lhs(C: float, T: float, a: CoefficientSequence, *, force: bool = False) -> float:

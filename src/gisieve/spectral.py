@@ -417,8 +417,8 @@ def eisenstein_sieve_sums(
     ideal by ideal; an ideal whose coefficients are all 0 is skipped.  Each
     row is thus summed as a lone sequence would be, bit for bit.
     """
-    if T < 0.5 or P < 0.5:
-        raise DomainError("eisenstein_sieve_sum requires T, P >= 1/2")
+    if not (0.5 <= T < math.inf and 0.5 <= P < math.inf):
+        raise DomainError("eisenstein_sieve_sum requires finite T, P >= 1/2")
     coeffs = np.asarray(coeffs, dtype=complex)
     totals = np.zeros(len(coeffs))
     live = [(ideal, column) for ideal, column in zip(ideals, coeffs.T) if column.any()]

@@ -1,8 +1,10 @@
 """Every public export of the package resolves, and so does every
-function that the benchmark's tracer (perfbench/tracer.py) wraps."""
+function that the benchmark's tracer (perfbench/tracer.py) wraps; the
+experiment layer reads no character tables and no private names."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -46,3 +48,27 @@ def test_tracer_targets_resolve():
         if not callable(target):
             missing.append(f"{modname}.{attr}")
     assert missing == []
+
+
+def test_sievelab_imports_no_characters_and_no_private_names():
+    # sievelab sums its characters as congruences (gauss): an import of
+    # gisieve.characters, or of a _-prefixed name of another gisieve
+    # module, would bring back the dependency on a lower layer's internals
+    path = Path(__file__).resolve().parents[1] / "src" / "gisieve" / "sievelab.py"
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:  # relative imports resolve inside the package
+                module = "gisieve" + (f".{module}" if module else "")
+            imported += [(module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [(alias.name, "") for alias in node.names]
+    ours = [(module, name) for module, name in imported if module.split(".")[0] == "gisieve"]
+    assert ours
+    bad = [
+        (module, name)
+        for module, name in ours
+        if "characters" in (module.split(".") + [name]) or name.startswith("_")
+    ]
+    assert bad == []

@@ -23,6 +23,7 @@ from gisieve.gauss import (
     ZERO,
     canonical_associate,
     divides,
+    divides_points,
     divisor_count,
     divmod_nearest,
     euler_phi,
@@ -237,6 +238,17 @@ def test_unit_table_against_gcd_and_euclid(c):
     table = unit_table(c)
     inverses = [GaussianInt(x, y) for x, y in zip(table.inv_x.tolist(), table.inv_y.tolist())]
     assert inverses == [mod_inverse(a, c) for a in unit_residues(c)]
+
+
+@with_edge_moduli
+@given(engine_moduli)
+def test_divides_points_matches_divides(g):
+    # a grid of points with negative coordinates, the unit modulus 1 among
+    # the edge moduli; the mask against the scalar Euclidean test
+    points = [GaussianInt(a, b) for a in range(-12, 13) for b in range(-12, 13)]
+    x = np.array([z.re for z in points], dtype=np.int64)
+    y = np.array([z.im for z in points], dtype=np.int64)
+    assert divides_points(g, x, y).tolist() == [divides(g, z) for z in points]
 
 
 def test_unit_table_rejects_norm_that_could_overflow():

@@ -8,7 +8,9 @@ first-principles helper in test_expsums); the hybrid sieve sum is
 checked against direct Gauss-Legendre integration of the defining
 t-integral.  The batched forms (the bilinear matrix Q and the Gram
 matrix G, built once per experiment) are checked row by row against
-the per-sequence loops that each trial used to run.
+the per-sequence loops that each trial used to run, and the hybrid
+sieve's integer character matrix entry by entry against the character
+groups' weight tables.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from gisieve.sievelab import (
     random_sign_sequence,
     run_trials,
     _hybrid_rows,
+    _primitive_character_sums,
     _quad_form_rows,
     _sign_rows,
     _worst_trial,
@@ -525,6 +528,56 @@ def test_hybrid_ratio_formula_and_scale_invariance():
     assert lhs2 / rhs2 == pytest.approx(lhs / rhs, rel=1e-12)
 
 
+def _character_table_sums(C, gens):
+    """sum over N(c) <= C and primitive chi mod c of chi(g_j) conj(chi(g_k)),
+    from the weight tables of the character groups: the oracle of the
+    integer matrix."""
+    x = [g.re for g in gens]
+    y = [g.im for g in gens]
+    total = np.zeros((len(gens), len(gens)), dtype=complex)
+    for ideal in ideals_up_to_norm(C):
+        grp = char_group(ideal.gen)
+        primitive = [cond == grp.modulus for cond in grp.conductors()]
+        w = grp.weights(grp.exponent_vectors[primitive], x, y)
+        u = np.where(w < 0, 0.0, _exp_table(grp.exponent)[w])
+        total += u.T @ np.conj(u)
+    return total
+
+
+@pytest.mark.parametrize("C", [1.0, 4.0, 100.0, 400.0])
+@pytest.mark.parametrize(
+    "window",
+    [
+        (0, 100),  # (1+i), (3), (2+i), ... : entries share factors with moduli
+        (1, 2),  # one ideal, the ramified (1+i)
+        (4, 10),  # (2), (2+i), (1+2i), (2+2i), (3+i), (1+3i)
+    ],
+)
+def test_primitive_character_sums_equal_character_tables(C, window):
+    gens = [ideal.gen for ideal in _window(*window)]
+    got = _primitive_character_sums(C, gens)
+    want = _character_table_sums(C, gens)
+    assert got.dtype == np.int64
+    assert np.abs(want - np.round(want.real)).max() < 1e-6
+    assert (got == np.round(want.real)).all()
+
+
+def test_primitive_character_sums_by_hand():
+    # Norm <= 5: 1+i is a unit mod (1), with its one primitive character,
+    # and mod (2+i) and (1+2i), with three each.  Mod (2+i), i = -2, so
+    # 1+i = 4 and 3 = 3; mod (1+2i), i = 2, so 1+i = 3 = 3 and 2+i = 4.  A
+    # pair gets phi(p) - 1 = 3 where congruent, -1 where not, and 0 where
+    # an entry is not a unit, as 2+i is mod (2+i).
+    got = _primitive_character_sums(5.0, [GaussianInt(1, 1), GaussianInt(2, 1), GaussianInt(3, 0)])
+    assert got[0].tolist() == [1 + 3 + 3, 1 + 0 - 1, 1 - 1 + 3]
+
+
+def test_hybrid_experiment_builds_no_character_group():
+    char_group.cache_clear()
+    hybrid_experiment(8.0, 2.0, 20.0, trials=2)
+    assert char_group.cache_info().misses == 0
+
+
 def test_hybrid_experiment_deterministic():
     first = hybrid_experiment(4.0, 2.0, 10.0, trials=4, seed=2)
     second = hybrid_experiment(4.0, 2.0, 10.0, trials=4, seed=2)
@@ -730,6 +783,32 @@ def test_experiments_report_the_worst_of_their_trials():
         for i in range(trials)
     )
     assert (rep.lhs, rep.rhs_bound) == (lhs, rhs)
+
+
+#: Each experiment's parameters at a small valid point.
+_EXPERIMENTS = {
+    "quad_form": (
+        quad_form_experiment,
+        {"d": ONE, "theta": 1.0, "gamma": 0.0, "C": 2.0, "M": 2.0, "N": 2.0},
+    ),
+    "hybrid": (hybrid_experiment, {"C": 2.0, "T": 1.0, "N": 5.0}),
+    "eisenstein": (eisenstein_experiment, {"T": 2.0, "P": 1.0, "N": 5.0}),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "experiment, name",
+    [(experiment, name) for experiment, (_, params) in _EXPERIMENTS.items() for name in params
+     if name != "d"],
+)
+@pytest.mark.parametrize("force", [False, True])
+def test_experiments_reject_non_finite_parameters(experiment, name, value, force):
+    # without force an infinite size may hit its desk cap first; with
+    # force the finiteness check itself must catch it
+    run, params = _EXPERIMENTS[experiment]
+    with pytest.raises(DomainError, match="finite" if force else None):
+        run(**{**params, name: value}, trials=1, force=force)
 
 
 def test_experiments_reject_an_empty_window():
