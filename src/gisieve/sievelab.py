@@ -32,11 +32,13 @@ Each experiment draws the +-1 sign vectors of all its trials, each from
 its own seed key, as the rows of one coefficient matrix over one list of
 ideals.  The trial-independent part of its form is built once: the
 bilinear matrix Q of the quad form, the Gram matrix G of the hybrid
-sieve, the divisor sums of the Eisenstein sieve.  Every trial's lhs then
-comes from it in one pass, and the single-sequence functions are the
-one-row case of the same code.  The worst trial is the first of largest
-ratio in trial-index order, so a report is a pure function of
-(parameters, seed).
+sieve, the divisor sums of the Eisenstein sieve.  G is the (t, p) kernel
+times, entrywise, an integer matrix of congruences mod the prime power
+divisors of each modulus; no character group or weight table is built.
+Every trial's lhs then comes from it in one pass, and the single-sequence
+functions are the one-row case of the same code.  The worst trial is the
+first of largest ratio in trial-index order, so a report is a pure
+function of (parameters, seed).
 """
 
 from __future__ import annotations
@@ -506,7 +508,7 @@ def eisenstein_ratio(T: float, P: float, a: CoefficientSequence) -> Trial:
     """(lhs, rhs, parameters): eisenstein_sieve_sum(a, T, P) against the
     square-coefficient bound {TP(T^2+P^2) + TPN +
     ((T^2+P^2)/TP)(1/T^2+1/P^2)N^2}(TPN)^eps sum|a|^2."""
-    lhs = eisenstein_sieve_sum(a, T, P) if not a.is_zero() else 0.0
+    lhs = eisenstein_sieve_sum(a, T, P)
     N = a.norm_window[1]
     norm_sq = sum(abs(v) ** 2 for _, v in a.entries)
     return lhs, _eisenstein_rhs(T, P, N, norm_sq), {"T": T, "P": P, "N": N}

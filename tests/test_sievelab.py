@@ -528,20 +528,23 @@ def test_hybrid_ratio_formula_and_scale_invariance():
     assert lhs2 / rhs2 == pytest.approx(lhs / rhs, rel=1e-12)
 
 
-def _character_table_sums(C, gens):
-    """sum over N(c) <= C and primitive chi mod c of chi(g_j) conj(chi(g_k)),
-    from the weight tables of the character groups: the oracle of the
-    integer matrix."""
+def _primitive_character_values(C, gens):
+    """For each modulus N(c) <= C, in order, the values of its primitive
+    characters (rows) at the generators (columns), from the weight tables
+    of its character group."""
     x = [g.re for g in gens]
     y = [g.im for g in gens]
-    total = np.zeros((len(gens), len(gens)), dtype=complex)
     for ideal in ideals_up_to_norm(C):
         grp = char_group(ideal.gen)
         primitive = [cond == grp.modulus for cond in grp.conductors()]
         w = grp.weights(grp.exponent_vectors[primitive], x, y)
-        u = np.where(w < 0, 0.0, _exp_table(grp.exponent)[w])
-        total += u.T @ np.conj(u)
-    return total
+        yield np.where(w < 0, 0.0, _exp_table(grp.exponent)[w])
+
+
+def _character_table_sums(C, gens):
+    """sum over N(c) <= C and primitive chi mod c of chi(g_j) conj(chi(g_k)),
+    from the character tables: the oracle of the integer matrix."""
+    return sum(u.T @ np.conj(u) for u in _primitive_character_values(C, gens))
 
 
 @pytest.mark.parametrize("C", [1.0, 4.0, 100.0, 400.0])
@@ -550,7 +553,7 @@ def _character_table_sums(C, gens):
     [
         (0, 100),  # (1+i), (3), (2+i), ... : entries share factors with moduli
         (1, 2),  # one ideal, the ramified (1+i)
-        (4, 10),  # (2), (2+i), (1+2i), (2+2i), (3+i), (1+3i)
+        (4, 10),  # (2+i), (1+2i), (2+2i), (3), (3+i), (1+3i)
     ],
 )
 def test_primitive_character_sums_equal_character_tables(C, window):
@@ -673,14 +676,9 @@ def _loop_hybrid_lhs(C, T, a):
     kernel = np.where(delta == 0.0, 2.0 * T, 2.0 * np.sin(T * safe) / safe)
     phase = np.exp(1j * np.arange(-int(T), int(T) + 1)[:, None] * args)
     kernel = kernel * np.real(phase.T @ np.conj(phase))
-    x = [g.re for g in gens]
-    y = [g.im for g in gens]
     total = 0.0
-    for ideal in ideals_up_to_norm(C):
-        grp = char_group(ideal.gen)
-        primitive = [cond == grp.modulus for cond in grp.conductors()]
-        w = grp.weights(grp.exponent_vectors[primitive], x, y)
-        v = coeffs * np.where(w < 0, 0.0, _exp_table(grp.exponent)[w])
+    for u in _primitive_character_values(C, gens):
+        v = coeffs * u
         total += float(np.real((v @ kernel) * np.conj(v)).sum())
     return total
 
@@ -799,8 +797,12 @@ _EXPERIMENTS = {
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(
     "experiment, name",
-    [(experiment, name) for experiment, (_, params) in _EXPERIMENTS.items() for name in params
-     if name != "d"],
+    [
+        (experiment, name)
+        for experiment, (_, params) in _EXPERIMENTS.items()
+        for name in params
+        if name != "d"  # a Gaussian integer, not a float
+    ],
 )
 @pytest.mark.parametrize("force", [False, True])
 def test_experiments_reject_non_finite_parameters(experiment, name, value, force):
@@ -809,6 +811,18 @@ def test_experiments_reject_non_finite_parameters(experiment, name, value, force
     run, params = _EXPERIMENTS[experiment]
     with pytest.raises(DomainError, match="finite" if force else None):
         run(**{**params, name: value}, trials=1, force=force)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_one_sequence_functions_reject_non_finite_parameters(value):
+    # the zero sequence too: the check comes before any sum is skipped
+    for a in (_seq({(1, 0): 1.0}), _seq({(1, 0): 0.0})):
+        with pytest.raises(DomainError, match="finite"):
+            quad_form(ONE, 1.0, value, 2.0, 0.5, 0.5, a, a)
+        with pytest.raises(DomainError, match="finite"):
+            hybrid_ratio(2.0, value, a)
+        with pytest.raises(DomainError, match="finite"):
+            eisenstein_ratio(value, 1.0, a)
 
 
 def test_experiments_reject_an_empty_window():
