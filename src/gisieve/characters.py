@@ -29,10 +29,11 @@ Each group uses its own element c, and associates share their group, so
 char_group(i*c).fhat_table() is the transform with F(.; i*c).
 
 Over all characters at once, fhat is one fftn of F placed on the
-discrete-log grid Z/n_1 x ... x Z/n_r (CharGroup.transform), and each
-group finds the conductors of all its characters in one pass.  From
-them, CharGroup.classes and local_prediction evaluate each class and
-each case formula once per distinct conductor.  Twisted multiplicativity
+discrete-log grid Z/n_1 x ... x Z/n_r (CharGroup.transform).  One such
+transform per divisor d, of the indicator of {a = 1 mod d}, gives the
+conductors as indices into ideal_divisors(c), and CharGroup.classes and
+local_prediction read one class and one case formula per divisor by
+them.  Twisted multiplicativity
 
     fhat(chi1 chi2 mod c1 c2) = conj(chi1(c2) chi2(c1)) fhat(chi1) fhat(chi2)
 
@@ -239,7 +240,7 @@ class CharGroup:
         scale = [self.exponent // n for n in self.gen_orders]
         self._dlog_matrix = self.exponent_vectors[self._flat] * np.array(scale, dtype=np.int64)
         self._fhat: np.ndarray | None = None
-        self._conductors: tuple[GIdeal, ...] | None = None
+        self._conductors: tuple[list[GIdeal], np.ndarray] | None = None
 
     # -- basic views ---------------------------------------------------------
 
@@ -305,35 +306,31 @@ class CharGroup:
             self._fhat.setflags(write=False)
         return self._fhat
 
-    def conductors(self) -> tuple[GIdeal, ...]:
-        """The conductor of every character, in characters() order.
+    def _conductor_table(self) -> tuple[list[GIdeal], np.ndarray]:
+        """ideal_divisors(modulus), and the index there of the conductor of
+        every character, in characters() order.
 
-        For each divisor d in ideal_divisors order, the characters still
-        unresolved whose weights vanish on {a = 1 mod d} get conductor d;
-        the modulus itself resolves every character that is left.
+        By orthogonality, phi * transform(indicator of {a = 1 mod d}) is the
+        size of that subgroup at the characters trivial on it and 0 at the
+        others.  The conductor is the first such d; the last divisor, the
+        modulus, leaves only {1}, on which every character is trivial.
         """
-        if self._conductors is not None:
-            return self._conductors
-        units = unit_table(self.element)
-        found: list[GIdeal | None] = [None] * self.order
-        open_ = np.arange(self.order)
-        for d in ideal_divisors(self.modulus):
-            sub = divides_points(d.gen, units.x - 1, units.y)
-            x, y = units.x[sub], units.y[sub]
-            # characters x subgroup in row blocks of bounded size
-            step = max(1, (1 << 20) // len(x))
-            trivial = np.concatenate([
-                ~self.weights(self.exponent_vectors[open_[i : i + step]], x, y).any(axis=1)
-                for i in range(0, len(open_), step)
-            ])
-            for j in open_[trivial].tolist():
-                found[j] = d
-            open_ = open_[~trivial]
-            if not len(open_):
-                break
-        assert not len(open_), "the modulus itself resolves every character"
-        self._conductors = tuple(found)
+        if self._conductors is None:
+            units = unit_table(self.element)
+            divisors = ideal_divisors(self.modulus)
+            trivial = []
+            for d in divisors:
+                sub = divides_points(d.gen, units.x - 1, units.y)
+                trivial.append(np.rint(self.transform(sub).real * self.order) == sub.sum())
+            index = np.argmax(trivial, axis=0)  # the first divisor that is trivial
+            index.setflags(write=False)
+            self._conductors = divisors, index
         return self._conductors
+
+    def conductors(self) -> tuple[GIdeal, ...]:
+        """The conductor of every character, in characters() order."""
+        divisors, index = self._conductor_table()
+        return tuple(divisors[i] for i in index.tolist())
 
     def classes(self) -> tuple[str, ...]:
         """The class of every character, in characters() order, one of
@@ -355,9 +352,9 @@ class CharGroup:
                 return "semi-primitive"
             return "mixed"
 
-        conds = self.conductors()
-        by_conductor = {d: classify(d) for d in set(conds)}
-        return tuple(by_conductor[d] for d in conds)
+        divisors, index = self._conductor_table()
+        labels = [classify(d) for d in divisors]
+        return tuple(labels[i] for i in index.tolist())
 
     def value_matrix(self) -> np.ndarray:
         """Matrix X[j, i] = chi_j(alpha_i) over all characters/residues."""
@@ -381,8 +378,8 @@ class DirichletChar:
 
     def conductor(self) -> GIdeal:
         """Smallest ideal d | (c) such that chi factors through (Z[i]/d)^x."""
-        grp = self.group
-        return grp.conductors()[grp.index(self.exps)]
+        divisors, index = self.group._conductor_table()
+        return divisors[index[self.group.index(self.exps)]]
 
 
 @lru_cache(maxsize=512)
@@ -439,13 +436,13 @@ def local_prediction(grp: CharGroup) -> tuple[np.ndarray, np.ndarray]:
             return float(q) ** (k / 2.0), True
         return (2.0 ** 2.5 if q == 2 and k == kstar + 2 else 0.0), False
 
-    conds = grp.conductors()
-    kstar = {d: 0 if d == UNIT_IDEAL else factor(d.gen).factors[0][1] for d in set(conds)}
-    cases = {(ks, quad): case(ks, quad) for ks in set(kstar.values()) for quad in (False, True)}
-    # chi^2 is trivial iff 2 a_i = 0 mod n_i on every axis
-    quadratic = ((2 * grp.exponent_vectors) % grp.gen_orders == 0).all(axis=1).tolist()
-    values, is_bound = zip(*(cases[kstar[d], quad] for d, quad in zip(conds, quadratic)))
-    return np.array(values), np.array(is_bound)
+    cases = np.array([[case(kstar, quad) for quad in (False, True)] for kstar in range(k + 1)])
+    # the divisors of p^k in ideal_divisors order are p^0, ..., p^k, so the
+    # conductor index is kstar; chi^2 is trivial iff 2 a_i = 0 mod n_i on every axis
+    kstar = grp._conductor_table()[1]
+    quadratic = ((2 * grp.exponent_vectors) % grp.gen_orders == 0).all(axis=1)
+    values, is_bound = cases[kstar, quadratic.astype(np.intp)].T
+    return values, is_bound.astype(bool)
 
 
 def twisted_mult_table(grp1: CharGroup, grp2: CharGroup) -> np.ndarray:

@@ -131,6 +131,7 @@ def lemma_pass(max_norm: float, tol: float) -> tuple[SuiteResult, list[tuple]]:
     worst, fails, rows = 0.0, [], []
     for ideal in prime_power_ideals_up_to_norm(max_norm):
         grp = char_group(ideal.gen)
+        modulus = str(grp.element)
         values, is_bound = local_prediction(grp)
         got = np.array([abs(f) for f in grp.fhat_table().tolist()])
         res = np.where(is_bound, np.maximum(0.0, got - values), np.abs(got - values))
@@ -146,10 +147,10 @@ def lemma_pass(max_norm: float, tol: float) -> tuple[SuiteResult, list[tuple]]:
             rel = "<=" if bound else "="
             if r > tol:
                 fails.append(
-                    f"modulus {grp.element} exps {tuple(exps)}: |fhat| = {g:.6f}, "
+                    f"modulus {modulus} exps {tuple(exps)}: |fhat| = {g:.6f}, "
                     f"case formula says {rel} {v:.6f}"
                 )
-            rows.append((str(grp.element), ":".join(map(str, exps)), cls, g, rel, v, r <= tol))
+            rows.append((modulus, ":".join(map(str, exps)), cls, g, rel, v, r <= tol))
     return SuiteResult("lemma", len(rows), worst, fails), rows
 
 

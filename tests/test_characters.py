@@ -8,7 +8,7 @@ table from test_expsums) and a frozen truth table for |fhat| at the
 powers of (1+i), where the values were established by that brute-force
 route.  The all-at-once fhat tables, conductors, classes and case-formula
 predictions are checked against the per-character dot product, conductor
-search, class rule and case analysis they replaced.
+searches, class rule and case analysis they replaced.
 """
 
 import math
@@ -35,6 +35,7 @@ from gisieve.gauss import (
     GIdeal,
     UNIT_IDEAL,
     divides,
+    divides_points,
     euler_phi,
     factor,
     factor_int,
@@ -350,6 +351,51 @@ def _search_conductor(chi):
         ):
             return d
     raise AssertionError("the modulus itself always works")
+
+
+def _weight_search_conductors(grp):
+    """The conductors of every character by the weight search that the
+    transform per divisor replaced: for each divisor d in ideal_divisors
+    order, the characters still open whose weights vanish on {a = 1 mod d},
+    a characters x subgroup matrix taken in row blocks of bounded size."""
+    units = unit_table(grp.element)
+    found = [None] * grp.order
+    open_ = np.arange(grp.order)
+    for d in ideal_divisors(grp.modulus):
+        sub = divides_points(d.gen, units.x - 1, units.y)
+        x, y = units.x[sub], units.y[sub]
+        step = max(1, (1 << 20) // len(x))
+        trivial = np.concatenate([
+            ~grp.weights(grp.exponent_vectors[open_[i : i + step]], x, y).any(axis=1)
+            for i in range(0, len(open_), step)
+        ])
+        for j in open_[trivial].tolist():
+            found[j] = d
+        open_ = open_[~trivial]
+        if not len(open_):
+            break
+    assert not len(open_), "the modulus itself resolves every character"
+    return tuple(found)
+
+
+def test_conductors_against_weight_search_to_norm_600():
+    for ideal in ideals_up_to_norm(600):
+        grp = char_group(ideal.gen)
+        assert grp.conductors() == _weight_search_conductors(grp), ideal
+
+
+def test_conductors_memory_is_linear():
+    # phi(100+3i) = 10,008: a characters x subgroup weight matrix at d = (1)
+    # is phi x phi; one transform per divisor keeps every array at phi entries
+    grp = CharGroup(GaussianInt(100, 3))
+    tracemalloc.start()
+    try:
+        conds = grp.conductors()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grp.order == 10008 and conds.count(UNIT_IDEAL) == 1
+    assert peak < 4 * 2**20
 
 
 @with_edge_moduli
