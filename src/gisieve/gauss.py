@@ -517,6 +517,8 @@ def moebius(n: GIdeal) -> int:
 
 def ideals_up_to_norm(limit: float) -> list[GIdeal]:
     """All nonzero ideals of norm <= limit, sorted by (norm, re, im)."""
+    if not limit < math.inf:  # also rejects NaN
+        raise DomainError(f"ideals_up_to_norm needs a finite limit, got {limit}")
     if limit < 1:
         return []
     top = math.isqrt(int(limit))

@@ -401,8 +401,10 @@ def _hybrid_rows(
     The t-integral is done in closed form: with L_j = log|n_j| the square
     expands into pairs, and each pair integrates to 2 sin(T(L_j - L_k)) /
     (L_j - L_k) (diagonal 2T).  lambda and chi are evaluated on canonical
-    generators.  The sum over p joins this kernel K as the factor
-    sum_p e^{ip(arg_j - arg_k)}.  The sum over moduli and primitive chi of
+    generators.  The sum over |p| <= P = floor(T) joins this kernel K as
+    the factor sum_p e^{ip theta} = sin((P + 1/2) theta) / sin(theta / 2),
+    theta = arg_j - arg_k (2P + 1 at theta = 0), in O(n^2) memory for
+    every T.  The sum over moduli and primitive chi of
     chi(n_j) conj(chi(n_k)) is the integer matrix _primitive_character_sums,
     so G = K * that matrix, entrywise.
     """
@@ -418,8 +420,10 @@ def _hybrid_rows(
     delta = logs[:, None] - logs[None, :]
     safe = np.where(delta == 0.0, 1.0, delta)
     kernel = np.where(delta == 0.0, 2.0 * T, 2.0 * np.sin(T * safe) / safe)
-    phase = np.exp(1j * np.arange(-int(T), int(T) + 1)[:, None] * args)  # (p, n)
-    kernel = kernel * np.real(phase.T @ np.conj(phase))
+    theta = args[:, None] - args[None, :]
+    half = np.where(theta == 0.0, 1.0, np.sin(0.5 * theta))
+    P = int(T)
+    kernel = kernel * np.where(theta == 0.0, 2.0 * P + 1, np.sin((P + 0.5) * theta) / half)
     gram = kernel * _primitive_character_sums(C, gens)
     return np.real(((rows @ gram) * np.conj(rows)).sum(axis=1))
 

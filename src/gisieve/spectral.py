@@ -65,7 +65,7 @@ from .archimedean import (
     plancherel_integral,
     small_z_bound_constant,
 )
-from .expsums import kloosterman
+from .expsums import kloosterman_matrix
 from .gauss import (
     DomainError,
     GIdeal,
@@ -512,9 +512,9 @@ def kuznetsov_geometric(
                        of the weighted representation.
 
     S(m, n; -c) = S(m, n; c) by a -> -a, S(m, n; ic) = S(m, -n; c) by
-    a -> ia, S is real and H is even: each ideal takes two sums and two
-    Bessel integrals, at c and at ic, for its four associates.  The Bessel
-    integrals of all ideals are one batch.
+    a -> ia, S is real and H is even: each ideal takes one kloosterman_matrix
+    row S(m, +-n; c) and two Bessel integrals, at c and at ic, for its four
+    associates.  The Bessel integrals of all ideals are one batch.
     """
     if m.is_zero() or n.is_zero():
         raise DomainError("kuznetsov_geometric requires nonzero m, n")
@@ -525,8 +525,8 @@ def kuznetsov_geometric(
     weights, zs = [], []
     for ideal in ideals_up_to_norm(c_norm_max):
         c = ideal.gen
-        for kl, cc in ((kloosterman(m, n, c), c), (kloosterman(m, -n, c), c.times_i())):
-            weights.append(2.0 * kl.real / ideal.norm)
+        for kl, cc in zip(kloosterman_matrix([m], [n, -n], c)[0].tolist(), (c, c.times_i())):
+            weights.append(2.0 * kl / ideal.norm)
             zs.append(2.0 * math.pi * root / complex(cc))
     h = bessel_integral_weighted(np.array(zs, dtype=complex), tf, cfg)
     term = complex(math.fsum(np.multiply(weights, h)) / (32.0 * math.pi**3))

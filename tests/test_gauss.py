@@ -387,6 +387,16 @@ def test_ideals_up_to_norm_against_lt_sorted_oracle(limit):
     assert ideals_up_to_norm(limit) == sorted(want)
 
 
+@pytest.mark.parametrize("limit", [math.nan, math.inf])
+def test_ideals_up_to_norm_rejects_non_finite_limits(limit):
+    with pytest.raises(DomainError, match="finite limit"):
+        ideals_up_to_norm(limit)
+
+
+def test_ideals_up_to_norm_of_minus_infinity_is_empty():
+    assert ideals_up_to_norm(-math.inf) == []
+
+
 def test_prime_power_ideals():
     pps = prime_power_ideals_up_to_norm(100)
     for n in pps:

@@ -20,6 +20,7 @@ import cmath
 import importlib.util
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -581,6 +582,19 @@ def test_hybrid_experiment_builds_no_character_group():
     assert char_group.cache_info().misses == 0
 
 
+def test_hybrid_experiment_memory_does_not_grow_with_T():
+    # a (2 floor(T) + 1) x n phase table took 48.5 MiB here; the closed form
+    # of the p-sum keeps every array at n x n
+    tracemalloc.start()
+    try:
+        rep = hybrid_experiment(1.0, 1e4, 100.0, trials=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(rep.ratio) and rep.ratio > 0
+    assert peak < 4 * 2**20
+
+
 def test_hybrid_experiment_deterministic():
     first = hybrid_experiment(4.0, 2.0, 10.0, trials=4, seed=2)
     second = hybrid_experiment(4.0, 2.0, 10.0, trials=4, seed=2)
@@ -724,6 +738,9 @@ def test_quad_form_rows_match_loop_oracle(d, theta, gamma, C, M, N):
         (8.0, 1.0, (0, 10)),  # complex characters mod (2+i) and (1+2i)
         (5.0, 3.0, (4, 5)),  # (2+i) and (1+2i)
         (8.0, 2.0, (1, 2)),  # one ideal, (1+i)
+        # the closed-form p-sum against the loop's explicit one: P = floor(T)
+        (4.0, 2.5, (0, 20)),
+        (2.0, 12.0, (0, 40)),
     ],
 )
 def test_hybrid_rows_match_loop_oracle(C, T, window):
