@@ -26,9 +26,16 @@ bands: per band of norms, the coefficients A(n) = sum over N(a) = n of
 lambda_{4p}(a) (1 - n/X)^kappa are binned once, and exp(-s log n) A(n) is
 added for a whole array of s at a time.  The Eisenstein sieve sum thus
 gets the weights of all its t-nodes on one panel grid from one pass over
-the lattice, in bounded memory whatever the cutoff.  It takes a matrix
-of coefficient rows over one list of ideals, so the divisor sums at the
-nodes are computed once per ideal and serve every row.
+the lattice, in bounded memory whatever the cutoff.  Its panels share one
+half-width h, so a node is t = m_k + h x_j and n^{-(1+2it)} is the product
+n^{-(1+2i m_k)} n^{-2i h x_j}: each norm takes one exp per panel and one
+per Gauss-Legendre node pair (x_{15-j} = -x_j, so the other half are
+conjugates), not one per node.  And zeta(conj s, -p) = conj zeta(s, p)
+gives omega(-t, -p) = omega(t, p): the grids at -p, and the p = 0 grid
+below the pole band, are the mirrored grids read backwards, so a sieve
+sum makes one lattice pass per |p|.  It takes a matrix of coefficient
+rows over one list of ideals, so the divisor sums at the nodes are
+computed once per ideal and serve every row.
 
 The geometric side of the Kuznetsov identity is
 
@@ -60,7 +67,7 @@ from .archimedean import (
     PoleError,
     QuadratureConfig,
     TestFunction,
-    _panel_rule,
+    _gl_rule,
     bessel_integral_weighted,
     plancherel_integral,
     small_z_bound_constant,
@@ -156,10 +163,13 @@ _NORM_BAND = 4096
 _EXP_BLOCK = 4096
 
 
-def _lattice_sum(s: np.ndarray, p: int, cutoff: float, cesaro_order: int) -> np.ndarray:
+def _lattice_sum(
+    s: np.ndarray, p: int, cutoff: float, cesaro_order: int, shifts: np.ndarray | None = None
+) -> np.ndarray:
     """sum over ideals N(n) <= cutoff of w(N/cutoff) lambda_{4p}(n) N^{-s}
     at every entry of the 1-D array s, with w(y) = (1-y)^order (order 0 =
-    sharp truncation).
+    sharp truncation); given shifts, at every s[k] + shifts[j] instead,
+    k-major, for shifts with shifts[::-1] == conj(shifts).
 
     One ideal per lattice point in {a >= 1, b >= 0}: of the four associates
     of a nonzero Gaussian integer exactly one has re >= 1, im >= 0.  The
@@ -167,11 +177,16 @@ def _lattice_sum(s: np.ndarray, p: int, cutoff: float, cesaro_order: int) -> np.
     coefficients A(n) = sum over N(a) = n of e^{4ip arg a} w(n/cutoff) come
     from a bincount over the norm offsets, and only the norms that occur
     meet exp(-s log n), in blocks of at most _EXP_BLOCK entries.
+
+    With shifts, N^{-s_k - shifts_j} = N^{-s_k} N^{-shifts_j} is summed as
+    A(n) N^{-s_k} times N^{-shifts_j}: one exp per s_k and per shift,
+    not per pair, and the second half of the shifts reads the first half's
+    exps conjugated, N^{-conj(shift)} = conj(N^{-shift}) for real log N.
     """
     s = np.asarray(s, dtype=complex)
     x = float(cutoff)
     top = int(x)
-    out = np.zeros(len(s), dtype=complex)
+    out = np.zeros(len(s) if shifts is None else (len(s), len(shifts)), dtype=complex)
     roots = np.arange(1.0, math.isqrt(top) + 1.0)
     for n0 in range(0, top + 1, _NORM_BAND):
         last = min(n0 + _NORM_BAND - 1, top)  # band [n0, last]
@@ -200,11 +215,21 @@ def _lattice_sum(s: np.ndarray, p: int, cutoff: float, cesaro_order: int) -> np.
         if cesaro_order:
             coeff *= (1.0 - norms / x) ** cesaro_order
         log_norms = np.log(norms)
-        step = max(1, _EXP_BLOCK // max(1, keep.size))
-        for i in range(0, len(s), step):
-            table = np.exp(-np.multiply.outer(s[i : i + step], log_norms))
-            out[i : i + step] += np.einsum("ij,j->i", table, coeff)
-    return out
+        if shifts is None:
+            step = max(1, _EXP_BLOCK // max(1, keep.size))
+            for i in range(0, len(s), step):
+                table = np.exp(-np.multiply.outer(s[i : i + step], log_norms))
+                out[i : i + step] += np.einsum("ij,j->i", table, coeff)
+            continue
+        mirrored = len(shifts) // 2
+        width = max(1, _EXP_BLOCK // max(len(s), len(shifts)))
+        for j in range(0, keep.size, width):
+            logs = log_norms[j : j + width]
+            base = np.exp(-np.multiply.outer(s, logs)) * coeff[j : j + width]
+            first = np.exp(-np.multiply.outer(shifts[: len(shifts) - mirrored], logs))
+            shift = np.concatenate((first, first[:mirrored][::-1].conj()))
+            out += np.einsum("kn,jn->kj", base, shift)
+    return out.ravel()
 
 
 def _cesaro_pole_term(s: complex, cutoff: float, order: int) -> complex:
@@ -254,12 +279,16 @@ def _cesaro_pole_term(s: complex, cutoff: float, order: int) -> complex:
     return IDEAL_DENSITY * cutoff**u * math.factorial(order) / denom
 
 
-def _smoothed_zeta(s: np.ndarray, p: int, cutoff: float) -> np.ndarray:
+def _smoothed_zeta(
+    s: np.ndarray, p: int, cutoff: float, shifts: np.ndarray | None = None
+) -> np.ndarray:
     """Cesaro-smoothed partial sums at one cutoff, at every entry of the 1-D
-    array s, p = 0 pole term removed."""
-    values = _lattice_sum(s, p, cutoff, _CESARO_ORDER)
+    array s (or at every s[k] + shifts[j], as _lattice_sum takes them), p = 0
+    pole term removed."""
+    values = _lattice_sum(s, p, cutoff, _CESARO_ORDER, shifts)
     if p == 0:
-        values -= [_cesaro_pole_term(si, cutoff, _CESARO_ORDER) for si in s]
+        points = s if shifts is None else np.add.outer(s, shifts).ravel()
+        values -= [_cesaro_pole_term(si, cutoff, _CESARO_ORDER) for si in points]
     return values
 
 
@@ -316,9 +345,10 @@ def hecke_zeta(
 # ---------------------------------------------------------------------------
 
 
-def _omega(t: np.ndarray, p: int, cutoff: float) -> np.ndarray:
+def _omega(t: np.ndarray, p: int, cutoff: float, offsets: np.ndarray | None = None) -> np.ndarray:
     """omega(t, p) = 1 / |zeta(1 + 2it, 2p)|^2 at every entry of the 1-D
-    array t, from one lattice pass.
+    array t, or at every t[k] + offsets[j] (k-major) for real offsets with
+    offsets[::-1] == -offsets, from one lattice pass.
 
     Documented accuracy target: 1e-2 relative for |t| <= 5, |p| <= 8 at the
     default cutoff.  At p = 0, omega -> 0 toward t = 0; the sieve sum skips
@@ -326,7 +356,8 @@ def _omega(t: np.ndarray, p: int, cutoff: float) -> np.ndarray:
     """
     if cutoff < 4:
         raise DomainError("cutoff too small to say anything")
-    return 1.0 / np.abs(_smoothed_zeta(1.0 + 2j * t, 2 * p, cutoff)) ** 2
+    shifts = None if offsets is None else 2j * offsets
+    return 1.0 / np.abs(_smoothed_zeta(1.0 + 2j * t, 2 * p, cutoff, shifts)) ** 2
 
 
 @dataclass(frozen=True)
@@ -370,11 +401,38 @@ _SIEVE_PHASE_BUDGET = 6.0
 _SIEVE_GL_ORDER = 16
 
 
+def _sieve_rule(lo: float, hi: float, n_panels: int):
+    """The sieve sum's t-rule on [lo, hi]: n_panels Gauss-Legendre panels of
+    one half-width h, as (midpoints m_k, offsets h x_j, nodes m_k + h x_j
+    k-major, weights h w_j).
+
+    The midpoints are (lo + hi)/2 + h (2k + 1 - n_panels), and the
+    Gauss-Legendre x_j and w_j are exactly odd and even, so the rule on
+    [-hi, -lo] is the exact mirror of the rule on [lo, hi]: nodes -t[::-1],
+    weights w[::-1].
+    """
+    x, w = _gl_rule(_SIEVE_GL_ORDER)
+    h = (hi - lo) / (2 * n_panels)
+    mids = (lo + hi) / 2.0 + h * np.arange(1 - n_panels, n_panels, 2)
+    offsets = h * x
+    nodes = np.add.outer(mids, offsets).ravel()
+    return mids, offsets, nodes, np.tile(h * w, n_panels)
+
+
 @lru_cache(maxsize=64)
 def _grid_weights(lo: float, hi: float, n_panels: int, p: int, cutoff: float) -> np.ndarray:
-    """omega(t, p) at the t-nodes of the sieve sum's panel rule on [lo, hi]."""
-    nodes, _ = _panel_rule(lo, hi, n_panels, _SIEVE_GL_ORDER)
-    weights = _omega(nodes, p, cutoff)
+    """omega(t, p) at the t-nodes of the sieve sum's rule on [lo, hi].
+
+    zeta(conj s, -p) = conj zeta(s, p), so omega(-t, -p) = omega(t, p), and
+    the rule on [-hi, -lo] mirrors the one on [lo, hi]: a key with p < 0, or
+    p = 0 and lo + hi < 0, reads its mirror key's grid backwards, and one
+    lattice pass serves both.  The pass takes the rule's factored form,
+    t = m_k + h x_j.
+    """
+    if p < 0 or (p == 0 and lo + hi < 0):
+        return _grid_weights(-hi, -lo, n_panels, -p, cutoff)[::-1]
+    mids, offsets, _, _ = _sieve_rule(lo, hi, n_panels)
+    weights = _omega(mids, p, cutoff, offsets)
     weights.setflags(write=False)
     return weights
 
@@ -408,10 +466,12 @@ def eisenstein_sieve_sums(
     """The Eisenstein sieve sum of every row of coeffs, a (rows x ideals)
     array of the coefficients a_(n) on the given ideals: one total per row.
 
-    The t-quadrature uses 16-point Gauss-Legendre panels sized so that the
-    fastest divisor-sum phase (rate 2 log N(n_max) per unit t, n_max the
-    largest ideal given) advances at most 6 radians per panel.  The band
-    |t| < POLE_BAND_HALF_WIDTH is excluded at p = 0.  Per (p, interval),
+    The t-quadrature uses 16-point Gauss-Legendre panels of one width
+    (_sieve_rule), sized so that the fastest divisor-sum phase (rate
+    2 log N(n_max) per unit t, n_max the largest ideal given) advances at
+    most 6 radians per panel.  The band |t| < POLE_BAND_HALF_WIDTH is
+    excluded at p = 0.  The omega grids come from _grid_weights, one
+    lattice pass per |p|.  Per (p, interval),
     the divisor sum tau_{it,p}(n^2) at the nodes is computed once per ideal
     and added, times each row's coefficient, into every row's linear form,
     ideal by ideal; an ideal whose coefficients are all 0 is skipped.  Each
@@ -437,7 +497,7 @@ def eisenstein_sieve_sums(
             if hi <= lo:
                 continue
             n_panels = max(2, math.ceil((hi - lo) * rate / _SIEVE_PHASE_BUDGET))
-            nodes, wts = _panel_rule(lo, hi, n_panels, _SIEVE_GL_ORDER)
+            _, _, nodes, wts = _sieve_rule(lo, hi, n_panels)
             # V(t) = sum_n a_(n) tau_{it,p}(n^2), one row per coefficient row
             forms = np.zeros((len(coeffs), len(nodes)), dtype=complex)
             for ideal, column in live:

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gisieve.spectral as spectral
 from gisieve.archimedean import (
     QuadratureConfig,
     TestFunction,
@@ -41,12 +42,12 @@ from gisieve.spectral import (
     POLE_BAND_HALF_WIDTH,
     PoleError,
     _NORM_BAND,
-    _SIEVE_GL_ORDER,
     _SIEVE_PHASE_BUDGET,
     _divisor_geometry,
     _grid_weights,
     _lattice_sum,
     _omega,
+    _sieve_rule,
     _smoothed_zeta,
     eisenstein_sieve_sum,
     eisenstein_sieve_sums,
@@ -337,12 +338,101 @@ def test_weight_rejects_tiny_cutoff():
         eisenstein_sieve_sum(make_sequence({_ideal(1, 1): 1.0}), 2.0, 1.0, weight_cutoff=3.0)
 
 
-@pytest.mark.parametrize("lo,hi,p", [(POLE_BAND_HALF_WIDTH, 1.0, 0), (-1.0, 1.0, -2)])
+@pytest.mark.parametrize(
+    "lo,hi,p",
+    [
+        (POLE_BAND_HALF_WIDTH, 1.0, 0),
+        (-1.0, -POLE_BAND_HALF_WIDTH, 0),
+        (-1.0, 1.0, -2),
+        (-1.0, 1.0, 2),
+    ],
+)
 def test_grid_weights_equal_one_node_weights(lo, hi, p):
-    nodes, _ = _panel_rule(lo, hi, 4, 16)
+    _, _, nodes, _ = _sieve_rule(lo, hi, 4)
     grid = _grid_weights(lo, hi, 4, p, 2e4)
     one = np.array([_weight(t, p, 2e4) for t in nodes])
     assert np.max(np.abs(grid - one) / one) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "lo,hi,n_panels",
+    [(POLE_BAND_HALF_WIDTH, 1.0, 3), (0.3, 2.2, 4), (-1.0, 1.0, 3), (-2.0, 2.0, 7)],
+)
+def test_sieve_rule_is_exactly_mirrored(lo, hi, n_panels):
+    # nodes m_k + h x_j with one h: the rule on [-hi, -lo] is the rule on
+    # [lo, hi] read backwards, its nodes the exact negatives
+    mids, offsets, nodes, wts = _sieve_rule(lo, hi, n_panels)
+    m_mids, m_offsets, m_nodes, m_wts = _sieve_rule(-hi, -lo, n_panels)
+    assert nodes.tolist() == np.add.outer(mids, offsets).ravel().tolist()
+    assert m_nodes.tolist() == (-nodes[::-1]).tolist()
+    assert m_wts.tolist() == wts[::-1].tolist() == wts.tolist()
+    assert m_offsets.tolist() == offsets.tolist() == (-offsets[::-1]).tolist()
+    assert math.fsum(wts) == pytest.approx(hi - lo, rel=1e-14)
+    assert nodes[0] > lo and nodes[-1] < hi and np.all(np.diff(nodes) > 0)
+
+
+@pytest.mark.parametrize("lo,hi,p", [(POLE_BAND_HALF_WIDTH, 1.0, 0), (-1.0, 1.0, 2)])
+def test_mirrored_grid_is_reversed_grid(lo, hi, p):
+    # omega(-t, -p) = omega(t, p): the key (-hi, -lo, -p) is served, bit
+    # for bit, by the grid of (lo, hi, p) read backwards
+    _grid_weights.cache_clear()
+    grid = _grid_weights(lo, hi, 3, p, 2e4)
+    mirrored = _grid_weights(-hi, -lo, 3, -p, 2e4)
+    assert mirrored.tolist() == grid[::-1].tolist()
+    assert not mirrored.flags.writeable
+    _, _, nodes, _ = _sieve_rule(-hi, -lo, 3)
+    one = np.array([_weight(t, -p, 2e4) for t in nodes])
+    assert np.max(np.abs(mirrored - one) / one) <= 1e-13
+
+
+@pytest.mark.parametrize("cutoff", [_NORM_BAND + 1, 7777])
+def test_factored_lattice_sum_matches_row_oracle(cutoff):
+    # s = 1 + 2i m_k shifted by 2i h x_j: every node of a panel grid, the
+    # second half of the shifts read from the first half's conjugates
+    mids, offsets, nodes, _ = _sieve_rule(-1.0, 1.0, 3)
+    for p in (0, 2, -3):
+        for order in (0, 3):
+            got = _lattice_sum(1.0 + 2j * mids, p, cutoff, order, 2j * offsets)
+            assert got.shape == nodes.shape
+            for t, value in zip(nodes, got):
+                want = _row_lattice_partial(1.0 + 2j * t, p, cutoff, order)
+                assert abs(value - want) <= 1e-13 * abs(want), (p, order, t)
+
+
+@pytest.mark.parametrize("P,passes", [(4.0, 2), (1.0, 1)])
+def test_sieve_sum_makes_one_lattice_pass_per_abs_p(monkeypatch, P, passes):
+    # p = 0 has two intervals, (-T/2, -band) and (band, T/2), and p and -p
+    # share (-T/2, T/2): one pass per |p| <= P/4
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return _lattice_sum(*args)
+
+    monkeypatch.setattr(spectral, "_lattice_sum", counted)
+    _grid_weights.cache_clear()
+    try:
+        ideals = [ideal for ideal in ideals_up_to_norm(12)]
+        rows = coefficient_rows(len(ideals), seed=1)
+        eisenstein_sieve_sums(ideals, rows, 2.0, P, weight_cutoff=2e4)
+    finally:
+        _grid_weights.cache_clear()
+    assert len(calls) == passes
+    assert sorted(calls) == [2 * p for p in range(passes)]
+
+
+def test_grid_weights_memory_bounded():
+    # one omega grid of 7 panels x 16 nodes at the default cutoff: the
+    # factored tables are blocked like the plain ones
+    mids, offsets, nodes, _ = _sieve_rule(-2.0, 2.0, 7)
+    assert nodes.size == 112
+    tracemalloc.start()
+    try:
+        _omega(mids, 1, DEFAULT_WEIGHT_CUTOFF, offsets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_weight_regression_value():
@@ -462,7 +552,7 @@ def loop_eisenstein_sieve_sum(a, T, P, weight_cutoff=DEFAULT_WEIGHT_CUTOFF):
             if hi <= lo:
                 continue
             n_panels = max(2, math.ceil((hi - lo) * rate / _SIEVE_PHASE_BUDGET))
-            nodes, wts = _panel_rule(lo, hi, n_panels, _SIEVE_GL_ORDER)
+            _, _, nodes, wts = _sieve_rule(lo, hi, n_panels)
             form = _sieve_linear_form(a, nodes, p)
             weights = _grid_weights(lo, hi, n_panels, p, float(weight_cutoff))
             total += float(wts @ (weights * np.abs(form) ** 2))
