@@ -10,7 +10,11 @@ The kernel integral of a test function exp(-(t/T)^2 - (p/P)^2) is computed
 three independent ways:
 
   * spectral_  : integrate the Bessel kernel against the test function over
-                 the spectral plane (line integral in t, sum over p);
+                 the spectral plane (line integral in t, sum over p).  The
+                 integrand is even under (t, p) -> (-t, -p), so t runs over
+                 [0, t_cut T] on half the panels, doubled; all p are one
+                 order array, and J_{it+p}(z), J_{it-p}(zbar) are two series
+                 calls sharing one 1/Gamma, the second read backwards;
   * deriv_     : integrate cos(2 Re(z tr)) against second derivatives of the
                  Gaussian smoothing kernels over (r, omega);
   * weighted_  : same, with the derivatives moved onto the cosine, leaving
@@ -135,8 +139,12 @@ def _reciprocal_gamma_array(z: np.ndarray) -> np.ndarray:
 # Bessel functions of complex order, series regime
 
 
-def _bessel_series_array(mu: np.ndarray, z: complex, log_half_z: complex) -> np.ndarray:
-    """Series evaluation for an array of orders sharing one argument.
+def _bessel_series_array(
+    mu: np.ndarray, log_half_z: complex, recip_gamma: np.ndarray | None = None
+) -> np.ndarray:
+    """J_mu(z) by its power series at every entry of the array mu, for one
+    argument z given as log(z/2); recip_gamma, when given, is
+    1/Gamma(mu + 1), for callers that share it between two arguments.
 
     Negative integer orders are rejected: there the leading term
     1/Gamma(mu + 1) is zero and the term ratio divides by mu + k + 1 = 0.
@@ -146,7 +154,9 @@ def _bessel_series_array(mu: np.ndarray, z: complex, log_half_z: complex) -> np.
     if np.any(negative_int):
         bad = sorted({int(v) for v in mu.real[negative_int]})
         raise DomainError(f"Bessel series undefined at negative integer orders {bad}")
-    term = np.exp(mu * log_half_z) * _reciprocal_gamma_array(mu + 1)
+    if recip_gamma is None:
+        recip_gamma = _reciprocal_gamma_array(mu + 1)
+    term = np.exp(mu * log_half_z) * recip_gamma
     total = term.copy()
     ratio_num = -cmath.exp(2 * log_half_z)
     quarter = abs(ratio_num)
@@ -168,23 +178,30 @@ def _bessel_series_array(mu: np.ndarray, z: complex, log_half_z: complex) -> np.
 # spectral kernel
 
 
-def _bessel_kernel_grid(t: np.ndarray, p: int, z: complex) -> np.ndarray:
-    """Kernel values for an array of t at fixed integer p and argument z.
+def _bessel_kernel_grid(t: np.ndarray, p, z: complex) -> np.ndarray:
+    """Kernel values at the 1-D array t and argument z, for an integer p
+    (one value per t) or for a 1-D array of integers p (one row per p).
 
     The kernel (2 pi^2 / sin(pi it)) (J_{-it,-p}(z) - J_{it,p}(z)) is
     evaluated in the manifestly real form
     -4 pi^2 Im(J_{it+p}(z) J_{it-p}(zbar)) / sinh(pi t), with the zbar
     factor on the reflected branch conj(log z); this keeps the kernel
-    exactly even in z.  Entries with |t| < T_EPS must have been nudged by
-    the caller.
+    exactly even in z.  When p[::-1] == -p, the orders it - p are the
+    orders it + p with the rows reversed: both factors come from one order
+    array and one 1/Gamma(it + p + 1), the second read backwards.  Entries
+    with |t| < T_EPS must have been nudged by the caller.
     """
     lz = cmath.log(z / 2.0)
-    mu1 = 1j * t + p
-    mu2 = 1j * t - p
-    a = _bessel_series_array(mu1, z, lz) * _bessel_series_array(
-        mu2, z.conjugate(), lz.conjugate()
-    )
-    return -4.0 * math.pi**2 * a.imag / np.sinh(math.pi * t)
+    rows = np.atleast_1d(p)
+    mu = 1j * t + rows[:, None]
+    recip = _reciprocal_gamma_array(mu + 1)
+    first = _bessel_series_array(mu, lz, recip)
+    if np.array_equal(rows[::-1], -rows):
+        second = _bessel_series_array(mu, lz.conjugate(), recip)[::-1]
+    else:
+        second = _bessel_series_array(1j * t - rows[:, None], lz.conjugate())
+    kernel = -4.0 * math.pi**2 * (first * second).imag / np.sinh(math.pi * t)
+    return kernel if np.ndim(p) else kernel[0]
 
 
 # ---------------------------------------------------------------------------
@@ -345,15 +362,15 @@ def bessel_integral_spectral(
     t_max = cfg.t_cut * T
     osc = max(1.0, abs(cmath.log(z / 2.0)))
     n_panels = max(cfg.t_panels, int(math.ceil(2 * t_max * osc / cfg.phase_rad_per_panel)))
-    t, wt = _panel_rule(-t_max, t_max, n_panels, cfg.gl_order)
+    # the integrand is even under (t, p) -> (-t, -p) and the p-range is
+    # symmetric: integrate t over [0, t_max] on half the panels and double
+    t, wt = _panel_rule(0.0, t_max, (n_panels + 1) // 2, cfg.gl_order)
     # nudge nodes inside the removable-singularity window
-    t = np.where(np.abs(t) < T_EPS, T_EPS, t)
+    t = np.maximum(t, T_EPS)
     p_max = int(math.ceil(cfg.p_cut * P))
-    total = 0.0
-    for p in range(-p_max, p_max + 1):
-        v = _bessel_kernel_grid(t, p, z)
-        total += float(np.sum(wt * tf.h(t, p) * (t * t + p * p) * v))
-    return total
+    p = np.arange(-p_max, p_max + 1)[:, None]
+    v = _bessel_kernel_grid(t, p[:, 0], z)
+    return 2.0 * float(np.sum(wt * tf.h(t, p) * (t * t + p * p) * v))
 
 
 def _graded_r_panels(z_abs: np.ndarray, tf: TestFunction, cfg: QuadratureConfig, block: int):

@@ -110,7 +110,7 @@ BESSEL_CASES = [
 
 def _bessel(mu, z):
     """J_mu(z) for an array of orders, principal branch of (z/2)^mu."""
-    return _bessel_series_array(np.asarray(mu), z, cmath.log(z / 2.0))
+    return _bessel_series_array(np.asarray(mu), cmath.log(z / 2.0))
 
 
 @pytest.mark.parametrize("mu,z", BESSEL_CASES)
@@ -174,6 +174,43 @@ def test_kernel_symmetries():
     assert _kernel(0.9, -2, z.conjugate()) == pytest.approx(v, abs=1e-12)
     vr = _kernel(0.9, 2, 1.3 + 0.0j)
     assert _kernel(0.9, -2, 1.3 + 0.0j) == pytest.approx(vr, abs=1e-12)
+
+
+@pytest.mark.parametrize("z", [1.1 + 0.4j, 0.5 - 0.3j])
+def test_batched_kernel_equals_per_p_kernel(z):
+    # the rows of one batched call, p = -4..4, against one call per p; the
+    # batched second factor is the first's order array read backwards.
+    # Each call stops its series at a tail below 1e-13 of the largest
+    # partial sum, and a batch runs as far as its slowest row, so the two
+    # agree to that tolerance, not bit for bit
+    t, _ = _panel_rule(T_EPS, 6.0, 3, 16)
+    ps = np.arange(-4, 5)
+    batch = _bessel_kernel_grid(t, ps, z)
+    assert batch.shape == (ps.size, t.size)
+    for p, row in zip(ps, batch):
+        one = _bessel_kernel_grid(t, int(p), z)
+        assert np.max(np.abs(row - one)) <= 1e-12 * np.max(np.abs(one))
+
+
+@pytest.mark.parametrize("z", [8.0 + 3.0j, 11.0 + 1.0j])
+def test_spectral_form_against_weighted_at_large_z(z):
+    # near the series radius; one series call per factor over all p
+    # converges every row as far as the slowest one
+    tf = TestFunction(1.0, 1.0)
+    want = bessel_integral_weighted(z, tf)
+    assert abs(bessel_integral_spectral(z, tf) - want) <= 1e-11 * abs(want)
+
+
+@pytest.mark.parametrize("t_panels", [23, 24])
+def test_spectral_form_on_half_the_panels(t_panels):
+    # [0, t_max] on ceil(t_panels / 2) panels: an odd count takes the
+    # panels of the next even one
+    tf, z = TestFunction(1.0, 1.0), 0.7 + 0.4j
+    cfg = dataclasses.replace(DEFAULT_QUADRATURE, t_panels=t_panels)
+    got = bessel_integral_spectral(z, tf, cfg)
+    if t_panels % 2:
+        assert got == bessel_integral_spectral(z, tf, dataclasses.replace(cfg, t_panels=t_panels + 1))
+    assert got == pytest.approx(bessel_integral_weighted(z, tf), rel=1e-11)
 
 
 def test_kernel_guards():
