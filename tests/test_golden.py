@@ -100,12 +100,16 @@ def test_reports_do_not_depend_on_cache_state(argv, tmp_path):
     assert cold == warm
 
 
-@pytest.mark.parametrize("name", ["kuznetsov-geom", "bessel-compare", "quadform", "hybrid"])
+@pytest.mark.parametrize(
+    "name", ["kuznetsov-geom", "bessel-compare", "quadform", "hybrid", "eisenstein"]
+)
 def test_reports_do_not_depend_on_blas_threads(name):
     # the geometric forms reach BLAS through their (orders x nodes) matrix
     # product, the quad form and the hybrid sieve through their coefficient
     # rows times one matrix, and NumPy may link a threaded OpenBLAS: one and
-    # two threads must print the same bytes, the golden ones
+    # two threads must print the same bytes, the golden ones.  The Eisenstein
+    # sieve's factored lattice sum contracts its tables by np.einsum, which
+    # does not reach BLAS
     src = str(Path(gisieve.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outs = [
