@@ -139,12 +139,10 @@ def _reciprocal_gamma_array(z: np.ndarray) -> np.ndarray:
 # Bessel functions of complex order, series regime
 
 
-def _bessel_series_array(
-    mu: np.ndarray, log_half_z: complex, recip_gamma: np.ndarray | None = None
-) -> np.ndarray:
+def _bessel_series_array(mu: np.ndarray, log_half_z: complex, recip_gamma: np.ndarray) -> np.ndarray:
     """J_mu(z) by its power series at every entry of the array mu, for one
-    argument z given as log(z/2); recip_gamma, when given, is
-    1/Gamma(mu + 1), for callers that share it between two arguments.
+    argument z given as log(z/2), with recip_gamma = 1/Gamma(mu + 1): the
+    part that does not depend on z, so two arguments can share it.
 
     Negative integer orders are rejected: there the leading term
     1/Gamma(mu + 1) is zero and the term ratio divides by mu + k + 1 = 0.
@@ -154,8 +152,6 @@ def _bessel_series_array(
     if np.any(negative_int):
         bad = sorted({int(v) for v in mu.real[negative_int]})
         raise DomainError(f"Bessel series undefined at negative integer orders {bad}")
-    if recip_gamma is None:
-        recip_gamma = _reciprocal_gamma_array(mu + 1)
     term = np.exp(mu * log_half_z) * recip_gamma
     total = term.copy()
     ratio_num = -cmath.exp(2 * log_half_z)
@@ -186,21 +182,22 @@ def _bessel_kernel_grid(t: np.ndarray, p, z: complex) -> np.ndarray:
     evaluated in the manifestly real form
     -4 pi^2 Im(J_{it+p}(z) J_{it-p}(zbar)) / sinh(pi t), with the zbar
     factor on the reflected branch conj(log z); this keeps the kernel
-    exactly even in z.  When p[::-1] == -p, the orders it - p are the
-    orders it + p with the rows reversed: both factors come from one order
-    array and one 1/Gamma(it + p + 1), the second read backwards.  Entries
-    with |t| < T_EPS must have been nudged by the caller.
+    exactly even in z.  The kernel is evaluated over the orders q of
+    p and -p, sorted: there the orders it - q are the orders it + q with the
+    rows reversed, so both factors come from one order array and one
+    1/Gamma(it + q + 1), the second read backwards.  Entries with
+    |t| < T_EPS must have been nudged by the caller.
     """
     lz = cmath.log(z / 2.0)
     rows = np.atleast_1d(p)
-    mu = 1j * t + rows[:, None]
+    orders = np.union1d(rows, -rows)
+    mu = 1j * t + orders[:, None]
     recip = _reciprocal_gamma_array(mu + 1)
-    first = _bessel_series_array(mu, lz, recip)
-    if np.array_equal(rows[::-1], -rows):
-        second = _bessel_series_array(mu, lz.conjugate(), recip)[::-1]
-    else:
-        second = _bessel_series_array(1j * t - rows[:, None], lz.conjugate())
-    kernel = -4.0 * math.pi**2 * (first * second).imag / np.sinh(math.pi * t)
+    both = _bessel_series_array(mu, lz, recip) * _bessel_series_array(
+        mu, lz.conjugate(), recip
+    )[::-1]
+    kernel = -4.0 * math.pi**2 * both.imag / np.sinh(math.pi * t)
+    kernel = kernel[np.searchsorted(orders, rows)]
     return kernel if np.ndim(p) else kernel[0]
 
 
@@ -368,8 +365,9 @@ def bessel_integral_spectral(
     # nudge nodes inside the removable-singularity window
     t = np.maximum(t, T_EPS)
     p_max = int(math.ceil(cfg.p_cut * P))
-    p = np.arange(-p_max, p_max + 1)[:, None]
-    v = _bessel_kernel_grid(t, p[:, 0], z)
+    p = np.arange(-p_max, p_max + 1)
+    v = _bessel_kernel_grid(t, p, z)
+    p = p[:, None]
     return 2.0 * float(np.sum(wt * tf.h(t, p) * (t * t + p * p) * v))
 
 

@@ -110,7 +110,8 @@ BESSEL_CASES = [
 
 def _bessel(mu, z):
     """J_mu(z) for an array of orders, principal branch of (z/2)^mu."""
-    return _bessel_series_array(np.asarray(mu), cmath.log(z / 2.0))
+    mu = np.asarray(mu, dtype=complex)
+    return _bessel_series_array(mu, cmath.log(z / 2.0), _reciprocal_gamma_array(mu + 1))
 
 
 @pytest.mark.parametrize("mu,z", BESSEL_CASES)
