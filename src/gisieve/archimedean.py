@@ -182,22 +182,22 @@ def _bessel_kernel_grid(t: np.ndarray, p, z: complex) -> np.ndarray:
     evaluated in the manifestly real form
     -4 pi^2 Im(J_{it+p}(z) J_{it-p}(zbar)) / sinh(pi t), with the zbar
     factor on the reflected branch conj(log z); this keeps the kernel
-    exactly even in z.  The kernel is evaluated over the orders q of
-    p and -p, sorted: there the orders it - q are the orders it + q with the
-    rows reversed, so both factors come from one order array and one
+    exactly even in z.  The kernel is evaluated at every integer order q
+    with |q| <= max |p|: there the orders it - q are the orders it + q with
+    the rows reversed, so both factors come from one order array and one
     1/Gamma(it + q + 1), the second read backwards.  Entries with
     |t| < T_EPS must have been nudged by the caller.
     """
     lz = cmath.log(z / 2.0)
     rows = np.atleast_1d(p)
-    orders = np.union1d(rows, -rows)
-    mu = 1j * t + orders[:, None]
+    top = int(np.max(np.abs(rows)))
+    mu = 1j * t + np.arange(-top, top + 1)[:, None]
     recip = _reciprocal_gamma_array(mu + 1)
     both = _bessel_series_array(mu, lz, recip) * _bessel_series_array(
         mu, lz.conjugate(), recip
     )[::-1]
     kernel = -4.0 * math.pi**2 * both.imag / np.sinh(math.pi * t)
-    kernel = kernel[np.searchsorted(orders, rows)]
+    kernel = kernel[rows + top]
     return kernel if np.ndim(p) else kernel[0]
 
 
