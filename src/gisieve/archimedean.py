@@ -139,7 +139,9 @@ def _reciprocal_gamma_array(z: np.ndarray) -> np.ndarray:
 # Bessel functions of complex order, series regime
 
 
-def _bessel_series_array(mu: np.ndarray, log_half_z: complex, recip_gamma: np.ndarray) -> np.ndarray:
+def _bessel_series_array(
+    mu: np.ndarray, log_half_z: complex, recip_gamma: np.ndarray
+) -> np.ndarray:
     """J_mu(z) by its power series at every entry of the array mu, for one
     argument z given as log(z/2), with recip_gamma = 1/Gamma(mu + 1): the
     part that does not depend on z, so two arguments can share it.
