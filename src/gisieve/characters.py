@@ -11,12 +11,15 @@ arrays, so the order of every coset at once is a few compositions and
 membership tests; the coset labels of each quotient (the smallest (x, y)
 of each coset) come by pointer doubling along x -> x g; and the
 discrete-log grid is the product of the generators' power arrays.  Every
-array has phi(c) entries.
+array has phi(c) entries.  A group keeps its unit table and, once asked
+for, its table of F and the transform of it; nothing else holds them, so
+they go with the group.
 
 A character is an exponent vector (a_1, ..., a_r) against the stored
 generators: chi(g_i) = exp(2*pi*i*a_i/n_i).  Values are exact roots of
-unity looked up in the shared table, so orthogonality, Fourier inversion
-and Parseval hold to ~1e-12 at desk scale.
+unity looked up in a table of the roots of unity of the group's
+exponent, so orthogonality, Fourier inversion and Parseval hold to
+~1e-12 at desk scale.
 
 The transform of interest is the finite Fourier coefficient
 
@@ -209,9 +212,10 @@ class CharGroup:
             raise DomainError("zero modulus")
         self.element = element
         self.modulus = GIdeal.of(element)
-        units = unit_table(element)
+        #: the unit table of element, kept with the group and read by its methods
+        self.units = units = unit_table(element)
         mul = _unit_mul(units, residue_box(element))
-        one = int(unit_positions(element, [1], [0])[0])
+        one = int(unit_positions(element, units, [1], [0])[0])
         gens = _basis(units, mul, one)
 
         self.gen_elements = tuple(GaussianInt(int(units.x[g]), int(units.y[g])) for g, _ in gens)
@@ -239,6 +243,7 @@ class CharGroup:
         # row t of exponent_vectors is the grid point t
         scale = [self.exponent // n for n in self.gen_orders]
         self._dlog_matrix = self.exponent_vectors[self._flat] * np.array(scale, dtype=np.int64)
+        self._f: np.ndarray | None = None
         self._fhat: np.ndarray | None = None
         self._conductors: tuple[list[GIdeal], np.ndarray] | None = None
 
@@ -256,7 +261,7 @@ class CharGroup:
         sequences or int64 arrays, reduced mod c here.  Every character
         value in this module is read from these weights.
         """
-        pos = unit_positions(self.element, x, y)
+        pos = unit_positions(self.element, self.units, x, y)
         w = (np.asarray(exps, dtype=np.int64) @ self._dlog_matrix[pos].T) % self.exponent
         w[:, pos < 0] = -1
         return w
@@ -298,11 +303,18 @@ class CharGroup:
         grid = np.fft.ifftn(np.reshape(fhat, self._grid)).ravel() * self.order
         return grid[self._flat]
 
+    def f_values(self) -> np.ndarray:
+        """F(a; element) at every unit a, in residue order; computed once
+        and read-only."""
+        if self._f is None:
+            self._f = f_sum_values(self.element, self.units)
+        return self._f
+
     def fhat_table(self) -> np.ndarray:
         """fhat(chi) for every chi in characters() order, with F(.; element);
         computed once and read-only."""
         if self._fhat is None:
-            self._fhat = self.transform(f_sum_values(self.element))
+            self._fhat = self.transform(self.f_values())
             self._fhat.setflags(write=False)
         return self._fhat
 
@@ -316,11 +328,10 @@ class CharGroup:
         modulus, leaves only {1}, on which every character is trivial.
         """
         if self._conductors is None:
-            units = unit_table(self.element)
             divisors = ideal_divisors(self.modulus)
             trivial = []
             for d in divisors:
-                sub = divides_points(d.gen, units.x - 1, units.y)
+                sub = divides_points(d.gen, self.units.x - 1, self.units.y)
                 trivial.append(np.rint(self.transform(sub).real * self.order) == sub.sum())
             index = np.argmax(trivial, axis=0)  # the first divisor that is trivial
             index.setflags(write=False)
@@ -358,8 +369,9 @@ class CharGroup:
 
     def value_matrix(self) -> np.ndarray:
         """Matrix X[j, i] = chi_j(alpha_i) over all characters/residues."""
-        units = unit_table(self.element)
-        return _exp_table(self.exponent)[self.weights(self.exponent_vectors, units.x, units.y)]
+        return _exp_table(self.exponent)[
+            self.weights(self.exponent_vectors, self.units.x, self.units.y)
+        ]
 
 
 class DirichletChar:
@@ -457,12 +469,12 @@ def twisted_mult_table(grp1: CharGroup, grp2: CharGroup) -> np.ndarray:
     c1, c2 = grp1.element, grp2.element
     if not is_coprime(c1, c2):
         raise DomainError("moduli must be coprime")
-    units = unit_table(c1 * c2)
+    units = unit_table(c1 * c2)  # built for this call only
     grid = np.zeros((grp1.order, grp2.order), dtype=np.complex128)
     grid[
-        grp1._flat[unit_positions(c1, units.x, units.y)],
-        grp2._flat[unit_positions(c2, units.x, units.y)],
-    ] = f_sum_values(c1 * c2)
+        grp1._flat[unit_positions(c1, grp1.units, units.x, units.y)],
+        grp2._flat[unit_positions(c2, grp2.units, units.x, units.y)],
+    ] = f_sum_values(c1 * c2, units)
     lhs = np.fft.fftn(grid.reshape(grp1._grid + grp2._grid)).reshape(grid.shape) / grid.size
     # the other modulus is a unit, since the moduli are coprime
     twist1 = _exp_table(grp1.exponent)[grp1.weights(grp1.exponent_vectors, [c2.re], [c2.im])[:, 0]]

@@ -10,8 +10,9 @@ and the twisted variant feeding the character transforms is
 
 Every exponent Re((...)*conj(c))/N(c) is an exact rational with integer
 numerator, so each value is a sum of N(c)-th roots of unity looked up in
-a shared table.  Two expressions that agree in the algebra then agree
-numerically to ~1e-13, which is what lets the identity tests run at 1e-9.
+one table of them, built for the modulus and not kept.  Two expressions
+that agree in the algebra then agree numerically to ~1e-13, which is
+what lets the identity tests run at 1e-9.
 kloosterman_matrix sums S(m_i, n_j; c) for two lists of arguments, and
 the identities take lists too; the table of F over all units
 (f_sum_values) is one FFT per modulus, within ~1e-12 of the direct sums.
@@ -22,8 +23,6 @@ is invertible, and every sum degenerates to the single term 1.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .gauss import (
@@ -31,6 +30,7 @@ from .gauss import (
     DomainError,
     GIdeal,
     GaussianInt,
+    UnitTable,
     divides,
     exact_div,
     ideal_divisors,
@@ -52,9 +52,8 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=512)
 def _exp_table(n: int) -> np.ndarray:
-    """exp(2*pi*i*k/n) for k = 0..n-1; the shared root-of-unity table."""
+    """exp(2*pi*i*k/n) for k = 0..n-1; built per use, O(n), not kept."""
     return np.exp(2j * np.pi * np.arange(n) / n)
 
 
@@ -99,9 +98,9 @@ def f_sum(w: GaussianInt, c: GaussianInt) -> complex:
     return complex(value * twist)
 
 
-@lru_cache(maxsize=1024)
-def f_sum_values(c: GaussianInt) -> np.ndarray:
-    """F(alpha; c) for every unit residue alpha, in enumeration order.
+def f_sum_values(c: GaussianInt, units: UnitTable) -> np.ndarray:
+    """F(alpha; c) for every unit residue alpha of units, the unit_table
+    of c, in enumeration order.
 
     One additive Fourier transform gives S(m, 1; c) for every m at once.
     With (d, e, g) = residue_box(c), Z[i]/(c) is Z/d x Z/g in the
@@ -112,9 +111,9 @@ def f_sum_values(c: GaussianInt) -> np.ndarray:
 
     So S(m, 1; c) = N(c) * ifft2(h)[k1, k2] with h = e[b^{-1}/c] at the
     units b and 0 elsewhere; F(a; c) reads it at m = a^2 and multiplies
-    by e[2a/c].  The result is cached and read-only.
+    by e[2a/c].  The result is read-only; the caller keeps it as long as
+    it needs it (CharGroup.f_values keeps it with its group).
     """
-    units = unit_table(c)
     box = residue_box(c)
     d, e, g = box
     big_n = c.norm
@@ -158,16 +157,22 @@ def selberg_residuals(ms, ns, c: GaussianInt) -> np.ndarray:
     return lhs - rhs
 
 
-def shift_residuals(qs, c: GaussianInt, g: GaussianInt) -> np.ndarray:
+def shift_residuals(qs, c: GaussianInt, g: GaussianInt, sums_c=None) -> np.ndarray:
     """Residuals of the shifted-argument identity at w = q g, for each q of qs:
 
     S(w^2, 1; c*g) = 0                      if gcd(c, g) != (1)
                    = mu((g)) S(q^2, 1; c)   otherwise.
+
+    sums_c, if given, holds S(q^2, 1; c) for a list of q that qs begins,
+    so that one array serves every g at c; the rows of kloosterman_matrix
+    are independent, so its prefix equals the sums computed here.
     """
     lhs = kloosterman_matrix([(q * g) * (q * g) for q in qs], [ONE], c * g)[:, 0]
     if not is_coprime(c, g):
         return lhs
-    return lhs - moebius(GIdeal.of(g)) * kloosterman_matrix([q * q for q in qs], [ONE], c)[:, 0]
+    if sums_c is None:
+        sums_c = kloosterman_matrix([q * q for q in qs], [ONE], c)[:, 0]
+    return lhs - moebius(GIdeal.of(g)) * sums_c[: len(qs)]
 
 
 def weil_ratios(ms, ns, c: GaussianInt) -> np.ndarray:

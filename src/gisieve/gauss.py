@@ -15,7 +15,10 @@ which makes every reduction exact integer arithmetic and gives a fixed,
 deterministic enumeration order used by all downstream sums.
 
 Everything here is pure and exact; floats never appear.  The unit table
-works on int64 arrays, whose products stay exact below MAX_UNIT_NORM.
+works on int64 arrays, whose products stay exact below MAX_UNIT_NORM; it
+inverts the units through the norm map into Z/d, c cap Z = dZ, and is
+not cached: whoever reads it (a character group, one pass of a loop over
+moduli) builds it and keeps it for as long as it needs it.
 """
 
 from __future__ import annotations
@@ -265,8 +268,8 @@ def reduce_pair(x, y, box: tuple[int, int, int]):
     return x - (x // d) * d, y
 
 
-#: Unit-table arithmetic multiplies box coordinates in int64; every
-#: product stays below 2 N(c)^2, which is exact for N(c) below this.
+#: Unit-table arithmetic multiplies coordinates mod d = N(c)/g in int64;
+#: every product stays below d^2 < 2^62, which is exact for N(c) below this.
 MAX_UNIT_NORM = 2**31
 
 
@@ -274,7 +277,8 @@ class UnitTable(NamedTuple):
     """The unit residues of c and their inverses as read-only int64 arrays,
     in the (y, x) raster order of the Hermite box, and the map from box
     index y*d + x to the position of that residue in this order (-1 off
-    the units)."""
+    the units).  It is built per modulus by unit_table and lives as long
+    as its owner: a CharGroup, or one loop over the moduli."""
 
     x: np.ndarray
     y: np.ndarray
@@ -283,14 +287,19 @@ class UnitTable(NamedTuple):
     position: np.ndarray
 
 
-@lru_cache(maxsize=1024)
 def unit_table(c: GaussianInt) -> UnitTable:
     """Units mod c and their inverses, by exact int64 array arithmetic.
 
     A residue a is a unit when no Gaussian prime p | c divides it
-    (divides_points).  The inverses are a^(phi - 1) by
-    square-and-multiply, each product reduced into the Hermite box.  For
-    a unit modulus the single class [0] is its own inverse.
+    (divides_points).  Its inverse comes from the norm map: with
+    c cap Z = dZ, a^{-1} = conj(a) N(a)^{-1}, N(a) inverted mod d as
+    N(a)^(phi(d) - 1).  An integer is a unit mod c iff it is prime to d,
+    and N(a) = a conj(a) fails that only where a split prime p | c has
+    conj(p) | a; such an a is replaced by a + t c, t = 1, 2, ..., the
+    same class, until its norm is prime to d.  Coordinates are taken mod
+    d first, so every product stays below d^2; the inverse is then
+    reduced into the Hermite box, where it is unique.  For a unit modulus
+    the single class [0] is its own inverse.  Nothing is cached.
     """
     if c.is_zero():
         raise DomainError("zero modulus")
@@ -309,26 +318,48 @@ def unit_table(c: GaussianInt) -> UnitTable:
     position[~unit] = -1
     x, y = x[unit], y[unit]
 
-    def mul(ax, ay, bx, by):
-        return reduce_pair(ax * bx - ay * by, ax * by + ay * bx, box)
+    fac_d = factor_int(d)
+    phi_d = math.prod(p ** (e - 1) * (p - 1) for p, e in fac_d)
 
-    inv_x, inv_y = reduce_pair(np.ones_like(x), np.zeros_like(y), box)
-    bx, by, k = x, y, len(x) - 1
+    def norms(ax, ay):  # ax^2 + ay^2 < 2 d^2 < 2^63
+        return (ax * ax + ay * ay) % d
+
+    def shared(n):  # N(a) has a prime factor of d
+        bad = np.zeros(n.shape, dtype=bool)
+        for p, _ in fac_d:
+            bad |= n % p == 0
+        return bad
+
+    # 0 <= x < d, and 0 <= y < g <= d: the coordinates are reduced mod d
+    ax, ay = x.copy(), y.copy()
+    n = norms(ax, ay)
+    bad = shared(n)
+    while bad.any():
+        # a + t c is the same class, and at each split p, conj(p) divides
+        # it for one class of t mod N(p) only: a few rounds of t -> t + 1
+        ax[bad] = (ax[bad] + c.re) % d
+        ay[bad] = (ay[bad] + c.im) % d
+        n[bad] = norms(ax[bad], ay[bad])
+        bad[bad] = shared(n[bad])
+
+    inv, k = np.ones_like(n) % d, phi_d - 1
     while k:
         if k & 1:
-            inv_x, inv_y = mul(inv_x, inv_y, bx, by)
-        bx, by = mul(bx, by, bx, by)
+            np.remainder(np.multiply(inv, n, out=inv), d, out=inv)
         k >>= 1
+        if k:
+            np.remainder(np.multiply(n, n, out=n), d, out=n)
+    inv_x, inv_y = reduce_pair(ax * inv % d, (d - ay) * inv % d, box)
     table = UnitTable(x, y, inv_x, inv_y, position)
     for arr in table:
         arr.setflags(write=False)
     return table
 
 
-def unit_positions(c: GaussianInt, x, y) -> np.ndarray:
-    """Positions of the points x + iy in the unit order of unit_table(c),
-    -1 where a point is not a unit mod c.  x and y are int sequences or
-    int64 arrays of any int64 values."""
+def unit_positions(c: GaussianInt, units: UnitTable, x, y) -> np.ndarray:
+    """Positions of the points x + iy in the unit order of units, the
+    unit_table of c, -1 where a point is not a unit mod c.  x and y are
+    int sequences or int64 arrays of any int64 values."""
     box = residue_box(c)
     # N(c) = c conj(c) lies in (c): reducing by it first keeps the box
     # reduction's products below N(c)^2, inside int64
@@ -336,7 +367,7 @@ def unit_positions(c: GaussianInt, x, y) -> np.ndarray:
     x = np.asarray(x, dtype=np.int64) % n
     y = np.asarray(y, dtype=np.int64) % n
     rx, ry = reduce_pair(x, y, box)
-    return unit_table(c).position[ry * box[0] + rx]
+    return units.position[ry * box[0] + rx]
 
 
 def unit_residues(c: GaussianInt) -> tuple[GaussianInt, ...]:

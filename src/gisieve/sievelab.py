@@ -59,6 +59,7 @@ from .gauss import (
     factor,
     ideals_up_to_norm,
     unit_positions,
+    unit_table,
 )
 from .spectral import CoefficientSequence, eisenstein_sieve_sum, eisenstein_sieve_sums
 
@@ -269,7 +270,8 @@ def _quad_form_rows(
     Q[m, n] = sum over moduli c with C < N(c) <= 2C and (c, dmn) = (1) of
     N(c)^gamma F(dmn; c) e[mn theta/c] is built once.  Per modulus, F(dmn; c)
     is read for every pair (m, n) at once from the table of F over the units
-    mod c; a pair with dmn not a unit gets no term.
+    mod c, built with the unit table of c for that modulus alone; a pair
+    with dmn not a unit gets no term.
     """
     if d.is_zero():
         raise DomainError("quad_form requires d != 0")
@@ -295,11 +297,12 @@ def _quad_form_rows(
         # d mod N(c) is in the class of d mod c (N(c) = c conj(c)), and small
         # enough that d * mn stays exact in int64 for any d
         dx, dy = d.re % c.norm, d.im % c.norm
-        pos = unit_positions(c, dx * mx - dy * my, dx * my + dy * mx)
+        units = unit_table(c)
+        pos = unit_positions(c, units, dx * mx - dy * my, dx * my + dy * mx)
         unit = pos >= 0
         # e[mn theta / c] = exp(2 pi i Re(mn theta / c))
         phase = np.exp(2j * np.pi * np.real(twist[unit] / complex(c)))
-        Q[unit] += float(c.norm) ** gamma * (f_sum_values(c)[pos[unit]] * phase)
+        Q[unit] += float(c.norm) ** gamma * (f_sum_values(c, units)[pos[unit]] * phase)
     Q = Q.reshape(len(ms), len(ns))
     return ((np.asarray(a_rows, dtype=complex) @ Q) * np.conj(b_rows)).sum(axis=1)
 

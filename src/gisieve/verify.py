@@ -28,8 +28,9 @@ from .archimedean import (
     plancherel_integral_quadrature,
 )
 from .characters import CharGroup, char_group, local_prediction, twisted_mult_table
-from .expsums import f_sum_values, selberg_residuals, shift_residuals, weil_ratios
+from .expsums import kloosterman_matrix, selberg_residuals, shift_residuals, weil_ratios
 from .gauss import (
+    ONE,
     DomainError,
     ideals_up_to_norm,
     is_coprime,
@@ -78,13 +79,13 @@ def _groups(max_norm: float) -> Iterator[CharGroup]:
 def _mellin_residual(grp: CharGroup) -> float:
     """max |F - (inverse transform of fhat)| over the units."""
     recon = grp.inverse_transform(grp.fhat_table())
-    return float(np.max(np.abs(recon - f_sum_values(grp.element))))
+    return float(np.max(np.abs(recon - grp.f_values())))
 
 
 def _parseval_residual(grp: CharGroup) -> float:
     """|sum |fhat|^2 - (sum |F|^2) / phi|."""
     fhat_mass = float(np.sum(np.abs(grp.fhat_table()) ** 2))
-    return abs(fhat_mass - float(np.sum(np.abs(f_sum_values(grp.element)) ** 2)) / grp.order)
+    return abs(fhat_mass - float(np.sum(np.abs(grp.f_values()) ** 2)) / grp.order)
 
 
 def _suite_mellin(max_norm: float, tol: float) -> SuiteResult:
@@ -186,12 +187,17 @@ def _suite_shift(max_norm: float, tol: float) -> SuiteResult:
     def upto(limit: float) -> int:
         return bisect.bisect_right(norms, limit)
 
+    def sums(c):  # S(q^2, 1; c) at the longest q-range, g = 1; each g reads a prefix
+        squares = [q * q for q in gens[: upto(cap / c.norm)]]
+        return kloosterman_matrix(squares, [ONE], c.gen)[:, 0]
+
     checks = (
         (value, (q * g.gen, c.gen, g.gen))
         for c in ideals[: upto(max_norm)]
+        for sums_c in [sums(c)]
         for g in ideals[: upto(math.sqrt(cap / c.norm))]
         for qs in [gens[: upto(cap / (c.norm * g.norm**2))]]
-        for q, value in zip(qs, np.abs(shift_residuals(qs, c.gen, g.gen)).tolist())
+        for q, value in zip(qs, np.abs(shift_residuals(qs, c.gen, g.gen, sums_c)).tolist())
     )
     return _tally("shift", checks, tol, "(w,c,g)=({},{},{}) residual {:.3e}")
 

@@ -48,6 +48,9 @@ def test_tracer_targets_resolve():
         if not callable(target):
             missing.append(f"{modname}.{attr}")
     assert missing == []
+    # the tracer reads the hit ratio of the one cache of character groups
+    characters = importlib.import_module("gisieve.characters")
+    assert callable(characters.char_group.cache_info)
 
 
 def test_sievelab_imports_no_characters_and_no_private_names():

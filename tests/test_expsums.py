@@ -44,6 +44,7 @@ from gisieve.gauss import (
     mod_inverse,
     moebius,
     unit_residues,
+    unit_table,
 )
 from test_gauss import residues
 
@@ -276,7 +277,7 @@ def test_f_sum_needs_coprime():
 
 @given(moduli)
 def test_f_sum_values_match_scalar(c):
-    table = f_sum_values(c)
+    table = f_sum_values(c, unit_table(c))
     units = unit_residues(c)
     assert table.shape == (len(units),)
     for idx in (0, len(units) // 2, len(units) - 1):
@@ -286,14 +287,14 @@ def test_f_sum_values_match_scalar(c):
 @with_edge_moduli
 @given(engine_moduli)
 def test_f_table_against_loop_oracle(c):
-    table = f_sum_values(c)
-    assert not table.flags.writeable  # the cached table is shared
+    table = f_sum_values(c, unit_table(c))
+    assert not table.flags.writeable  # a group shares its table with its callers
     assert np.max(np.abs(table - _loop_f_table(c))) < 1e-10
 
 
 @pytest.mark.parametrize("c", [c for c in EDGE_MODULI if c.norm <= 50])
 def test_f_table_against_brute_force(c):
-    assert np.max(np.abs(f_sum_values(c) - _brute_f_table(c))) < 1e-10
+    assert np.max(np.abs(f_sum_values(c, unit_table(c)) - _brute_f_table(c))) < 1e-10
 
 
 def test_f_table_accuracy_against_fsum():
@@ -303,7 +304,7 @@ def test_f_table_accuracy_against_fsum():
     units = unit_residues(c)
     invs = [mod_inverse(b, c) for b in units]
     cbar = c.conj()
-    table = f_sum_values(c)
+    table = f_sum_values(c, unit_table(c))
     worst = 0.0
     for i in range(0, len(units), 97):
         a = units[i]

@@ -228,14 +228,14 @@ def test_unit_table_against_gcd_and_euclid(c):
     x = np.array([r.re for r in res], dtype=np.int64)
     y = np.array([r.im for r in res], dtype=np.int64)
     want = [index.get(r, -1) for r in res]
-    assert unit_positions(c, x, y).tolist() == want
+    table = unit_table(c)
+    assert unit_positions(c, table, x, y).tolist() == want
     far = (2**62 // c.norm) * c.norm
-    assert unit_positions(c, x + far, y - far).tolist() == want
+    assert unit_positions(c, table, x + far, y - far).tolist() == want
     if c.is_unit():
         assert unit_residues(c) == (ZERO,)
         return
     assert unit_residues(c) == tuple(r for r in residues(c) if is_coprime(r, c))
-    table = unit_table(c)
     inverses = [GaussianInt(x, y) for x, y in zip(table.inv_x.tolist(), table.inv_y.tolist())]
     assert inverses == [mod_inverse(a, c) for a in unit_residues(c)]
 
@@ -249,6 +249,45 @@ def test_divides_points_matches_divides(g):
     x = np.array([z.re for z in points], dtype=np.int64)
     y = np.array([z.im for z in points], dtype=np.int64)
     assert divides_points(g, x, y).tolist() == [divides(g, z) for z in points]
+
+
+def test_unit_table_inverses_at_every_modulus_up_to_2000():
+    # every ideal of norm <= 2000 and its four associates, which share the
+    # box and the unit order but not the shifts a + t c.  An inverse is
+    # checked exactly at every unit: a b = 1 mod c with b in the box is
+    # what makes b = mod_inverse(a, c).  mod_inverse itself is called where
+    # N(a) is not prime to d, so that the table shifted a, and at both ends
+    shifted_moduli = 0
+    for ideal in ideals_up_to_norm(2000):
+        for c in (ideal.gen, ideal.gen.times_i(), -ideal.gen, -ideal.gen.times_i()):
+            table = unit_table(c)
+            d, _, g = residue_box(c)
+            ax, ay, bx, by = table.x, table.y, table.inv_x, table.inv_y
+            assert ((bx >= 0) & (bx < d) & (by >= 0) & (by < g)).all()
+            assert divides_points(c, ax * bx - ay * by - 1, ax * by + ay * bx).all()
+            shifted = np.gcd(ax * ax + ay * ay, d) > 1
+            shifted_moduli += bool(shifted.any())
+            for k in [0, len(ax) - 1, *np.flatnonzero(shifted).tolist()]:
+                inverse = mod_inverse(GaussianInt(int(ax[k]), int(ay[k])), c)
+                assert (int(bx[k]), int(by[k])) == (inverse.re, inverse.im)
+    assert shifted_moduli > 100
+
+
+@pytest.mark.parametrize("c,a", [((4, 2), (8, 1)), ((2, 16), (34, 1))])
+def test_unit_table_inverse_needs_a_shift_by_c(c, a):
+    # c = 2 (2+i) and a = 8+i = (2-i)(3+2i): a is a unit mod c, but
+    # N(a) = 65 shares 5 with d = 10, so the table inverts the norm of
+    # a + c.  At c = 2+16i (d = 130) and a = 34+i, N(a) = 13 * 89 and
+    # N(a + c) = 5 * 317: it takes a + 2c
+    c, a = GaussianInt(*c), GaussianInt(*a)
+    table = unit_table(c)
+    d = residue_box(c)[0]
+    assert math.gcd(a.norm, d) > 1
+    k = int(unit_positions(c, table, [a.re], [a.im])[0])
+    assert k >= 0
+    assert GaussianInt(int(table.inv_x[k]), int(table.inv_y[k])) == mod_inverse(a, c)
+    inverses = [GaussianInt(x, y) for x, y in zip(table.inv_x.tolist(), table.inv_y.tolist())]
+    assert inverses == [mod_inverse(u, c) for u in unit_residues(c)]
 
 
 def test_unit_table_rejects_norm_that_could_overflow():
@@ -269,7 +308,7 @@ def test_module_caches_are_bounded():
         for name, obj in vars(module).items()
         if hasattr(obj, "cache_parameters") and obj.__module__ == module.__name__
     }
-    assert "gisieve.expsums.f_sum_values" in caches
+    assert "gisieve.characters.char_group" in caches
     assert "gisieve.spectral._grid_weights" in caches
     assert [name for name, obj in caches.items() if obj.cache_parameters()["maxsize"] is None] == []
 

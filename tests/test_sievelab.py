@@ -30,7 +30,14 @@ from hypothesis import strategies as st
 
 from gisieve.characters import char_group
 from gisieve.expsums import _exp_table, f_sum_values
-from gisieve.gauss import DomainError, GaussianInt, GIdeal, ideals_up_to_norm, unit_positions
+from gisieve.gauss import (
+    DomainError,
+    GaussianInt,
+    GIdeal,
+    ideals_up_to_norm,
+    unit_positions,
+    unit_table,
+)
 from gisieve.sievelab import (
     DESK_CAPS,
     EPSILON,
@@ -668,10 +675,11 @@ def _loop_quad_form(d, theta, gamma, C, a, b):
     total = 0.0 + 0.0j
     for c in moduli:
         dx, dy = d.re % c.norm, d.im % c.norm
-        pos = unit_positions(c, dx * mx - dy * my, dx * my + dy * mx)
+        units = unit_table(c)
+        pos = unit_positions(c, units, dx * mx - dy * my, dx * my + dy * mx)
         unit = pos >= 0
         phase = np.exp(2j * np.pi * np.real(twist[unit] / complex(c)))
-        terms = coeff[unit] * f_sum_values(c)[pos[unit]] * phase
+        terms = coeff[unit] * f_sum_values(c, units)[pos[unit]] * phase
         total += float(c.norm) ** gamma * complex(terms.sum())
     return total
 
