@@ -96,6 +96,7 @@ __all__ = [
     "DEFAULT_WEIGHT_CUTOFF",
     "IDEAL_DENSITY",
     "ZETA_EULER_CONSTANT",
+    "ZETA_F_32_UPPER",
 ]
 
 
@@ -119,6 +120,11 @@ IDEAL_DENSITY = math.pi / 4.0
 #: zeta(1 + d, 0) = IDEAL_DENSITY / d + ZETA_EULER_CONSTANT + O(d).
 #: Closed form (pi/4)(2 euler + 2 log 2 + 3 log pi - 4 log Gamma(1/4)).
 ZETA_EULER_CONSTANT = 0.6462454398948133
+
+#: An upper bound for zeta_F(3/2) = zeta(3/2) L(3/2, chi_{-4}) =
+#: 2.2584054207752376...: the lattice sum hecke_zeta(1.5, 0, 1e6) plus its
+#: tail bound, bit for bit (tests/test_spectral.py recomputes it).
+ZETA_F_32_UPPER = 2.258425409853418
 
 
 # ---------------------------------------------------------------------------
@@ -521,13 +527,6 @@ class KuznetsovGeometric(NamedTuple):
     tail_bound: float
 
 
-@lru_cache(maxsize=1)
-def _zeta_f_32_upper() -> float:
-    """An upper bound for zeta_F(3/2), self-contained."""
-    value, tail = hecke_zeta(1.5, 0, 1_000_000.0)
-    return abs(value) + tail
-
-
 def _divisor_tail_over_ideals(cut: float) -> float:
     """Upper bound for sum over ideals with N(c) > cut of tau(c) N(c)^{-3/2}.
 
@@ -537,7 +536,7 @@ def _divisor_tail_over_ideals(cut: float) -> float:
     enumerated ideal norms, and the d-range beyond the cut is bounded by
     G(cut) * zeta_F(3/2).
     """
-    zf = _zeta_f_32_upper()
+    zf = ZETA_F_32_UPPER
     norms = np.array([ideal.norm for ideal in ideals_up_to_norm(max(cut, 1.0))], float)
     if norms.size == 0:
         return zf * zf

@@ -54,6 +54,7 @@ from gisieve.spectral import (
     hecke_zeta,
     kuznetsov_geometric,
     ZETA_EULER_CONSTANT,
+    ZETA_F_32_UPPER,
 )
 from conftest import make_sequence
 
@@ -636,11 +637,23 @@ def test_kuznetsov_symmetry_and_tail():
     assert wider.tail_bound < a.tail_bound
 
 
+def test_zeta_f_32_upper_is_the_lattice_bound():
+    # the literal is the 10^6-norm lattice sum plus its tail bound, bit for
+    # bit, and bounds zeta_F(3/2) = zeta(3/2) L(3/2, chi_{-4}) from above
+    value, tail = hecke_zeta(1.5, 0, 1_000_000.0)
+    assert abs(value) + tail == ZETA_F_32_UPPER
+    exact = mpmath.zeta(1.5) * mpmath.dirichlet(1.5, [0, 1, 0, -1])
+    assert mpmath.mpf(ZETA_F_32_UPPER) >= exact
+    assert ZETA_F_32_UPPER - float(exact) < 1e-4
+
+
 def test_kuznetsov_memory_bounded():
     # the Bessel integrals of all 2,512 z up to N(c) = 1600 (485,504
     # r-nodes at T = 2) are one batch, walked in blocks of nodes; one
-    # unblocked pass would peak near 190 MiB.  The unit tables that the
-    # call leaves cached are not working memory.
+    # unblocked pass would peak near 190 MiB.  No table of a modulus
+    # outlives the call: what stays is the small values that residue_box
+    # and factor cache (1.9 MiB in a fresh process; 36 MiB while unit
+    # tables and root-of-unity tables were cached by count)
     tf = TestFunction(2.0, 1.0)
     tracemalloc.start()
     try:
@@ -649,6 +662,7 @@ def test_kuznetsov_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak - current < 8 * 2**20
+    assert current < 4 * 2**20
 
 
 def test_kuznetsov_rejects_zero_frequency():
