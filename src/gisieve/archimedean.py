@@ -78,6 +78,15 @@ class SeriesRangeError(ValueError):
 
 SERIES_RADIUS = 12.0
 
+
+class _OrderRangeError(DomainError):
+    """The Bessel series terms overflow beyond the integer order ``limit``
+    (-1 if at every order)."""
+
+    def __init__(self, message: str, limit: int):
+        super().__init__(message)
+        self.limit = limit
+
 # Spectral parameters closer to zero than this are nudged to T_EPS; the
 # kernel has a removable singularity at t = 0.
 T_EPS = 1e-4
@@ -189,12 +198,27 @@ def _bessel_kernel_grid(t: np.ndarray, p, z: complex) -> np.ndarray:
     the rows reversed, so both factors come from one order array and one
     1/Gamma(it + q + 1), the second read backwards.  Entries with
     |t| < T_EPS must have been nudged by the caller.
+
+    Before the series runs, the leading terms (z/2)^mu / Gamma(mu + 1) and
+    (zbar/2)^mu / Gamma(mu + 1), the largest terms of their series, must
+    be finite; at large |q| (or large t) 1/Gamma or the power overflows,
+    and _OrderRangeError names the largest |q| up to which they are.
     """
     lz = cmath.log(z / 2.0)
     rows = np.atleast_1d(p)
     top = int(np.max(np.abs(rows)))
-    mu = 1j * t + np.arange(-top, top + 1)[:, None]
-    recip = _reciprocal_gamma_array(mu + 1)
+    orders = np.arange(-top, top + 1)
+    mu = 1j * t + orders[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        recip = _reciprocal_gamma_array(mu + 1)
+        # |(z/2)^mu| = exp(q Re lz - t Im lz), and exp(q Re lz + t Im lz) at zbar
+        lead = np.abs(recip) * np.exp(mu.real * lz.real + np.abs(mu.imag * lz.imag))
+    finite = np.isfinite(lead).all(axis=1)
+    if not finite.all():
+        limit = int(np.min(np.abs(orders[~finite]))) - 1
+        raise _OrderRangeError(
+            f"the Bessel series at z = {z} overflows at order |p| = {limit + 1}", limit
+        )
     both = _bessel_series_array(mu, lz, recip) * _bessel_series_array(
         mu, lz.conjugate(), recip
     )[::-1]
@@ -368,7 +392,14 @@ def bessel_integral_spectral(
     t = np.maximum(t, T_EPS)
     p_max = int(math.ceil(cfg.p_cut * P))
     p = np.arange(-p_max, p_max + 1)
-    v = _bessel_kernel_grid(t, p, z)
+    try:
+        v = _bessel_kernel_grid(t, p, z)
+    except _OrderRangeError as err:
+        raise DomainError(
+            f"spectral H(z) at P = {P} needs Bessel orders |p| <= {p_max}, but at z = {z} "
+            f"and T = {T} the series terms are finite only to |p| = {err.limit}, "
+            f"so P must be at most {err.limit / cfg.p_cut:.6g}"
+        ) from None
     p = p[:, None]
     return 2.0 * float(np.sum(wt * tf.h(t, p) * (t * t + p * p) * v))
 

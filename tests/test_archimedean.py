@@ -215,6 +215,19 @@ def test_spectral_form_on_half_the_panels(t_panels):
     assert got == pytest.approx(bessel_integral_weighted(z, tf), rel=1e-11)
 
 
+@pytest.mark.parametrize("P", [26, 27, 30, 40])
+def test_spectral_form_rejects_orders_that_overflow(P, recwarn):
+    # at z = 1+i, T = 1 the leading terms (z/2)^mu / Gamma(mu + 1) stay
+    # finite to |p| = 156 = 6 * 26; beyond it the series would overflow
+    tf, z = TestFunction(1.0, float(P)), 1.0 + 1.0j
+    if P == 26:
+        assert bessel_integral_spectral(z, tf) == -24.68392371730094
+    else:
+        with pytest.raises(DomainError, match=rf"P = {P}\.0 .* P must be at most 26$"):
+            bessel_integral_spectral(z, tf)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_kernel_guards():
     tf = TestFunction(1.0, 1.0)
     with pytest.raises(DomainError):

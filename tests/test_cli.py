@@ -102,6 +102,15 @@ def test_bessel_three_representations_agree(capsys):
     assert abs(values["max_deviation"]) < 1e-8
 
 
+def test_bessel_rejects_p_beyond_the_series_range(capsys, recwarn):
+    # the spectral form's Bessel orders reach 6P; at P = 40 they overflow
+    argv = ["bessel", "--z", "1+i", "--T", "1", "--P", "40", "--compare"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "P = 40.0" in err and "P must be at most 26" in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_zeta_smoothed_dedekind_value(capsys):
     # zeta(2, 0) is the Dedekind zeta value zeta(2) L(2, chi_-4)
     # = (pi^2 / 6) * Catalan = 1.50670...
