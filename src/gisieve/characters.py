@@ -394,8 +394,11 @@ class DirichletChar:
         return divisors[index[self.group.index(self.exps)]]
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=1024)
 def char_group(element: GaussianInt) -> CharGroup:
+    """The group of element, shared: a group owns its unit table and F
+    table, so this bound (the 787 moduli of norm <= 1000 fit) is what keeps
+    the identity suites from rebuilding them."""
     return CharGroup(element)
 
 
