@@ -76,9 +76,6 @@ class SeriesRangeError(ValueError):
     """Bessel argument outside the radius where the power series is trusted."""
 
 
-SERIES_RADIUS = 12.0
-
-
 class _OrderRangeError(DomainError):
     """The Bessel series terms overflow beyond the integer order ``limit``
     (-1 if at every order)."""
@@ -86,6 +83,9 @@ class _OrderRangeError(DomainError):
     def __init__(self, message: str, limit: int):
         super().__init__(message)
         self.limit = limit
+
+
+SERIES_RADIUS = 12.0
 
 # Spectral parameters closer to zero than this are nudged to T_EPS; the
 # kernel has a removable singularity at t = 0.

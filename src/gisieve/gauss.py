@@ -297,9 +297,10 @@ def unit_table(c: GaussianInt) -> UnitTable:
     and N(a) = a conj(a) fails that only where a split prime p | c has
     conj(p) | a; such an a is replaced by a + t c, t = 1, 2, ..., the
     same class, until its norm is prime to d.  Coordinates are taken mod
-    d first, so every product stays below d^2; the inverse is then
-    reduced into the Hermite box, where it is unique.  For a unit modulus
-    the single class [0] is its own inverse.  Nothing is cached.
+    d, so every product stays below d^2; the inverse is then reduced
+    into the Hermite box, where it is unique, so the table equals the one
+    that a^(phi - 1) gives.  For a unit modulus the single class [0] is
+    its own inverse.  Nothing is cached.
     """
     if c.is_zero():
         raise DomainError("zero modulus")
@@ -321,26 +322,21 @@ def unit_table(c: GaussianInt) -> UnitTable:
     fac_d = factor_int(d)
     phi_d = math.prod(p ** (e - 1) * (p - 1) for p, e in fac_d)
 
-    def norms(ax, ay):  # ax^2 + ay^2 < 2 d^2 < 2^63
-        return (ax * ax + ay * ay) % d
-
-    def shared(n):  # N(a) has a prime factor of d
+    def shares_a_prime_with_d(n):
         bad = np.zeros(n.shape, dtype=bool)
         for p, _ in fac_d:
             bad |= n % p == 0
         return bad
 
-    # 0 <= x < d, and 0 <= y < g <= d: the coordinates are reduced mod d
-    ax, ay = x.copy(), y.copy()
-    n = norms(ax, ay)
-    bad = shared(n)
-    while bad.any():
+    # 0 <= x < d and 0 <= y < g <= d, so x^2 + y^2 < 2 d^2 < 2^63.  At
+    # g = 1 every residue is an integer x, and x^2 is prime to d with x
+    ax, ay, n = x, y, (x * x + y * y) % d
+    while g > 1 and (bad := shares_a_prime_with_d(n)).any():
         # a + t c is the same class, and at each split p, conj(p) divides
         # it for one class of t mod N(p) only: a few rounds of t -> t + 1
-        ax[bad] = (ax[bad] + c.re) % d
-        ay[bad] = (ay[bad] + c.im) % d
-        n[bad] = norms(ax[bad], ay[bad])
-        bad[bad] = shared(n[bad])
+        ax = np.where(bad, (ax + c.re) % d, ax)
+        ay = np.where(bad, (ay + c.im) % d, ay)
+        n = (ax * ax + ay * ay) % d
 
     inv, k = np.ones_like(n) % d, phi_d - 1
     while k:

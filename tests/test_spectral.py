@@ -652,8 +652,8 @@ def test_kuznetsov_memory_bounded():
     # r-nodes at T = 2) are one batch, walked in blocks of nodes; one
     # unblocked pass would peak near 190 MiB.  No table of a modulus
     # outlives the call: what stays is the small values that residue_box
-    # and factor cache (1.9 MiB in a fresh process; 36 MiB while unit
-    # tables and root-of-unity tables were cached by count)
+    # and factor cache, 1.9 MiB in a fresh process; a count-bounded cache
+    # of unit tables would hold 30 MiB or more here
     tf = TestFunction(2.0, 1.0)
     tracemalloc.start()
     try:
