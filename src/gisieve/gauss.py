@@ -17,8 +17,7 @@ deterministic enumeration order used by all downstream sums.
 Everything here is pure and exact; floats never appear.  The unit table
 works on int64 arrays, whose products stay exact below MAX_UNIT_NORM; it
 inverts the units through the norm map into Z/d, c cap Z = dZ, and is
-not cached: whoever reads it (a character group, one pass of a loop over
-moduli) builds it and keeps it for as long as it needs it.
+not cached.
 """
 
 from __future__ import annotations
@@ -298,9 +297,8 @@ def unit_table(c: GaussianInt) -> UnitTable:
     conj(p) | a; such an a is replaced by a + t c, t = 1, 2, ..., the
     same class, until its norm is prime to d.  Coordinates are taken mod
     d, so every product stays below d^2; the inverse is then reduced
-    into the Hermite box, where it is unique, so the table equals the one
-    that a^(phi - 1) gives.  For a unit modulus the single class [0] is
-    its own inverse.  Nothing is cached.
+    into the Hermite box, where it is unique.  For a unit modulus the
+    single class [0] is its own inverse.  Nothing is cached.
     """
     if c.is_zero():
         raise DomainError("zero modulus")

@@ -270,7 +270,7 @@ def test_unit_table_inverses_at_every_modulus_up_to_2000():
             for k in [0, len(ax) - 1, *np.flatnonzero(shifted).tolist()]:
                 inverse = mod_inverse(GaussianInt(int(ax[k]), int(ay[k])), c)
                 assert (int(bx[k]), int(by[k])) == (inverse.re, inverse.im)
-    assert shifted_moduli > 100
+    assert shifted_moduli > 2000  # 2,112 of the 6,292 moduli
 
 
 @pytest.mark.parametrize("c,a", [((4, 2), (8, 1)), ((2, 16), (34, 1))])
@@ -281,11 +281,8 @@ def test_unit_table_inverse_needs_a_shift_by_c(c, a):
     # N(a + c) = 5 * 317: it takes a + 2c
     c, a = GaussianInt(*c), GaussianInt(*a)
     table = unit_table(c)
-    d = residue_box(c)[0]
-    assert math.gcd(a.norm, d) > 1
-    k = int(unit_positions(c, table, [a.re], [a.im])[0])
-    assert k >= 0
-    assert GaussianInt(int(table.inv_x[k]), int(table.inv_y[k])) == mod_inverse(a, c)
+    assert math.gcd(a.norm, residue_box(c)[0]) > 1
+    assert a in unit_residues(c)  # a is its own box representative
     inverses = [GaussianInt(x, y) for x, y in zip(table.inv_x.tolist(), table.inv_y.tolist())]
     assert inverses == [mod_inverse(u, c) for u in unit_residues(c)]
 
