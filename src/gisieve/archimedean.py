@@ -76,15 +76,6 @@ class SeriesRangeError(ValueError):
     """Bessel argument outside the radius where the power series is trusted."""
 
 
-class _OrderRangeError(DomainError):
-    """The Bessel series terms overflow beyond the integer order ``limit``
-    (-1 if at every order)."""
-
-    def __init__(self, message: str, limit: int):
-        super().__init__(message)
-        self.limit = limit
-
-
 SERIES_RADIUS = 12.0
 
 # Spectral parameters closer to zero than this are nudged to T_EPS; the
@@ -201,8 +192,9 @@ def _bessel_kernel_grid(t: np.ndarray, p, z: complex) -> np.ndarray:
 
     Before the series runs, the leading terms (z/2)^mu / Gamma(mu + 1) and
     (zbar/2)^mu / Gamma(mu + 1), the largest terms of their series, must
-    be finite; at large |q| (or large t) 1/Gamma or the power overflows,
-    and _OrderRangeError names the largest |q| up to which they are.
+    be finite; at large |q| or large t, 1/Gamma or the power overflows,
+    and DomainError names the largest |q| up to which they are, or the
+    largest t when they overflow at every order.
     """
     lz = cmath.log(z / 2.0)
     rows = np.atleast_1d(p)
@@ -216,8 +208,12 @@ def _bessel_kernel_grid(t: np.ndarray, p, z: complex) -> np.ndarray:
     finite = np.isfinite(lead).all(axis=1)
     if not finite.all():
         limit = int(np.min(np.abs(orders[~finite]))) - 1
-        raise _OrderRangeError(
-            f"the Bessel series at z = {z} overflows at order |p| = {limit + 1}", limit
+        where = f"at z = {z} and t <= {np.max(t):.6g} (t_cut T)"
+        if limit < 0:
+            raise DomainError(f"{where} the Bessel series terms overflow at every order")
+        raise DomainError(
+            f"{where} the Bessel series terms are finite only to order |p| = {limit}, "
+            f"short of the |p| <= {top} (p_cut P) asked for"
         )
     both = _bessel_series_array(mu, lz, recip) * _bessel_series_array(
         mu, lz.conjugate(), recip
@@ -375,7 +371,11 @@ def plancherel_integral_quadrature(
 def bessel_integral_spectral(
     z: complex, tf: TestFunction, cfg: QuadratureConfig = DEFAULT_QUADRATURE
 ) -> float:
-    """Kernel integral via the spectral plane: sum_p int h J (t^2+p^2) dt."""
+    """Kernel integral via the spectral plane: sum_p int h J (t^2+p^2) dt.
+
+    The orders reach |p| = ceil(p_cut P) and t reaches t_cut T; where the
+    Bessel series terms overflow there, DomainError names the limit.
+    """
     z = complex(z)
     if z == 0:
         raise DomainError("kernel undefined at z = 0")
@@ -392,14 +392,7 @@ def bessel_integral_spectral(
     t = np.maximum(t, T_EPS)
     p_max = int(math.ceil(cfg.p_cut * P))
     p = np.arange(-p_max, p_max + 1)
-    try:
-        v = _bessel_kernel_grid(t, p, z)
-    except _OrderRangeError as err:
-        raise DomainError(
-            f"spectral H(z) at P = {P} needs Bessel orders |p| <= {p_max}, but at z = {z} "
-            f"and T = {T} the series terms are finite only to |p| = {err.limit}, "
-            f"so P must be at most {err.limit / cfg.p_cut:.6g}"
-        ) from None
+    v = _bessel_kernel_grid(t, p, z)
     p = p[:, None]
     return 2.0 * float(np.sum(wt * tf.h(t, p) * (t * t + p * p) * v))
 

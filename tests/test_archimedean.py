@@ -223,8 +223,20 @@ def test_spectral_form_rejects_orders_that_overflow(P, recwarn):
     if P == 26:
         assert bessel_integral_spectral(z, tf) == -24.68392371730094
     else:
-        with pytest.raises(DomainError, match=rf"P = {P}\.0 .* P must be at most 26$"):
+        want = rf"finite only to order \|p\| = 156, short of the \|p\| <= {6 * P} \(p_cut P\)"
+        with pytest.raises(DomainError, match=want):
             bessel_integral_spectral(z, tf)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("T", [45, 60])
+def test_spectral_form_rejects_a_t_range_that_overflows(T, recwarn):
+    # at z = 1+i only the order-0 terms stay finite over t <= 6T from about
+    # T = 40, and none by T = 60: the cause is the t-range, which the message names
+    tf, z = TestFunction(float(T), 1.0), 1.0 + 1.0j
+    want = "every order" if T == 60 else r"finite only to order \|p\| = 0,"
+    with pytest.raises(DomainError, match=rf"and t <= {6 * T - 1}\.\d+ \(t_cut T\) .*{want}"):
+        bessel_integral_spectral(z, tf)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 

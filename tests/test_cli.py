@@ -107,7 +107,7 @@ def test_bessel_rejects_p_beyond_the_series_range(capsys, recwarn):
     argv = ["bessel", "--z", "1+i", "--T", "1", "--P", "40", "--compare"]
     assert run(argv) == 2
     err = capsys.readouterr().err
-    assert "P = 40.0" in err and "P must be at most 26" in err
+    assert "finite only to order |p| = 156, short of the |p| <= 240 (p_cut P)" in err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
