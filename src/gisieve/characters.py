@@ -11,13 +11,13 @@ arrays, so the order of every coset at once is a few compositions and
 membership tests; the coset labels of each quotient (the smallest (x, y)
 of each coset) come by pointer doubling along x -> x g; and the
 discrete-log grid is the product of the generators' power arrays.  Every
-array has phi(c) entries.  A group keeps its unit table and, once asked
-for, its table of F and the transform of it; nothing else holds them, so
-they go with the group.
+array has phi(c) entries.  A group keeps its unit table, the roots of
+unity of its exponent and, once asked for, its table of F and the
+transform of it; nothing else holds them, so they go with the group.
 
 A character is an exponent vector (a_1, ..., a_r) against the stored
 generators: chi(g_i) = exp(2*pi*i*a_i/n_i).  Values are exact roots of
-unity looked up in a table of the roots of unity of the group's
+unity looked up in the group's table of the roots of unity of its
 exponent, so orthogonality, Fourier inversion and Parseval hold to
 ~1e-12 at desk scale.
 
@@ -42,7 +42,9 @@ them.  Twisted multiplicativity
 
 is one table per pair of coprime moduli (twisted_mult_table): by CRT
 the units mod c1 c2 fill the product of the two discrete-log grids, so
-one fftn of F(.; c1 c2) there gives every left side.
+one fftn of F(.; c1 c2) there gives every left side.  The unit table and
+F table of c1 c2 come from the caller, which can share them among the
+pairs with that product.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from .gauss import (
     GIdeal,
     GaussianInt,
     UNIT_IDEAL,
+    UnitTable,
     divides_points,
     factor,
     factor_int,
@@ -221,6 +224,8 @@ class CharGroup:
         self.gen_elements = tuple(GaussianInt(int(units.x[g]), int(units.y[g])) for g, _ in gens)
         self.gen_orders = tuple(n for _, n in gens)
         self.exponent = math.lcm(*self.gen_orders) if gens else 1
+        #: exp(2 pi i k / exponent), the values of every character
+        self.roots = _exp_table(self.exponent)
         # the unit at each point of the discrete-log grid, last generator
         # varying fastest; _flat, its inverse, places each unit on the
         # C-order flattened grid
@@ -369,7 +374,7 @@ class CharGroup:
 
     def value_matrix(self) -> np.ndarray:
         """Matrix X[j, i] = chi_j(alpha_i) over all characters/residues."""
-        return _exp_table(self.exponent)[
+        return self.roots[
             self.weights(self.exponent_vectors, self.units.x, self.units.y)
         ]
 
@@ -386,7 +391,7 @@ class DirichletChar:
     def __call__(self, z: GaussianInt) -> complex:
         """chi(z), and 0 where z is not a unit."""
         w = int(self.group.weights([self.exps], [z.re], [z.im])[0, 0])
-        return 0j if w < 0 else complex(_exp_table(self.group.exponent)[w])
+        return 0j if w < 0 else complex(self.group.roots[w])
 
     def conductor(self) -> GIdeal:
         """Smallest ideal d | (c) such that chi factors through (Z[i]/d)^x."""
@@ -460,32 +465,39 @@ def local_prediction(grp: CharGroup) -> tuple[np.ndarray, np.ndarray]:
     return values, is_bound.astype(bool)
 
 
-def twisted_mult_table(grp1: CharGroup, grp2: CharGroup) -> np.ndarray:
+def twisted_mult_table(
+    grp1: CharGroup, grp2: CharGroup, units: UnitTable, f_values: np.ndarray
+) -> np.ndarray:
     """r[j1, j2] = fhat(chi1 chi2 mod c1 c2) - conj(chi1(c2) chi2(c1)) fhat(chi1) fhat(chi2)
     for chi1, chi2 the characters j1 of grp1 and j2 of grp2, in characters() order.
 
-    The product modulus element is literally c1*c2 with the same c1, c2
-    used in the unit twists, which is what makes this an exact identity.
-    By CRT, each unit mod c1 c2 sits at one point of the product of the
-    two discrete-log grids, so one fftn gives every left side.
+    units is the unit_table of the product c1 c2 and f_values its
+    f_sum_values; the caller builds them once for every pair of groups
+    with that product.  The product modulus element is literally c1*c2
+    with the same c1, c2 used in the unit twists, which is what makes
+    this an exact identity.  By CRT, each unit mod c1 c2 sits at one
+    point of the product of the two discrete-log grids, so one fftn gives
+    every left side.
     """
     c1, c2 = grp1.element, grp2.element
     if not is_coprime(c1, c2):
         raise DomainError("moduli must be coprime")
-    units = unit_table(c1 * c2)  # built for this call only
     grid = np.zeros((grp1.order, grp2.order), dtype=np.complex128)
     grid[
         grp1._flat[unit_positions(c1, grp1.units, units.x, units.y)],
         grp2._flat[unit_positions(c2, grp2.units, units.x, units.y)],
-    ] = f_sum_values(c1 * c2, units)
+    ] = f_values
     lhs = np.fft.fftn(grid.reshape(grp1._grid + grp2._grid)).reshape(grid.shape) / grid.size
     # the other modulus is a unit, since the moduli are coprime
-    twist1 = _exp_table(grp1.exponent)[grp1.weights(grp1.exponent_vectors, [c2.re], [c2.im])[:, 0]]
-    twist2 = _exp_table(grp2.exponent)[grp2.weights(grp2.exponent_vectors, [c1.re], [c1.im])[:, 0]]
+    twist1 = grp1.roots[grp1.weights(grp1.exponent_vectors, [c2.re], [c2.im])[:, 0]]
+    twist2 = grp2.roots[grp2.weights(grp2.exponent_vectors, [c1.re], [c1.im])[:, 0]]
     return lhs - np.outer(np.conj(twist1) * grp1.fhat_table(), np.conj(twist2) * grp2.fhat_table())
 
 
 def twisted_mult_residual(chi1: DirichletChar, chi2: DirichletChar) -> complex:
     """The entry of twisted_mult_table at the pair (chi1, chi2)."""
     grp1, grp2 = chi1.group, chi2.group
-    return complex(twisted_mult_table(grp1, grp2)[grp1.index(chi1.exps), grp2.index(chi2.exps)])
+    c = grp1.element * grp2.element
+    units = unit_table(c)
+    table = twisted_mult_table(grp1, grp2, units, f_sum_values(c, units))
+    return complex(table[grp1.index(chi1.exps), grp2.index(chi2.exps)])

@@ -13,9 +13,10 @@ numerator, so each value is a sum of N(c)-th roots of unity looked up in
 one table of them, built for the modulus and not kept.  Two expressions
 that agree in the algebra then agree numerically to ~1e-13, which is
 what lets the identity tests run at 1e-9.
-kloosterman_matrix sums S(m_i, n_j; c) for two lists of arguments, and
-the identities take lists too; the table of F over all units
-(f_sum_values) is one FFT per modulus, within ~1e-12 of the direct sums.
+kloosterman_matrix sums S(m_i, n_j; c) for two lists of arguments over
+the caller's unit table of c, and the identities take lists too; the
+table of F over all units (f_sum_values) is one FFT per modulus, within
+~1e-12 of the direct sums.
 
 For a unit modulus the quotient is the zero ring, its one residue class
 is invertible, and every sum degenerates to the single term 1.
@@ -66,17 +67,16 @@ def _exponent_rows(xs, ux, uy, c: GaussianInt) -> np.ndarray:
     return ux * xc[:, :1] - uy * xc[:, 1:]
 
 
-def kloosterman_matrix(ms, ns, c: GaussianInt) -> np.ndarray:
-    """S(m_i, n_j; c) for every m_i of ms and n_j of ns, as a float array.
+def kloosterman_matrix(ms, ns, c: GaussianInt, units: UnitTable) -> np.ndarray:
+    """S(m_i, n_j; c) for every m_i of ms and n_j of ns, as a float array;
+    units is the unit_table of c, built and kept by the caller for as long
+    as it sums mod c.
 
     S is real by a -> -a: each entry is the real parts of its terms,
     accumulated in the fixed residue order.  The exponent of a term is
     Re(a m conj(c)) + Re(a^{-1} n conj(c)) mod N(c), one int64 row per
     argument on each side; every product stays below N(c)^2 < 2^62.
     """
-    if c.is_zero():
-        raise DomainError("Kloosterman sum needs a nonzero modulus")
-    units = unit_table(c)  # rejects moduli too large before the N(c)-long table is built
     rows_m = _exponent_rows(ms, units.x, units.y, c)
     rows_n = _exponent_rows(ns, units.inv_x, units.inv_y, c)
     k = (rows_m[:, None, :] + rows_n[None, :, :]) % c.norm
@@ -85,14 +85,14 @@ def kloosterman_matrix(ms, ns, c: GaussianInt) -> np.ndarray:
 
 def kloosterman(m: GaussianInt, n: GaussianInt, c: GaussianInt) -> float:
     """S(m, n; c): the 1 x 1 case of kloosterman_matrix."""
-    return float(kloosterman_matrix([m], [n], c)[0, 0])
+    return float(kloosterman_matrix([m], [n], c, unit_table(c))[0, 0])
 
 
 def f_sum(w: GaussianInt, c: GaussianInt) -> complex:
     """F(w; c) = S(w^2, 1; c) * e[2w/c] for gcd(w, c) = (1)."""
     if not is_coprime(w, c):
         raise DomainError(f"f_sum needs gcd(w, c) = (1); got w={w}, c={c}")
-    value = kloosterman(w * w, ONE, c)  # first, for its modulus-size check
+    value = kloosterman(w * w, ONE, c)  # first, for its modulus checks
     big_n = c.norm
     twist = _exp_table(big_n)[(2 * (w * c.conj()).re) % big_n]
     return complex(value * twist)
@@ -145,33 +145,40 @@ def selberg_residuals(ms, ns, c: GaussianInt) -> np.ndarray:
     m of ms (rows) and n of ns (columns); zero in exact arithmetic.
 
     The divisors of (m^2, n^2, c) are those of c that divide m^2 and n^2,
-    in the same order, so one divisor list serves every pair.
+    in the same order, so one divisor list serves every pair; a divisor
+    that divides no pair adds nothing and builds no table.  The first
+    divisor is (1), whose quotient is c itself: it reads the left side's
+    unit table.
     """
     squares_m, squares_n = [m * m for m in ms], [n * n for n in ns]
-    lhs = kloosterman_matrix(squares_m, squares_n, c)
+    units = unit_table(c)
+    lhs = kloosterman_matrix(squares_m, squares_n, c, units)
     divisors = ideal_divisors(GIdeal.of(c))
     rhs = np.zeros(lhs.shape)
     for d, common in zip(divisors, _common_divisors(divisors, squares_m, squares_n)):
+        if not common.any():
+            continue
         w2 = [exact_div(ms[i] * ns[j], d.gen) ** 2 for i, j in zip(*np.nonzero(common))]
-        rhs[common] += d.norm * kloosterman_matrix(w2, [ONE], exact_div(c, d.gen))[:, 0]
+        quotient = exact_div(c, d.gen)
+        table = units if d.norm == 1 else unit_table(quotient)
+        rhs[common] += d.norm * kloosterman_matrix(w2, [ONE], quotient, table)[:, 0]
     return lhs - rhs
 
 
-def shift_residuals(qs, c: GaussianInt, g: GaussianInt, sums_c=None) -> np.ndarray:
+def shift_residuals(qs, c: GaussianInt, g: GaussianInt, sums_c: np.ndarray) -> np.ndarray:
     """Residuals of the shifted-argument identity at w = q g, for each q of qs:
 
     S(w^2, 1; c*g) = 0                      if gcd(c, g) != (1)
                    = mu((g)) S(q^2, 1; c)   otherwise.
 
-    sums_c, if given, holds S(q^2, 1; c) for a list of q that qs begins,
-    so that one array serves every g at c; the rows of kloosterman_matrix
-    are independent, so its prefix equals the sums computed here.
+    sums_c holds S(q^2, 1; c) for a list of q that qs begins, so one
+    array serves every g at c: the rows of kloosterman_matrix are
+    independent, so its prefix equals the sums of qs alone.
     """
-    lhs = kloosterman_matrix([(q * g) * (q * g) for q in qs], [ONE], c * g)[:, 0]
+    cg = c * g
+    lhs = kloosterman_matrix([(q * g) * (q * g) for q in qs], [ONE], cg, unit_table(cg))[:, 0]
     if not is_coprime(c, g):
         return lhs
-    if sums_c is None:
-        sums_c = kloosterman_matrix([q * q for q in qs], [ONE], c)[:, 0]
     return lhs - moebius(GIdeal.of(g)) * sums_c[: len(qs)]
 
 
@@ -179,7 +186,7 @@ def weil_ratios(ms, ns, c: GaussianInt) -> np.ndarray:
     """|S(m, n; c)| / (tau((c)) sqrt(N((m,n,c))) sqrt(N(c))) for m of ms (rows)
     and n of ns (columns); N((m, n, c)) is the largest norm among the
     divisors of c that divide both m and n."""
-    val = np.abs(kloosterman_matrix(ms, ns, c))
+    val = np.abs(kloosterman_matrix(ms, ns, c, unit_table(c)))
     divisors = ideal_divisors(GIdeal.of(c))
     norms = np.array([d.norm for d in divisors], dtype=np.int64)[:, None, None]
     g3 = np.max(np.where(_common_divisors(divisors, ms, ns), norms, 1), axis=0)

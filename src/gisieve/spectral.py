@@ -81,6 +81,7 @@ from .gauss import (
     gcd,
     ideal_divisors,
     ideals_up_to_norm,
+    unit_table,
 )
 
 __all__ = [
@@ -584,7 +585,8 @@ def kuznetsov_geometric(
     weights, zs = [], []
     for ideal in ideals_up_to_norm(c_norm_max):
         c = ideal.gen
-        for kl, cc in zip(kloosterman_matrix([m], [n, -n], c)[0].tolist(), (c, c.times_i())):
+        row = kloosterman_matrix([m], [n, -n], c, unit_table(c))[0]  # one table per ideal, dropped here
+        for kl, cc in zip(row.tolist(), (c, c.times_i())):
             weights.append(2.0 * kl / ideal.norm)
             zs.append(2.0 * math.pi * root / complex(cc))
     h = bessel_integral_weighted(np.array(zs, dtype=complex), tf, cfg)

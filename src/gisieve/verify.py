@@ -5,9 +5,10 @@ number of checks, the worst residual, and one message per failure.
 ``verify_all`` runs a selection of them; the ``verify`` and
 ``lemma-check`` commands of the CLI report their results.  Most suites
 work on whole tables: mellin and parseval on a group's fhat table,
-twisted on one twisted_mult_table per coprime pair of moduli, lemma on
-the arrays of local_prediction, and selberg, shift and weil on one array
-of residuals per modulus.
+twisted on one twisted_mult_table per coprime pair of moduli (the pairs
+with one product share its unit table and F table), lemma on the arrays
+of local_prediction, and selberg, shift and weil on one array of
+residuals per modulus.
 """
 
 from __future__ import annotations
@@ -28,13 +29,22 @@ from .archimedean import (
     plancherel_integral_quadrature,
 )
 from .characters import CharGroup, char_group, local_prediction, twisted_mult_table
-from .expsums import kloosterman_matrix, selberg_residuals, shift_residuals, weil_ratios
+from .expsums import (
+    f_sum_values,
+    kloosterman_matrix,
+    selberg_residuals,
+    shift_residuals,
+    weil_ratios,
+)
 from .gauss import (
     ONE,
     DomainError,
+    GaussianInt,
+    canonical_associate,
     ideals_up_to_norm,
     is_coprime,
     prime_power_ideals_up_to_norm,
+    unit_table,
 )
 
 __all__ = [
@@ -98,25 +108,45 @@ def _suite_parseval(max_norm: float, tol: float) -> SuiteResult:
     return _tally("parseval", checks, tol, "modulus {} residual {:.3e}")
 
 
-def _twisted_checks(c1, c2) -> Iterator[tuple[float, tuple]]:
+def _twisted_checks(c1, c2, units, f_values) -> Iterator[tuple[float, tuple]]:
     """The twisted residuals of every character pair mod (c1, c2), from one
-    table, chi1 outermost."""
+    table, chi1 outermost; units and f_values are the tables of c1 c2."""
     g1, g2 = char_group(c1), char_group(c2)
     exps2 = list(map(tuple, g2.exponent_vectors.tolist()))
-    rows = np.abs(twisted_mult_table(g1, g2)).tolist()
+    rows = np.abs(twisted_mult_table(g1, g2, units, f_values)).tolist()
     for e1, row in zip(g1.exponent_vectors.tolist(), rows):
         for e2, value in zip(exps2, row):
             yield value, (c1, c2, tuple(e1), e2)
 
 
+def _product_tables(c: GaussianInt):
+    """The unit table and F table of the product element c.  A canonical c
+    is itself a modulus of the suite, and the pair (1, c), the first with
+    product c, builds its group anyway: the group's tables serve."""
+    if c == canonical_associate(c):
+        grp = char_group(c)
+        return grp.units, grp.f_values()
+    units = unit_table(c)
+    return units, f_sum_values(c, units)
+
+
 def _suite_twisted(max_norm: float, tol: float) -> SuiteResult:
+    # the pairs c1 < c2 grouped by the element c1 c2, in order of first
+    # appearance: each product's unit table and F table serve all its pairs
     moduli = [ideal.gen for ideal in ideals_up_to_norm(max_norm)]
+    by_product: dict[GaussianInt, list[tuple[GaussianInt, GaussianInt]]] = {}
+    for i, c1 in enumerate(moduli):
+        for c2 in moduli[i + 1 :]:
+            if c1.norm * c2.norm > max_norm:
+                break  # the moduli come in order of norm
+            if is_coprime(c1, c2):
+                by_product.setdefault(c1 * c2, []).append((c1, c2))
     checks = (
         check
-        for i, c1 in enumerate(moduli)
-        for c2 in moduli[i + 1 :]
-        if c1.norm * c2.norm <= max_norm and is_coprime(c1, c2)
-        for check in _twisted_checks(c1, c2)
+        for c, pairs in by_product.items()
+        for units, f_values in [_product_tables(c)]
+        for c1, c2 in pairs
+        for check in _twisted_checks(c1, c2, units, f_values)
     )
     return _tally("twisted", checks, tol, "moduli {},{} exps {},{} residual {:.3e}")
 
@@ -189,7 +219,7 @@ def _suite_shift(max_norm: float, tol: float) -> SuiteResult:
 
     def sums(c):  # S(q^2, 1; c) at the longest q-range, g = 1; each g reads a prefix
         squares = [q * q for q in gens[: upto(cap / c.norm)]]
-        return kloosterman_matrix(squares, [ONE], c.gen)[:, 0]
+        return kloosterman_matrix(squares, [ONE], c.gen, unit_table(c.gen))[:, 0]
 
     checks = (
         (value, (q * g.gen, c.gen, g.gen))

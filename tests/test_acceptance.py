@@ -35,8 +35,8 @@ from gisieve.archimedean import (
 )
 from gisieve.characters import char_group, twisted_mult_residual
 from gisieve.verify import verify_all
-from gisieve.expsums import selberg_residuals, shift_residuals, weil_ratios
-from gisieve.gauss import GaussianInt, ideals_up_to_norm, is_coprime
+from gisieve.expsums import kloosterman_matrix, selberg_residuals, shift_residuals, weil_ratios
+from gisieve.gauss import ONE, GaussianInt, ideals_up_to_norm, is_coprime, unit_table
 from gisieve.sievelab import (
     eisenstein_experiment,
     eisenstein_ratio,
@@ -123,7 +123,9 @@ def test_criterion_03_selberg_and_shift_identities():
         q_budget = 500.0 / gi.norm**2
         for ci in ideals_up_to_norm(q_budget):
             qs = [qi.gen for qi in ideals_up_to_norm(q_budget / ci.norm)]
-            residuals = np.abs(shift_residuals(qs, ci.gen, gi.gen))
+            c = ci.gen
+            sums_c = kloosterman_matrix([q * q for q in qs], [ONE], c, unit_table(c))[:, 0]
+            residuals = np.abs(shift_residuals(qs, c, gi.gen, sums_c))
             shift_worst = max(shift_worst, float(residuals.max()))
             shift_count += residuals.size
 

@@ -705,6 +705,12 @@ def test_twisted_residual_matches_scalar_twists():
                 assert abs(got - _scalar_twist_residual(chi1, chi2)) < 1e-12
 
 
+def product_tables(c1, c2):
+    """The unit table and F table of c1 c2, as twisted_mult_table takes them."""
+    units = unit_table(c1 * c2)
+    return units, f_sum_values(c1 * c2, units)
+
+
 #: Coprime pairs of edge moduli small enough for the scalar oracle at
 #: every character pair: phi(c1) phi(c2) <= 64.  They include the units 1
 #: and i, the powers (1+i)^k up to k = 7, and 3(1+i), 3(1+2i), 3(2+i).
@@ -719,7 +725,7 @@ EDGE_PAIRS = [
 @pytest.mark.parametrize("c1, c2", EDGE_PAIRS, ids=str)
 def test_twisted_table_against_scalar_oracle(c1, c2):
     g1, g2 = char_group(c1), char_group(c2)
-    table = twisted_mult_table(g1, g2)
+    table = twisted_mult_table(g1, g2, *product_tables(c1, c2))
     assert table.shape == (g1.order, g2.order)
     for j1, chi1 in enumerate(g1.characters()):
         for j2, chi2 in enumerate(g2.characters()):
@@ -733,7 +739,7 @@ def test_twisted_table_entry_against_scalar_oracle(c1, c2, j1, j2):
     j1, j2 = j1 % g1.order, j2 % g2.order
     chi1 = g1.character(g1.exponent_vectors[j1].tolist())
     chi2 = g2.character(g2.exponent_vectors[j2].tolist())
-    got = twisted_mult_table(g1, g2)[j1, j2]
+    got = twisted_mult_table(g1, g2, *product_tables(c1, c2))[j1, j2]
     assert abs(got - _scalar_twist_residual(chi1, chi2)) < 1e-12
     assert twisted_mult_residual(chi1, chi2) == got
 

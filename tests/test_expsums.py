@@ -168,7 +168,7 @@ def test_kloosterman_against_loop_oracle(c):
     # S is real: the real parts of the same terms, in the same order, for
     # the matrix, its 1 x 1 case, and the associates -c and ic
     for cc in (c, -c, c.times_i()):
-        matrix = kloosterman_matrix(LOOP_ARGS, LOOP_ARGS, cc).tolist()
+        matrix = kloosterman_matrix(LOOP_ARGS, LOOP_ARGS, cc, unit_table(cc)).tolist()
         for m, row in zip(LOOP_ARGS, matrix):
             for n, value in zip(LOOP_ARGS, row):
                 want = _loop_kloosterman(m, n, cc).real
@@ -380,6 +380,11 @@ def scalar_weil_ratio(m, n, c):
 SMALL = [ideal.gen for ideal in ideals_up_to_norm(10)]
 
 
+def sums_mod(qs, c):
+    """S(q^2, 1; c) for q of qs, the sums_c of shift_residuals."""
+    return kloosterman_matrix([q * q for q in qs], [ONE], c, unit_table(c))[:, 0]
+
+
 @with_edge_moduli
 @given(engine_moduli)
 def test_identity_arrays_against_scalar_oracles(c):
@@ -390,7 +395,7 @@ def test_identity_arrays_against_scalar_oracles(c):
             assert selberg[i][j] == scalar_selberg_residual(m, n, c).real
             assert weil[i][j] == scalar_weil_ratio(m, n, c)
     for g in SMALL:
-        shift = shift_residuals(SMALL, c, g).tolist()
+        shift = shift_residuals(SMALL, c, g, sums_mod(SMALL, c)).tolist()
         assert shift == [scalar_shift_residual(q * g, c, g) for q in SMALL]
 
 
@@ -401,7 +406,7 @@ def test_selberg_identity(m, n, c):
 
 @given(nonzero, nonzero, moduli)
 def test_shift_vanishing(q, g, c):
-    assert abs(shift_residuals([q], c, g)[0]) < 1e-9
+    assert abs(shift_residuals([q], c, g, sums_mod([q], c))[0]) < 1e-9
 
 
 # ---------------------------------------------------------------------------
