@@ -48,8 +48,10 @@ integral of the test function.  H is even, so the principal square root
 of mn is as good as any.  The c-sum here runs over elements — all four
 associates — because H(z) is not invariant under rotating z by i.  Two
 Kloosterman sums per ideal cover its associates, and the H(z) of all
-ideals are one batched call of the weighted representation; nothing is
-cached between calls.
+ideals are one batched call of the weighted representation.  That batch
+depends on (m, n) only through the product mn, so a small bounded cache
+keyed by mn serves (n, m), (-m, -n) and every other pair of the same
+product; the Kloosterman weights are computed on every call.
 """
 
 from __future__ import annotations
@@ -553,6 +555,30 @@ def _divisor_tail_over_ideals(cut: float) -> float:
     return float(head + g_tail(cut) * zf)
 
 
+@lru_cache(maxsize=16)
+def _kuznetsov_h(
+    mn: GaussianInt, tf: TestFunction, c_norm_max: float, cfg: QuadratureConfig
+) -> np.ndarray:
+    """H(2 pi sqrt(mn)/c) and H(2 pi sqrt(mn)/(ic)) for every ideal (c) of
+    norm <= c_norm_max, in ideals_up_to_norm order, from one batch of the
+    weighted representation; read-only.
+
+    The batch depends on m and n only through the product mn, so (m, n),
+    (n, m), (-m, -n) and (im, -in) share one entry.  Coordinates below
+    2^26 make the float product exact, so sqrt(complex(mn)) is the root of
+    complex(m) * complex(n) bit for bit.
+    """
+    root = cmath.sqrt(complex(mn))
+    zs = [
+        2.0 * math.pi * root / complex(cc)
+        for ideal in ideals_up_to_norm(c_norm_max)
+        for cc in (ideal.gen, ideal.gen.times_i())
+    ]
+    h = bessel_integral_weighted(np.array(zs, dtype=complex), tf, cfg)
+    h.setflags(write=False)
+    return h
+
+
 def kuznetsov_geometric(
     m: GaussianInt,
     n: GaussianInt,
@@ -574,22 +600,23 @@ def kuznetsov_geometric(
     S(m, n; -c) = S(m, n; c) by a -> -a, S(m, n; ic) = S(m, -n; c) by
     a -> ia, S is real and H is even: each ideal takes one kloosterman_matrix
     row S(m, +-n; c) and two Bessel integrals, at c and at ic, for its four
-    associates.  The Bessel integrals of all ideals are one batch.
+    associates.  The Bessel integrals of all ideals are one batch, read
+    from _kuznetsov_h, which keeps the batch of each recent product mn.
+    A negative c_norm_max raises DomainError; 0 gives an empty sum.
     """
     if m.is_zero() or n.is_zero():
         raise DomainError("kuznetsov_geometric requires nonzero m, n")
+    if c_norm_max < 0:
+        raise DomainError(f"kuznetsov_geometric needs c_norm_max >= 0, got {c_norm_max!r}")
     h_total = plancherel_integral(tf)
     diagonal = h_total / (8.0 * math.pi**3) if (m == n or m == -n) else 0.0
 
-    root = cmath.sqrt(complex(m) * complex(n))
-    weights, zs = [], []
+    weights = []
     for ideal in ideals_up_to_norm(c_norm_max):
         c = ideal.gen
         row = kloosterman_matrix([m], [n, -n], c, unit_table(c))[0]  # one table per ideal, dropped here
-        for kl, cc in zip(row.tolist(), (c, c.times_i())):
-            weights.append(2.0 * kl / ideal.norm)
-            zs.append(2.0 * math.pi * root / complex(cc))
-    h = bessel_integral_weighted(np.array(zs, dtype=complex), tf, cfg)
+        weights.extend(2.0 * kl / ideal.norm for kl in row.tolist())
+    h = _kuznetsov_h(m * n, tf, c_norm_max, cfg)
     term = complex(math.fsum(np.multiply(weights, h)) / (32.0 * math.pi**3))
 
     b_const = small_z_bound_constant(tf)

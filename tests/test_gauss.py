@@ -307,6 +307,7 @@ def test_module_caches_are_bounded():
     }
     assert "gisieve.characters.char_group" in caches
     assert "gisieve.spectral._grid_weights" in caches
+    assert "gisieve.spectral._kuznetsov_h" in caches
     assert [name for name, obj in caches.items() if obj.cache_parameters()["maxsize"] is None] == []
 
 

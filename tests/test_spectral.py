@@ -652,9 +652,10 @@ def test_kuznetsov_memory_bounded():
     # r-nodes at T = 2) are one batch, walked in blocks of nodes; one
     # unblocked pass would peak near 190 MiB.  No table of a modulus
     # outlives the call: what stays is the small values that residue_box
-    # and factor cache, 1.9 MiB in a fresh process; a count-bounded cache
-    # of unit tables would hold 30 MiB or more here
+    # and factor cache and the 20 KiB H batch, 1.9 MiB in a fresh process;
+    # a count-bounded cache of unit tables would hold 30 MiB or more here
     tf = TestFunction(2.0, 1.0)
+    spectral._kuznetsov_h.cache_clear()
     tracemalloc.start()
     try:
         kuznetsov_geometric(GaussianInt(1, 0), GaussianInt(2, 1), tf, 1600)
@@ -663,6 +664,47 @@ def test_kuznetsov_memory_bounded():
         tracemalloc.stop()
     assert peak - current < 8 * 2**20
     assert current < 4 * 2**20
+
+
+def test_kuznetsov_h_batch_is_shared_by_the_product(monkeypatch):
+    # the H batch depends on (m, n) only through mn: (m, n), (n, m),
+    # (-m, -n) and (im, -in) make one weighted call, and any other tf, cfg
+    # or cutoff a new one; every result equals its cold value bit for bit
+    calls = []
+    weighted = spectral.bessel_integral_weighted
+
+    def counted(z, tf, cfg):
+        calls.append(len(z))
+        return weighted(z, tf, cfg)
+
+    monkeypatch.setattr(spectral, "bessel_integral_weighted", counted)
+    tf, cfg = TestFunction(2.0, 1.0), QuadratureConfig(gl_order=8)
+    m, n, i = GaussianInt(1, 0), GaussianInt(2, 1), GaussianInt(0, 1)
+    pairs = [(m, n), (n, m), (-m, -n), (i * m, -(i * n))]
+    settings = [(tf, 30, cfg), (TestFunction(1.0, 1.0), 30, cfg), (tf, 20, cfg), (tf, 30, QuadratureConfig())]
+
+    def cold(a, b, *args):
+        spectral._kuznetsov_h.cache_clear()
+        return kuznetsov_geometric(a, b, *args)
+
+    colds = {(pair, k): cold(*pair, *args) for pair in pairs for k, args in enumerate(settings)}
+    spectral._kuznetsov_h.cache_clear()
+    calls.clear()
+    for k, args in enumerate(settings):
+        for pair in pairs:
+            assert kuznetsov_geometric(*pair, *args) == colds[pair, k]
+    assert calls == [2 * len(ideals_up_to_norm(c)) for c in (30, 30, 20, 30)]
+    assert spectral._kuznetsov_h.cache_info().hits == 3 * len(settings)
+    h = spectral._kuznetsov_h(m * n, tf, 30, cfg)
+    assert not h.flags.writeable
+
+
+def test_kuznetsov_rejects_a_negative_cutoff():
+    tf = TestFunction(1.0, 1.0)
+    one = GaussianInt(1, 0)
+    with pytest.raises(DomainError, match="c_norm_max >= 0"):
+        kuznetsov_geometric(one, one, tf, -5)
+    assert kuznetsov_geometric(one, one, tf, 0).kloosterman_term == 0j
 
 
 def test_kuznetsov_rejects_zero_frequency():
