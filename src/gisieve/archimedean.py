@@ -12,9 +12,14 @@ three independent ways:
   * spectral_  : integrate the Bessel kernel against the test function over
                  the spectral plane (line integral in t, sum over p).  The
                  integrand is even under (t, p) -> (-t, -p), so t runs over
-                 [0, t_cut T] on half the panels, doubled; all p are one
-                 order array, and J_{it+p}(z), J_{it-p}(zbar) are two series
-                 calls sharing one 1/Gamma, the second read backwards;
+                 [0, t_cut T] on half the panels, doubled.  All p are one
+                 order array, and the series of J_{it+p}(z) and J_{it-p}(zbar)
+                 are two Horner passes over one table of coefficients that
+                 no z changes, the second read backwards; the product of
+                 their two 1/Gammas is a log-Gamma ratio of modulus
+                 1/|p - it|, finite at every order and every t.  The number
+                 of series terms depends on |z| alone, so a value does not
+                 depend on the batch it is computed in;
   * deriv_     : integrate cos(2 Re(z tr)) against second derivatives of the
                  Gaussian smoothing kernels over (r, omega);
   * weighted_  : same, with the derivatives moved onto the cosine, leaving
@@ -32,7 +37,9 @@ argument come from Miller's backward recurrence below max(40, n + 10) and
 from Hankel's expansion of J_0, J_1 with forward recurrence above.  What
 remains is a 1-D integral over r >= 0 on Gauss-Legendre panels graded so
 that each panel sees a bounded amount of phase, following the local
-frequency 2|z| cosh(r).
+frequency 2|z| cosh(r).  That frequency grows like exp(r_cut/T), so a z
+whose panels would exceed a fixed budget (T below about 0.4 at |z| = 12)
+is refused with DomainError before any panel is walked.
 
 The geometric forms take a scalar z or an array of z, through one engine.
 The panel layouts of all z are built at once, each z keeping exactly its
@@ -72,7 +79,7 @@ class PoleError(ValueError):
     """A function evaluated at its pole: zeta(s, 0) at s = 1 (see spectral)."""
 
 
-class SeriesRangeError(ValueError):
+class SeriesRangeError(DomainError):
     """Bessel argument outside the radius where the power series is trusted."""
 
 
@@ -84,7 +91,7 @@ T_EPS = 1e-4
 
 
 # ---------------------------------------------------------------------------
-# reciprocal gamma
+# log gamma
 
 
 # Lanczos approximation, g = 607/128, 15 coefficients (Godfrey's set).
@@ -110,115 +117,143 @@ _LANCZOS_C = np.array(
 )
 
 
-def _reciprocal_gamma_array(z: np.ndarray) -> np.ndarray:
-    """Vectorized 1/Gamma for arrays that avoid non-positive integers."""
+def _log_gamma(z: np.ndarray) -> np.ndarray:
+    """log Gamma at every entry of a complex array that avoids the poles:
+    Lanczos for Re z >= 1/2, the reflection Gamma(z) Gamma(1 - z) =
+    pi / sin(pi z) below.  The imaginary part is arg Gamma up to a multiple
+    of 2 pi, so exp of the result is Gamma, with no overflow on the way."""
     z = np.asarray(z, dtype=complex)
-    out = np.empty_like(z)
     pos = z.real >= 0.5
-    if np.any(pos):
-        zp = z[pos]
-        acc = np.full_like(zp, _LANCZOS_C[0])
-        for i in range(1, 15):
-            acc += _LANCZOS_C[i] / (zp - 1 + i)
-        w = zp + _LANCZOS_G - 0.5
-        out[pos] = np.exp(w - (zp - 0.5) * np.log(w)) / (
-            math.sqrt(2.0 * math.pi) * acc
-        )
-    if np.any(~pos):
-        zn = z[~pos]
-        w = 1.0 - zn + _LANCZOS_G - 0.5
-        acc = np.full_like(zn, _LANCZOS_C[0])
-        for i in range(1, 15):
-            acc += _LANCZOS_C[i] / (-zn + i)
-        gam = math.sqrt(2.0 * math.pi) * np.exp((0.5 - zn) * np.log(w) - w) * acc
-        out[~pos] = np.sin(math.pi * zn) * gam / math.pi
+    s = np.where(pos, z, 1.0 - z)
+    acc = np.full_like(s, _LANCZOS_C[0])
+    for i in range(1, 15):
+        acc += _LANCZOS_C[i] / (s - 1 + i)
+    w = s + _LANCZOS_G - 0.5
+    out = (s - 0.5) * np.log(w) - w + np.log(math.sqrt(2.0 * math.pi) * acc)
+    if not pos.all():
+        with np.errstate(divide="ignore"):
+            reflected = math.log(math.pi) - np.log(np.sin(math.pi * z)) - out
+        out = np.where(pos, out, reflected)
     return out
 
 
 # ---------------------------------------------------------------------------
 # Bessel functions of complex order, series regime
+#
+# J_mu(z) = (z/2)^mu / Gamma(mu + 1) * sum_k (-1)^k w^k / (k! (mu + 1)_k),
+# w = (z/2)^2.  The normalised sum is evaluated by Horner's rule,
+# 1 + c_1 w (1 + c_2 w (1 + ...)) with c_k = -1/(k (mu + k)), on a table of
+# the c_k that no z changes, to a term count K that depends on |z| alone.
 
 
-def _bessel_series_array(
-    mu: np.ndarray, log_half_z: complex, recip_gamma: np.ndarray
-) -> np.ndarray:
-    """J_mu(z) by its power series at every entry of the array mu, for one
-    argument z given as log(z/2), with recip_gamma = 1/Gamma(mu + 1): the
-    part that does not depend on z, so two arguments can share it.
+#: The series stops at the first k with (|z|/2)^2k / (k!)^2 below this, a
+#: bound on the first dropped term of every order with Re mu >= 0 relative
+#: to its leading term.
+_SERIES_TAIL = 1e-18
 
-    Negative integer orders are rejected: there the leading term
-    1/Gamma(mu + 1) is zero and the term ratio divides by mu + k + 1 = 0.
+
+def _series_terms(z_abs: float) -> int:
+    """K, the number of series terms kept at |z| = z_abs."""
+    if not z_abs <= SERIES_RADIUS:
+        raise SeriesRangeError(
+            f"|z| = {z_abs:.6g} is beyond the Bessel series radius {SERIES_RADIUS}"
+        )
+    w, k, term = (z_abs / 2.0) ** 2, 0, 1.0
+    while term >= _SERIES_TAIL:
+        k += 1
+        term *= w / (k * k)
+    return k
+
+
+def _horner_coefficients(mu: np.ndarray, terms: int) -> np.ndarray:
+    """c_k = -1/(k (mu + k)) for k = 1 .. terms - 1, stacked on a new first
+    axis over the array mu.
+
+    Negative integer orders are rejected: there mu + k = 0 for some k, and
+    the series of J_mu is the 0/0 of 1/Gamma(mu + 1) = 0 against it.
     """
     mu = np.asarray(mu, dtype=complex)
     negative_int = (mu.imag == 0) & (mu.real < 0) & (mu.real == np.round(mu.real))
     if np.any(negative_int):
         bad = sorted({int(v) for v in mu.real[negative_int]})
         raise DomainError(f"Bessel series undefined at negative integer orders {bad}")
-    term = np.exp(mu * log_half_z) * recip_gamma
-    total = term.copy()
-    ratio_num = -cmath.exp(2 * log_half_z)
-    quarter = abs(ratio_num)
-    floor = np.maximum(np.abs(term), 1e-290)
-    for k in range(600):
-        term *= ratio_num / ((k + 1) * (mu + k + 1))
-        total += term
-        floor = np.maximum(floor, np.abs(total))
-        denom = (k + 2) * np.abs(mu + k + 2)
-        if np.all(denom > 2.0 * quarter):
-            rho = quarter / denom
-            tail = np.abs(term) * rho / (1.0 - rho)
-            if np.all(tail <= 1e-13 * floor):
-                return total
-    raise SeriesRangeError("array Bessel series did not settle")
+    k = np.arange(1, terms).reshape((-1,) + (1,) * mu.ndim)
+    coeffs = mu + k
+    coeffs *= -k
+    return np.reciprocal(coeffs, out=coeffs)
+
+
+def _series_sum(coeffs: np.ndarray, terms: int, w: complex) -> np.ndarray:
+    """sum_k (-1)^k w^k / (k! (mu + 1)_k) at every order of the table, by
+    Horner's rule over its first terms - 1 coefficients; every entry is
+    computed on its own, so it does not depend on what else the table holds."""
+    acc = np.ones(coeffs.shape[1:], dtype=complex)
+    for k in range(terms - 2, -1, -1):
+        acc *= coeffs[k]
+        acc *= w
+        acc += 1.0
+    return acc
 
 
 # ---------------------------------------------------------------------------
 # spectral kernel
 
 
+def _kernel_table(t: np.ndarray, top: int, terms: int):
+    """The part of the kernel at the 1-D array t (entries > 0) and the orders
+    q = -top..top that no z changes: (t, front, coeffs), with coeffs the
+    Horner coefficients at mu = it + q (orders on the rows) and
+
+        front[q, t] = 4 pi (-1)^q exp(-2i arg Gamma(|q| + 1 + it)) / (|q| - it),
+
+    which is -4 pi^2 i / (sinh(pi t) Gamma(1 + q + it) Gamma(1 - q + it)).
+    The product of the two Gammas is even in q; for q >= 0 the reflection
+    formula gives 1/Gamma(1 - q + it) = sin(pi (q - it)) Gamma(q - it) / pi,
+    sin(pi (q - it)) = -(-1)^q i sinh(pi t) cancels the sinh, and
+    Gamma(q - it) / Gamma(q + 1 + it) has modulus 1/|q - it|.  So front is
+    of order 1/|q|, finite at every order and every t.
+    """
+    orders = np.arange(-top, top + 1)
+    mu = 1j * t + orders[:, None]
+    arg = _log_gamma(mu[top:] + 1.0).imag  # |q| = 0 .. top
+    sign = np.where(orders % 2, -1.0, 1.0)[:, None]
+    front = 4.0 * math.pi * sign * np.exp(-2j * arg[np.abs(orders)])
+    front /= np.abs(orders)[:, None] - 1j * t
+    return t, front, _horner_coefficients(mu, terms)
+
+
+def _kernel_rows(table, z: complex, terms: int) -> np.ndarray:
+    """Kernel values at one z on the grid of a _kernel_table, summing the
+    series to its first `terms` terms.
+
+    The kernel (2 pi^2 / sin(pi it)) (J_{-it,-p}(z) - J_{it,p}(z)) is
+    -4 pi^2 Im(J_{it+p}(z) J_{it-p}(zbar)) / sinh(pi t), with the zbar
+    factor on the reflected branch conj(log z); this keeps the kernel
+    exactly even in z.  There (z/2)^{it+p} (zbar/2)^{it-p} =
+    |z/2|^{2it} e^{2ip arg z}, so the kernel is
+    Re(front |z/2|^{2it} e^{2ip arg z} S_{it+p}(w) S_{it-p}(wbar)) with S
+    the normalised series and w = (z/2)^2.  The orders it - p are the
+    orders it + p with the rows reversed, so both sums come from one
+    table, the second read backwards.
+    """
+    t, front, coeffs = table
+    top = front.shape[0] // 2
+    lz = cmath.log(z / 2.0)
+    w = (z / 2.0) ** 2
+    orders = np.arange(-top, top + 1)
+    phase = np.multiply.outer(np.exp(2j * lz.imag * orders), np.exp(2j * lz.real * t))
+    both = _series_sum(coeffs, terms, w) * _series_sum(coeffs, terms, w.conjugate())[::-1]
+    return (front * phase * both).real
+
+
 def _bessel_kernel_grid(t: np.ndarray, p, z: complex) -> np.ndarray:
     """Kernel values at the 1-D array t and argument z, for an integer p
     (one value per t) or for a 1-D array of integers p (one row per p).
-
-    The kernel (2 pi^2 / sin(pi it)) (J_{-it,-p}(z) - J_{it,p}(z)) is
-    evaluated in the manifestly real form
-    -4 pi^2 Im(J_{it+p}(z) J_{it-p}(zbar)) / sinh(pi t), with the zbar
-    factor on the reflected branch conj(log z); this keeps the kernel
-    exactly even in z.  The kernel is evaluated at every integer order q
-    with |q| <= max |p|: there the orders it - q are the orders it + q with
-    the rows reversed, so both factors come from one order array and one
-    1/Gamma(it + q + 1), the second read backwards.  Entries with
-    |t| < T_EPS must have been nudged by the caller.
-
-    Before the series runs, the leading terms (z/2)^mu / Gamma(mu + 1) and
-    (zbar/2)^mu / Gamma(mu + 1), the largest terms of their series, must
-    be finite; at large |q| or large t, 1/Gamma or the power overflows,
-    and DomainError names the largest |q| up to which they are, or the
-    largest t when they overflow at every order.
-    """
-    lz = cmath.log(z / 2.0)
+    Entries with |t| < T_EPS must have been nudged by the caller."""
     rows = np.atleast_1d(p)
     top = int(np.max(np.abs(rows)))
-    orders = np.arange(-top, top + 1)
-    mu = 1j * t + orders[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        recip = _reciprocal_gamma_array(mu + 1)
-        # |(z/2)^mu| = exp(q Re lz - t Im lz), and exp(q Re lz + t Im lz) at zbar
-        lead = np.abs(recip) * np.exp(mu.real * lz.real + np.abs(mu.imag * lz.imag))
-    finite = np.isfinite(lead).all(axis=1)
-    if not finite.all():
-        limit = int(np.min(np.abs(orders[~finite]))) - 1
-        where = f"at z = {z} and t <= {np.max(t):.6g} (t_cut T)"
-        if limit < 0:
-            raise DomainError(f"{where} the Bessel series terms overflow at every order")
-        raise DomainError(
-            f"{where} the Bessel series terms are finite only to order |p| = {limit}, "
-            f"short of the |p| <= {top} (p_cut P) asked for"
-        )
-    both = _bessel_series_array(mu, lz, recip) * _bessel_series_array(
-        mu, lz.conjugate(), recip
-    )[::-1]
-    kernel = -4.0 * math.pi**2 * both.imag / np.sinh(math.pi * t)
+    terms = _series_terms(abs(z))
+    kernel = _kernel_rows(_kernel_table(np.asarray(t, dtype=float), top, terms), z, terms)
     kernel = kernel[rows + top]
     return kernel if np.ndim(p) else kernel[0]
 
@@ -368,33 +403,71 @@ def plancherel_integral_quadrature(
 # the three kernel-integral representations
 
 
-def bessel_integral_spectral(
-    z: complex, tf: TestFunction, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> float:
+#: t-nodes per series table: the table of one block holds (orders x nodes x
+#: terms) coefficients, 0.4 MiB at P = 2 and |z| = 4.
+_T_BLOCK = 64
+#: Entries of one block's table, 64 MiB of complex values; P = 40 at T = 1
+#: and |z| = 12 needs 1.1 million.
+_TABLE_ENTRIES = 1 << 22
+
+
+def bessel_integral_spectral(z, tf: TestFunction, cfg: QuadratureConfig = DEFAULT_QUADRATURE):
     """Kernel integral via the spectral plane: sum_p int h J (t^2+p^2) dt.
 
-    The orders reach |p| = ceil(p_cut P) and t reaches t_cut T; where the
-    Bessel series terms overflow there, DomainError names the limit.
+    A scalar z gives a float, an array of z an array of the same shape.
+    The orders reach |p| = ceil(p_cut P) and t reaches t_cut T.  The t-rule
+    follows the oscillation of the kernel in t, and the z that share a rule
+    share its series tables, one per _T_BLOCK t-nodes; each z is summed on
+    its own, block by block in t order, so a value does not depend on the
+    batch it comes in.  A table beyond _TABLE_ENTRIES raises DomainError.
     """
-    z = complex(z)
-    if z == 0:
+    z = np.asarray(z, dtype=complex)
+    flat = z.ravel().tolist()
+    if 0 in flat:
         raise DomainError("kernel undefined at z = 0")
-    if abs(z) > SERIES_RADIUS:
-        raise SeriesRangeError("argument beyond the Bessel series radius")
+    terms = [_series_terms(abs(v)) for v in flat]
     T, P = tf.T, tf.P
     t_max = cfg.t_cut * T
-    osc = max(1.0, abs(cmath.log(z / 2.0)))
-    n_panels = max(cfg.t_panels, int(math.ceil(2 * t_max * osc / cfg.phase_rad_per_panel)))
+    p_max = int(math.ceil(cfg.p_cut * P))
+    p = np.arange(-p_max, p_max + 1)[:, None]
+    # the kernel's phase in t is 2 t log|z/2| - 2 arg Gamma(|p| + 1 + it),
+    # and d/dt arg Gamma(|p| + 1 + it) = Re psi(|p| + 1 + it) < log(1 + |p| + t)
+    gamma_osc = math.log1p(t_max + p_max)
     # the integrand is even under (t, p) -> (-t, -p) and the p-range is
     # symmetric: integrate t over [0, t_max] on half the panels and double
-    t, wt = _panel_rule(0.0, t_max, (n_panels + 1) // 2, cfg.gl_order)
-    # nudge nodes inside the removable-singularity window
-    t = np.maximum(t, T_EPS)
-    p_max = int(math.ceil(cfg.p_cut * P))
-    p = np.arange(-p_max, p_max + 1)
-    v = _bessel_kernel_grid(t, p, z)
-    p = p[:, None]
-    return 2.0 * float(np.sum(wt * tf.h(t, p) * (t * t + p * p) * v))
+    half_panels = [
+        (max(cfg.t_panels, int(math.ceil(2 * t_max * osc / cfg.phase_rad_per_panel))) + 1) // 2
+        for osc in (max(1.0, abs(cmath.log(v / 2.0)), gamma_osc) for v in flat)
+    ]
+    out = np.zeros(len(flat))
+    for n_half in sorted(set(half_panels)):
+        members = [i for i, n in enumerate(half_panels) if n == n_half]
+        most = max(terms[i] for i in members)
+        t, wt = _panel_rule(0.0, t_max, n_half, cfg.gl_order)
+        size = p.size * min(t.size, _T_BLOCK) * (most - 1)
+        if size > _TABLE_ENTRIES:
+            raise DomainError(
+                f"the spectral series table at |z| = {abs(flat[members[0]]):.6g}, "
+                f"T = {T:g}, P = {P:g} needs {size:,} entries ({p.size} orders |p| <= "
+                f"{p_max} x {min(t.size, _T_BLOCK)} t-nodes x {most - 1} coefficients), "
+                f"more than {_TABLE_ENTRIES:,}"
+            )
+        # nudge nodes inside the removable-singularity window
+        t = np.maximum(t, T_EPS)
+        weight = wt * tf.h(t, p) * (t * t + p * p)
+        for lo in range(0, t.size, _T_BLOCK):
+            block = slice(lo, lo + _T_BLOCK)
+            table = _kernel_table(t[block], p_max, most)
+            for i in members:
+                out[i] += float(np.sum(weight[:, block] * _kernel_rows(table, flat[i], terms[i])))
+    out = 2.0 * out.reshape(z.shape)
+    return float(out) if z.ndim == 0 else out
+
+
+#: Panels of one z's r-integral: T = 0.5 at |z| = 12 takes 386,218, and
+#: refined() twice that.  The count grows like |z| exp(r_cut/T), so a
+#: smaller T exhausts any budget quickly (3.6e12 panels at T = 0.2, |z| = 1).
+_R_PANELS = 1 << 21
 
 
 def _graded_r_panels(z_abs: np.ndarray, tf: TestFunction, cfg: QuadratureConfig, block: int):
@@ -414,8 +487,18 @@ def _graded_r_panels(z_abs: np.ndarray, tf: TestFunction, cfg: QuadratureConfig,
     j = np.arange(max(1, int(math.ceil(r_max / cell_w))))
     a, b = j * cell_w, np.minimum((j + 1) * cell_w, r_max)
     a, b = a[b > a], b[b > a]
-    rate = np.multiply.outer(2.0 * z_abs, [math.cosh(v) for v in b]) + 1.0
-    counts = np.maximum(cfg.r_base_panels, np.ceil((b - a) * rate / cfg.phase_rad_per_panel))
+    cosh_b = [math.cosh(v) if v < 710.0 else math.inf for v in b]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rate = np.multiply.outer(2.0 * z_abs, cosh_b) + 1.0
+        counts = np.maximum(cfg.r_base_panels, np.ceil((b - a) * rate / cfg.phase_rad_per_panel))
+        per_z = counts.sum(axis=1)
+    over = np.flatnonzero(~(per_z <= _R_PANELS))
+    if over.size:
+        i = over[0]
+        raise DomainError(
+            f"at T = {tf.T:g} and |z| = {z_abs[i]:.6g} the r-integral needs "
+            f"{per_z[i]:.3g} panels, more than {_R_PANELS:,}"
+        )
     counts = counts.astype(np.int64).ravel()  # (z, cell) pairs, z-major
     ends = np.cumsum(counts)
     total = int(ends[-1]) if ends.size else 0

@@ -31,12 +31,14 @@ from gisieve.archimedean import (
     TestFunction,
     _bessel_j_table,
     _bessel_kernel_grid,
-    _bessel_series_array,
     _gl_rule,
     _graded_r_panels,
+    _horner_coefficients,
+    _log_gamma,
     _panel_rule,
     _radial_kernel,
-    _reciprocal_gamma_array,
+    _series_sum,
+    _series_terms,
     bessel_integral_deriv,
     bessel_integral_spectral,
     bessel_integral_weighted,
@@ -68,7 +70,7 @@ GAMMA_POINTS = [
 
 
 def _rgamma(z):
-    return complex(_reciprocal_gamma_array(np.array([z]))[0])
+    return complex(np.exp(-_log_gamma(np.array([z])))[0])
 
 
 @pytest.mark.parametrize("z", GAMMA_POINTS)
@@ -81,7 +83,7 @@ def test_complex_gamma_against_mpmath(z):
 def test_reciprocal_gamma_consistent(z):
     # reflection 1/(Gamma(z) Gamma(1-z)) = sin(pi z)/pi joins the two
     # Lanczos branches (at z = 1 it checks the zero of 1/Gamma at 0)
-    both = _reciprocal_gamma_array(np.array([z, 1.0 - z]))
+    both = np.exp(-_log_gamma(np.array([z, 1.0 - z])))
     want = cmath.sin(math.pi * z) / math.pi
     assert abs(both[0] * both[1] - want) <= 1e-12 * max(1.0, abs(want))
 
@@ -109,9 +111,12 @@ BESSEL_CASES = [
 
 
 def _bessel(mu, z):
-    """J_mu(z) for an array of orders, principal branch of (z/2)^mu."""
+    """J_mu(z) for an array of orders, principal branch of (z/2)^mu: the
+    normalised series by Horner's rule, times (z/2)^mu / Gamma(mu + 1)."""
     mu = np.asarray(mu, dtype=complex)
-    return _bessel_series_array(mu, cmath.log(z / 2.0), _reciprocal_gamma_array(mu + 1))
+    terms = _series_terms(abs(z))
+    series = _series_sum(_horner_coefficients(mu, terms), terms, (z / 2.0) ** 2)
+    return np.exp(mu * cmath.log(z / 2.0) - _log_gamma(mu + 1)) * series
 
 
 @pytest.mark.parametrize("mu,z", BESSEL_CASES)
@@ -141,10 +146,39 @@ def test_bessel_series_rejects_negative_integer_orders(mu):
 
 
 def test_bessel_series_range_guard():
-    # far outside SERIES_RADIUS the terms overflow before the tail test
-    # can pass, and the series gives up instead of returning a value
-    with np.errstate(all="ignore"), pytest.raises(SeriesRangeError):
+    # beyond SERIES_RADIUS the term count is refused before any term is
+    # summed; the error is a DomainError that names the radius
+    with pytest.raises(SeriesRangeError, match="beyond the Bessel series radius 12"):
         _bessel([0.5j], 2000.0 + 0.0j)
+    assert issubclass(SeriesRangeError, DomainError)
+
+
+def _kernel_mpmath(t, p, z):
+    """-4 pi^2 Im(J_{it+p}(z) J_{it-p}(zbar)) / sinh(pi t) at 30 digits."""
+    zz = mpmath.mpc(z.real, z.imag)
+    first = mpmath.besselj(mpmath.mpc(p, t), zz)
+    second = mpmath.besselj(mpmath.mpc(-p, t), mpmath.conj(zz))
+    return float(-4 * mpmath.pi**2 * mpmath.im(first * second) / mpmath.sinh(mpmath.pi * t))
+
+
+@pytest.mark.parametrize("z", [0.3 + 0.1j, 1.0 + 1.0j, 2.0 - 1.0j, 4.0 + 0.0j])
+def test_kernel_against_mpmath(z):
+    # the table's front factor, its two Horner sums (the second on the
+    # reversed rows) and K from |z| against mpmath's J of complex order;
+    # K three terms short moves the kernel by 4e-10 of its scale at 0.3+0.1i
+    t = np.array([0.05, 0.4, 1.3, 3.0, 5.9])
+    ps = np.arange(-5, 6)
+    got = _bessel_kernel_grid(t, ps, z)
+    want = np.array([[_kernel_mpmath(float(tt), int(p), z) for tt in t] for p in ps])
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_series_terms_depend_on_z_alone():
+    # the first dropped term (|z|/2)^2K / (K!)^2 is below 1e-18, the last kept one is not
+    for z_abs in (1e-3, 0.3, 1.0, 4.0, 12.0):
+        k = _series_terms(z_abs)
+        w = (z_abs / 2.0) ** 2
+        assert w**k / math.factorial(k) ** 2 < 1e-18 <= w ** (k - 1) / math.factorial(k - 1) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -177,20 +211,30 @@ def test_kernel_symmetries():
     assert _kernel(0.9, -2, 1.3 + 0.0j) == pytest.approx(vr, abs=1e-12)
 
 
-@pytest.mark.parametrize("z", [1.1 + 0.4j, 0.5 - 0.3j])
+@pytest.mark.parametrize(
+    "z", [1.1 + 0.4j, 0.5 - 0.3j, 0.3 + 0.0j, 2.0 - 1.0j, 8.0 + 3.0j, 11.0 + 1.0j, 12.0j]
+)
 def test_batched_kernel_equals_per_p_kernel(z):
     # the rows of one batched call, p = -4..4, against one call per p; the
     # batched second factor is the first's order array read backwards.
-    # Each call stops its series at a tail below 1e-13 of the largest
-    # partial sum, and a batch runs as far as its slowest row, so the two
-    # agree to that tolerance, not bit for bit
+    # The term count depends on |z| alone and every entry is summed on its
+    # own, so the two agree bit for bit
     t, _ = _panel_rule(T_EPS, 6.0, 3, 16)
     ps = np.arange(-4, 5)
     batch = _bessel_kernel_grid(t, ps, z)
     assert batch.shape == (ps.size, t.size)
     for p, row in zip(ps, batch):
-        one = _bessel_kernel_grid(t, int(p), z)
-        assert np.max(np.abs(row - one)) <= 1e-12 * np.max(np.abs(one))
+        assert np.array_equal(row, _bessel_kernel_grid(t, int(p), z))
+        assert np.array_equal(row[2:5], _bessel_kernel_grid(t[2:5], ps, z)[p + 4])
+
+
+def test_spectral_batch_equals_scalar_calls():
+    # z of different t-rules and term counts in one call, against one call each
+    tf = TestFunction(2.0, 2.0)
+    zs = np.array([[0.3, 1.0 + 1.0j, 2.0 - 1.0j], [4.0, 8.0 + 3.0j, 0.05j]])
+    batch = bessel_integral_spectral(zs, tf)
+    assert batch.shape == zs.shape
+    assert np.array_equal(batch, np.vectorize(lambda z: bessel_integral_spectral(z, tf))(zs))
 
 
 @pytest.mark.parametrize("z", [8.0 + 3.0j, 11.0 + 1.0j])
@@ -216,28 +260,30 @@ def test_spectral_form_on_half_the_panels(t_panels):
 
 
 @pytest.mark.parametrize("P", [26, 27, 30, 40])
-def test_spectral_form_rejects_orders_that_overflow(P, recwarn):
-    # at z = 1+i, T = 1 the leading terms (z/2)^mu / Gamma(mu + 1) stay
-    # finite to |p| = 156 = 6 * 26; beyond it the series would overflow
+def test_spectral_form_at_large_orders(P, recwarn):
+    # at z = 1+i, T = 1, 1/Gamma(it + p + 1) overflows from |p| = 157 = 6 * 26
+    # + 1; the kernel takes the product of the two 1/Gammas as a ratio of
+    # modulus 1/|p - it|, which stays finite at every order
     tf, z = TestFunction(1.0, float(P)), 1.0 + 1.0j
-    if P == 26:
-        assert bessel_integral_spectral(z, tf) == -24.68392371730094
-    else:
-        want = rf"finite only to order \|p\| = 156, short of the \|p\| <= {6 * P} \(p_cut P\)"
-        with pytest.raises(DomainError, match=want):
-            bessel_integral_spectral(z, tf)
+    want = bessel_integral_weighted(z, tf)
+    assert abs(bessel_integral_spectral(z, tf) - want) <= 1e-10 * abs(want)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("T", [45, 60])
-def test_spectral_form_rejects_a_t_range_that_overflows(T, recwarn):
-    # at z = 1+i only the order-0 terms stay finite over t <= 6T from about
-    # T = 40, and none by T = 60: the cause is the t-range, which the message names
+def test_spectral_form_at_large_t(T, recwarn):
+    # t runs to 6T = 270 and 360, where 1/Gamma(1 + it) and sinh(pi t)
+    # overflow separately; the t-rule follows the phase of 1/Gamma(1 + it)
     tf, z = TestFunction(float(T), 1.0), 1.0 + 1.0j
-    want = "every order" if T == 60 else r"finite only to order \|p\| = 0,"
-    with pytest.raises(DomainError, match=rf"and t <= {6 * T - 1}\.\d+ \(t_cut T\) .*{want}"):
-        bessel_integral_spectral(z, tf)
+    want = bessel_integral_weighted(z, tf)
+    assert abs(bessel_integral_spectral(z, tf) - want) <= 1e-10 * abs(want)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_spectral_form_rejects_an_oversized_table():
+    # P = 1000 asks for 12,001 orders on each block of 64 t-nodes
+    with pytest.raises(DomainError, match=r"12001 orders \|p\| <= 6000 x 64 t-nodes"):
+        bessel_integral_spectral(1.0 + 1.0j, TestFunction(1.0, 1000.0))
 
 
 def test_kernel_guards():

@@ -12,6 +12,7 @@ import dataclasses
 import itertools
 import json
 import math
+import time
 
 import pytest
 
@@ -103,11 +104,36 @@ def test_bessel_three_representations_agree(capsys):
 
 
 def test_bessel_rejects_p_beyond_the_series_range(capsys, recwarn):
-    # the spectral form's Bessel orders reach 6P; at P = 40 they overflow
-    argv = ["bessel", "--z", "1+i", "--T", "1", "--P", "40", "--compare"]
+    # the spectral form's series table holds 12P + 1 orders on 64 t-nodes; at
+    # P = 1000 it would outgrow its 4,194,304 entries
+    argv = ["bessel", "--z", "1+i", "--T", "1", "--P", "1000", "--compare"]
     assert run(argv) == 2
     err = capsys.readouterr().err
-    assert "finite only to order |p| = 156, short of the |p| <= 240 (p_cut P)" in err
+    assert "(12001 orders |p| <= 6000 x 64 t-nodes x 10 coefficients), more than 4,194,304" in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_bessel_compare_at_large_p(capsys, recwarn):
+    # at P = 40 the orders reach 240, past where 1/Gamma(it + p + 1) overflows
+    argv = ["bessel", "--z", "1+i", "--T", "1", "--P", "40", "--compare", "--format", "json"]
+    assert run(argv) == 0
+    rows = {row[0]: float(row[1]) for row in _json_payload(capsys)["rows"]}
+    assert rows["max_deviation"] < 1e-10 * abs(rows["weighted"])
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("T", ["0.01", "0.1", "0.2"])
+@pytest.mark.parametrize("command", ["bessel", "kuznetsov-geom"])
+def test_small_t_is_refused_before_the_r_panels_are_walked(capsys, recwarn, command, T):
+    # the r-panel count grows like |z| exp(6/T): 3.6e12 at T = 0.2 and |z| = 1
+    argv = {
+        "bessel": ["bessel", "--z", "1", "--T", T, "--P", "1"],
+        "kuznetsov-geom": ["kuznetsov-geom", "--m", "1", "--n", "1", "--T", T, "--c-norm-max", "5"],
+    }[command]
+    start = time.perf_counter()
+    assert run(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert f"at T = {T} and |z| = " in capsys.readouterr().err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
@@ -173,6 +199,12 @@ def test_kuznetsov_geometric_side_runs(capsys):
     payload = _json_payload(capsys)
     assert payload["command"] == "kuznetsov-geom"
     assert payload["rows"]
+
+
+def test_kuznetsov_geometric_rejects_a_negative_cutoff(capsys):
+    argv = ["kuznetsov-geom", "--m", "1", "--n", "1", "--T", "2", "--c-norm-max", "-5"]
+    assert run(argv) == 2
+    assert "c_norm_max >= 0" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
