@@ -246,18 +246,6 @@ def _kernel_rows(table, z: complex, terms: int) -> np.ndarray:
     return (front * phase * both).real
 
 
-def _bessel_kernel_grid(t: np.ndarray, p, z: complex) -> np.ndarray:
-    """Kernel values at the 1-D array t and argument z, for an integer p
-    (one value per t) or for a 1-D array of integers p (one row per p).
-    Entries with |t| < T_EPS must have been nudged by the caller."""
-    rows = np.atleast_1d(p)
-    top = int(np.max(np.abs(rows)))
-    terms = _series_terms(abs(z))
-    kernel = _kernel_rows(_kernel_table(np.asarray(t, dtype=float), top, terms), z, terms)
-    kernel = kernel[rows + top]
-    return kernel if np.ndim(p) else kernel[0]
-
-
 # ---------------------------------------------------------------------------
 # test function and smoothing kernels
 

@@ -30,10 +30,11 @@ from gisieve.archimedean import (
     T_EPS,
     TestFunction,
     _bessel_j_table,
-    _bessel_kernel_grid,
     _gl_rule,
     _graded_r_panels,
     _horner_coefficients,
+    _kernel_rows,
+    _kernel_table,
     _log_gamma,
     _panel_rule,
     _radial_kernel,
@@ -153,26 +154,6 @@ def test_bessel_series_range_guard():
     assert issubclass(SeriesRangeError, DomainError)
 
 
-def _kernel_mpmath(t, p, z):
-    """-4 pi^2 Im(J_{it+p}(z) J_{it-p}(zbar)) / sinh(pi t) at 30 digits."""
-    zz = mpmath.mpc(z.real, z.imag)
-    first = mpmath.besselj(mpmath.mpc(p, t), zz)
-    second = mpmath.besselj(mpmath.mpc(-p, t), mpmath.conj(zz))
-    return float(-4 * mpmath.pi**2 * mpmath.im(first * second) / mpmath.sinh(mpmath.pi * t))
-
-
-@pytest.mark.parametrize("z", [0.3 + 0.1j, 1.0 + 1.0j, 2.0 - 1.0j, 4.0 + 0.0j])
-def test_kernel_against_mpmath(z):
-    # the table's front factor, its two Horner sums (the second on the
-    # reversed rows) and K from |z| against mpmath's J of complex order;
-    # K three terms short moves the kernel by 4e-10 of its scale at 0.3+0.1i
-    t = np.array([0.05, 0.4, 1.3, 3.0, 5.9])
-    ps = np.arange(-5, 6)
-    got = _bessel_kernel_grid(t, ps, z)
-    want = np.array([[_kernel_mpmath(float(tt), int(p), z) for tt in t] for p in ps])
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-
 def test_series_terms_depend_on_z_alone():
     # the first dropped term (|z|/2)^2K / (K!)^2 is below 1e-18, the last kept one is not
     for z_abs in (1e-3, 0.3, 1.0, 4.0, 12.0):
@@ -186,16 +167,47 @@ def test_series_terms_depend_on_z_alone():
 # ---------------------------------------------------------------------------
 
 
+def _bessel_kernel_grid(t, p, z):
+    """Kernel values at the 1-D array t from one table, for an integer p
+    (one value per t) or for a 1-D array of integers p (one row per p)."""
+    rows = np.atleast_1d(p)
+    top = int(np.max(np.abs(rows)))
+    terms = _series_terms(abs(z))
+    kernel = _kernel_rows(_kernel_table(np.asarray(t, dtype=float), top, terms), z, terms)
+    kernel = kernel[rows + top]
+    return kernel if np.ndim(p) else kernel[0]
+
+
 def _kernel(t, p, z):
     # the t = 0 node is nudged to T_EPS, as bessel_integral_spectral does
     t = np.array([T_EPS if abs(t) < T_EPS else t])
     return float(_bessel_kernel_grid(t, p, z)[0])
 
 
+def _kernel_mpmath(t, p, z):
+    """-4 pi^2 Im(J_{it+p}(z) J_{it-p}(zbar)) / sinh(pi t) at 30 digits."""
+    zz = mpmath.mpc(z.real, z.imag)
+    first = mpmath.besselj(mpmath.mpc(p, t), zz)
+    second = mpmath.besselj(mpmath.mpc(-p, t), mpmath.conj(zz))
+    return float(-4 * mpmath.pi**2 * mpmath.im(first * second) / mpmath.sinh(mpmath.pi * t))
+
+
+@pytest.mark.parametrize("z", [0.3 + 0.1j, 1.0 + 1.0j, 2.0 - 1.0j, 4.0 + 0.0j])
+def test_kernel_against_mpmath(z):
+    # the table's front factor, its two Horner sums (the second on the
+    # reversed rows) and K from |z| against mpmath's J of complex order;
+    # with K three terms short every case fails
+    t = np.array([0.05, 0.4, 1.3, 3.0, 5.9])
+    ps = np.arange(-5, 6)
+    got = _bessel_kernel_grid(t, ps, z)
+    want = np.array([[_kernel_mpmath(float(tt), int(p), z) for tt in t] for p in ps])
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("t,p", [(0.6, 0), (1.3, 2), (0.0, 1), (2.0, -3)])
 def test_kernel_even_in_z(t, p):
-    # at the nudged node the 1/sinh(pi T_EPS) factor amplifies rounding,
-    # so the tolerance is looser than machine eps
+    # at the nudged node the 1/(p - i T_EPS) of the front factor amplifies
+    # rounding, so the tolerance is looser than machine eps
     for z in (0.8 + 0.3j, 1.5 - 0.9j):
         assert _kernel(t, p, z) == pytest.approx(_kernel(t, p, -z), abs=1e-9)
 
