@@ -6,12 +6,13 @@ take a maximal-order generator, recurse on the quotient, and lift the
 quotient generators back.  This works uniformly for split, inert and the
 ramified prime (1+i), where the local unit groups have different shapes,
 without any case analysis.  It runs on int64 arrays over the positions
-of unit_table: the maps x -> x^q for the primes q | phi(c) are index
+of unit_points: the maps x -> x^q for the primes q | phi(c) are index
 arrays, so the order of every coset at once is a few compositions and
 membership tests; the coset labels of each quotient (the smallest (x, y)
 of each coset) come by pointer doubling along x -> x g; and the
-discrete-log grid is the product of the generators' power arrays.  Every
-array has phi(c) entries.  A group keeps its unit table, the roots of
+discrete-log grid is the product of the generators' power arrays, on
+which the inverse of the unit at k is the unit at -k.  Every array has
+phi(c) entries.  A group keeps its unit table, the roots of
 unity of its exponent and, once asked for, its table of F and the
 transform of it; nothing else holds them, so they go with the group.
 
@@ -68,6 +69,7 @@ from .gauss import (
     ideal_divisors,
     is_coprime,
     residue_box,
+    unit_points,
     unit_positions,
     unit_table,
 )
@@ -88,12 +90,11 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _unit_mul(units, box):
+def _unit_mul(x, y, position, box):
     """The product of unit positions (ints or int arrays, broadcast), by
-    exact int64 arithmetic on the box coordinates of unit_table and the
+    exact int64 arithmetic on the box coordinates of unit_points and the
     Hermite box reduction of reduce_pair."""
     d, e, g = box
-    x, y, position = units.x, units.y, units.position
 
     def mul(p, q):
         ax, ay, bx, by = x[p], y[p], x[q], y[q]
@@ -104,7 +105,7 @@ def _unit_mul(units, box):
     return mul
 
 
-def _basis(units, mul, one: int) -> list[tuple[int, int]]:
+def _basis(x, y, mul, one: int) -> list[tuple[int, int]]:
     """Direct-product generators [(position, order)] of the unit group.
 
     The first generator has maximal order, the group exponent; each
@@ -119,7 +120,7 @@ def _basis(units, mul, one: int) -> list[tuple[int, int]]:
     the maps x -> x^q, q prime, each one index array; the coset labels of
     <H, g> come from those of H by pointer doubling along x -> x g.
     """
-    phi = len(units.x)
+    phi = len(x)
     if phi == 1:
         return []
     every = np.arange(phi)
@@ -139,7 +140,7 @@ def _basis(units, mul, one: int) -> list[tuple[int, int]]:
                 y = sigma[q][y]
         return y
 
-    by_rank = np.lexsort((units.y, units.x))  # smallest (x, y) first
+    by_rank = np.lexsort((y, x))  # smallest (x, y) first
     # label[x] = rank of the smallest (x, y) in the coset xH
     label = np.empty(phi, dtype=np.int64)
     label[by_rank] = every
@@ -215,13 +216,12 @@ class CharGroup:
             raise DomainError("zero modulus")
         self.element = element
         self.modulus = GIdeal.of(element)
-        #: the unit table of element, kept with the group and read by its methods
-        self.units = units = unit_table(element)
-        mul = _unit_mul(units, residue_box(element))
-        one = int(unit_positions(element, units, [1], [0])[0])
-        gens = _basis(units, mul, one)
+        x, y, position = unit_points(element)
+        mul = _unit_mul(x, y, position, residue_box(element))
+        one = 0  # the unit 1 comes first in the (y, x) raster of the box
+        gens = _basis(x, y, mul, one)
 
-        self.gen_elements = tuple(GaussianInt(int(units.x[g]), int(units.y[g])) for g, _ in gens)
+        self.gen_elements = tuple(GaussianInt(int(x[g]), int(y[g])) for g, _ in gens)
         self.gen_orders = tuple(n for _, n in gens)
         self.exponent = math.lcm(*self.gen_orders) if gens else 1
         #: exp(2 pi i k / exponent), the values of every character
@@ -229,16 +229,27 @@ class CharGroup:
         # the unit at each point of the discrete-log grid, last generator
         # varying fastest; _flat, its inverse, places each unit on the
         # C-order flattened grid
-        every = np.arange(len(units.x))
+        every = np.arange(len(x))
         grid = np.array([one])
         for g, n in gens:
             grid = _orbit(mul(every, g), grid, n).T.ravel()
-        assert (np.bincount(grid, minlength=len(units.x)) == 1).all(), (
+        assert (np.bincount(grid, minlength=len(x)) == 1).all(), (
             "generators do not span the unit group"
         )
         self._grid = self.gen_orders or (1,)
         self._flat = np.empty(len(grid), dtype=np.int64)
         self._flat[grid] = np.arange(len(grid))
+        # the inverse of the unit at log point k is the unit at -k
+        negated = grid.reshape(self._grid)
+        for axis, n in enumerate(self.gen_orders):
+            negated = np.take(negated, -np.arange(n) % n, axis=axis)
+        inverse = np.empty_like(grid)
+        inverse[grid] = negated.ravel()
+        inv_x, inv_y = x[inverse], y[inverse]
+        inv_x.setflags(write=False)
+        inv_y.setflags(write=False)
+        #: the unit table of element, kept with the group and read by its methods
+        self.units = UnitTable(x, y, inv_x, inv_y, position)
         #: exponent vectors of all characters, one row each in characters() order
         self.exponent_vectors = np.indices(self.gen_orders, dtype=np.int64).reshape(
             len(gens), len(grid)
@@ -401,9 +412,9 @@ class DirichletChar:
 
 @lru_cache(maxsize=1024)
 def char_group(element: GaussianInt) -> CharGroup:
-    """The group of element, shared: a group owns its unit table and F
-    table, so this bound (the 787 moduli of norm <= 1000 fit) is what keeps
-    the identity suites from rebuilding them."""
+    """The group of element, shared across calls.  A group owns its unit
+    table and F table, so the bound on the count is what bounds the
+    memory; the identity suites build and drop their own groups instead."""
     return CharGroup(element)
 
 

@@ -276,8 +276,9 @@ class UnitTable(NamedTuple):
     """The unit residues of c and their inverses as read-only int64 arrays,
     in the (y, x) raster order of the Hermite box, and the map from box
     index y*d + x to the position of that residue in this order (-1 off
-    the units).  It is built per modulus by unit_table and lives as long
-    as its owner: a CharGroup, or one loop over the moduli."""
+    the units).  It is built per modulus, by unit_table or by a CharGroup
+    (which inverts on its discrete-log grid), and lives as long as its
+    owner: a CharGroup, or one loop over the moduli."""
 
     x: np.ndarray
     y: np.ndarray
@@ -286,19 +287,12 @@ class UnitTable(NamedTuple):
     position: np.ndarray
 
 
-def unit_table(c: GaussianInt) -> UnitTable:
-    """Units mod c and their inverses, by exact int64 array arithmetic.
+def unit_points(c: GaussianInt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The x, y and position arrays of unit_table(c), without the inverses.
 
     A residue a is a unit when no Gaussian prime p | c divides it
-    (divides_points).  Its inverse comes from the norm map: with
-    c cap Z = dZ, a^{-1} = conj(a) N(a)^{-1}, N(a) inverted mod d as
-    N(a)^(phi(d) - 1).  An integer is a unit mod c iff it is prime to d,
-    and N(a) = a conj(a) fails that only where a split prime p | c has
-    conj(p) | a; such an a is replaced by a + t c, t = 1, 2, ..., the
-    same class, until its norm is prime to d.  Coordinates are taken mod
-    d, so every product stays below d^2; the inverse is then reduced
-    into the Hermite box, where it is unique.  For a unit modulus the
-    single class [0] is its own inverse.  Nothing is cached.
+    (divides_points).  The arrays are read-only int64; a CharGroup takes
+    its inverses from its discrete-log grid instead.
     """
     if c.is_zero():
         raise DomainError("zero modulus")
@@ -307,16 +301,36 @@ def unit_table(c: GaussianInt) -> UnitTable:
             f"modulus norm {c.norm} is too large for exact unit arithmetic "
             f"(needs N(c) < {MAX_UNIT_NORM})"
         )
-    box = residue_box(c)
-    d, _, g = box
+    d, _, g = residue_box(c)
     y, x = np.divmod(np.arange(d * g, dtype=np.int64), d)
     unit = np.ones(d * g, dtype=bool)
     for p, _ in factor(c).factors:
         unit &= ~divides_points(p.gen, x, y)
     position = np.cumsum(unit) - 1
     position[~unit] = -1
-    x, y = x[unit], y[unit]
+    points = x[unit], y[unit], position
+    for arr in points:
+        arr.setflags(write=False)
+    return points
 
+
+def unit_table(c: GaussianInt) -> UnitTable:
+    """Units mod c (unit_points) and their inverses, by exact int64 array
+    arithmetic.
+
+    The inverse comes from the norm map: with c cap Z = dZ, a^{-1} =
+    conj(a) N(a)^{-1}, N(a) inverted mod d as N(a)^(phi(d) - 1).  An
+    integer is a unit mod c iff it is prime to d, and N(a) = a conj(a)
+    fails that only where a split prime p | c has conj(p) | a; such an a
+    is replaced by a + t c, t = 1, 2, ..., the same class, until its norm
+    is prime to d.  Coordinates are taken mod d, so every product stays
+    below d^2; the inverse is then reduced into the Hermite box, where it
+    is unique.  For a unit modulus the single class [0] is its own
+    inverse.  Nothing is cached.
+    """
+    x, y, position = unit_points(c)
+    box = residue_box(c)
+    d, _, g = box
     fac_d = factor_int(d)
     phi_d = math.prod(p ** (e - 1) * (p - 1) for p, e in fac_d)
 
@@ -344,10 +358,9 @@ def unit_table(c: GaussianInt) -> UnitTable:
         if k:
             np.remainder(np.multiply(n, n, out=n), d, out=n)
     inv_x, inv_y = reduce_pair(ax * inv % d, (d - ay) * inv % d, box)
-    table = UnitTable(x, y, inv_x, inv_y, position)
-    for arr in table:
-        arr.setflags(write=False)
-    return table
+    inv_x.setflags(write=False)
+    inv_y.setflags(write=False)
+    return UnitTable(x, y, inv_x, inv_y, position)
 
 
 def unit_positions(c: GaussianInt, units: UnitTable, x, y) -> np.ndarray:

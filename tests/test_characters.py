@@ -272,6 +272,19 @@ def test_basis_matches_scalar_oracle(c):
     _assert_matches_scalar(c)
 
 
+def test_group_units_equal_unit_table_to_norm_2000():
+    # the group inverts each unit on its discrete-log grid, unit_table by
+    # the norm map; at every generator of every ideal, (1) and the moduli
+    # with gcd(re c, im c) > 1 among them, the arrays are the same
+    for ideal in ideals_up_to_norm(2000):
+        c = ideal.gen
+        for _ in range(4):
+            for got, want in zip(CharGroup(c).units, unit_table(c)):
+                assert got.dtype == want.dtype and np.array_equal(got, want), c
+                assert not got.flags.writeable
+            c = c.times_i()
+
+
 def test_group_guard_at_int64_limit():
     # N(46341) = 46341^2 >= 2^31: the int64 products would not stay exact
     with pytest.raises(DomainError, match="too large"):
