@@ -9,6 +9,15 @@ twisted on one twisted_mult_table per coprime pair of moduli (the pairs
 with one product share its unit table and F table), lemma on the arrays
 of local_prediction, and selberg, shift and weil on one array of
 residuals per modulus.
+
+The suites that read one character group per modulus (mellin, parseval
+and lemma, which reads the prime powers other than (1)) run as visitors
+of one pass over the moduli: each group is built once, read by every
+selected suite, and dropped before the next modulus, so the pass holds
+one group at a time.  A suite run alone, and ``lemma_pass``, is the pass
+with that one suite.  The twisted suite builds each group it reads once
+per call and drops them when it returns.  No suite reads the shared
+groups of ``characters.char_group``.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from .archimedean import (
     plancherel_integral,
     plancherel_integral_quadrature,
 )
-from .characters import CharGroup, char_group, local_prediction, twisted_mult_table
+from .characters import CharGroup, local_prediction, twisted_mult_table
 from .expsums import (
     f_sum_values,
     kloosterman_matrix,
@@ -68,66 +77,131 @@ class SuiteResult(NamedTuple):
         return not self.failures
 
 
+class _Tally:
+    """A SuiteResult built one check at a time: a check fails when its value
+    exceeds limit, and is reported as message.format(*fields, value)."""
+
+    def __init__(self, name: str, limit: float, message: str):
+        self.name, self.limit, self.message = name, limit, message
+        self.worst, self.checked, self.failures = 0.0, 0, []
+
+    def add(self, value: float, fields: tuple) -> None:
+        self.worst = max(self.worst, value)
+        self.checked += 1
+        if value > self.limit:
+            self.failures.append(self.message.format(*fields, value))
+
+    def result(self) -> SuiteResult:
+        return SuiteResult(self.name, self.checked, self.worst, self.failures)
+
+
 def _tally(
     name: str, checks: Iterable[tuple[float, tuple]], limit: float, message: str
 ) -> SuiteResult:
-    """SuiteResult of (value, fields) checks: a check fails when its value
-    exceeds limit, and is reported as message.format(*fields, value)."""
-    worst, checked, fails = 0.0, 0, []
+    tally = _Tally(name, limit, message)
     for value, fields in checks:
-        worst = max(worst, value)
-        checked += 1
-        if value > limit:
-            fails.append(message.format(*fields, value))
-    return SuiteResult(name, checked, worst, fails)
+        tally.add(value, fields)
+    return tally.result()
 
 
-def _groups(max_norm: float) -> Iterator[CharGroup]:
-    return (char_group(ideal.gen) for ideal in ideals_up_to_norm(max_norm))
-
-
-def _mellin_residual(grp: CharGroup) -> float:
+def _mellin_checks(grp: CharGroup) -> Iterator[tuple[float, tuple]]:
     """max |F - (inverse transform of fhat)| over the units."""
     recon = grp.inverse_transform(grp.fhat_table())
-    return float(np.max(np.abs(recon - grp.f_values())))
+    yield float(np.max(np.abs(recon - grp.f_values()))), (grp.element,)
 
 
-def _parseval_residual(grp: CharGroup) -> float:
+def _parseval_checks(grp: CharGroup) -> Iterator[tuple[float, tuple]]:
     """|sum |fhat|^2 - (sum |F|^2) / phi|."""
     fhat_mass = float(np.sum(np.abs(grp.fhat_table()) ** 2))
-    return abs(fhat_mass - float(np.sum(np.abs(grp.f_values()) ** 2)) / grp.order)
+    residual = abs(fhat_mass - float(np.sum(np.abs(grp.f_values()) ** 2)) / grp.order)
+    yield residual, (grp.element,)
 
 
-def _suite_mellin(max_norm: float, tol: float) -> SuiteResult:
-    checks = ((_mellin_residual(grp), (grp.element,)) for grp in _groups(max_norm))
-    return _tally("mellin", checks, tol, "modulus {} residual {:.3e}")
+def _lemma_checks(grp: CharGroup) -> Iterator[tuple[float, tuple]]:
+    """|fhat| against the case formulas of local_prediction, per character:
+    (residual, (modulus, exps, |fhat|, "=" or "<=", predicted value, class))."""
+    modulus = str(grp.element)
+    values, is_bound = local_prediction(grp)
+    got = np.array([abs(f) for f in grp.fhat_table().tolist()])
+    res = np.where(is_bound, np.maximum(0.0, got - values), np.abs(got - values))
+    for exps, cls, g, v, bound, r in zip(
+        grp.exponent_vectors.tolist(),
+        grp.classes(),
+        got.tolist(),
+        values.tolist(),
+        is_bound.tolist(),
+        res.tolist(),
+    ):
+        yield r, (modulus, tuple(exps), g, "<=" if bound else "=", v, cls)
 
 
-def _suite_parseval(max_norm: float, tol: float) -> SuiteResult:
-    checks = ((_parseval_residual(grp), (grp.element,)) for grp in _groups(max_norm))
-    return _tally("parseval", checks, tol, "modulus {} residual {:.3e}")
+class _ModulusSuite(NamedTuple):
+    """A suite that reads one character group per modulus: the checks of
+    one group, the failure message, and whether it reads the prime powers
+    other than (1) alone."""
+
+    name: str
+    checks: Callable[[CharGroup], Iterable[tuple[float, tuple]]]
+    message: str
+    prime_powers: bool = False
 
 
-def _twisted_checks(c1, c2, units, f_values) -> Iterator[tuple[float, tuple]]:
-    """The twisted residuals of every character pair mod (c1, c2), from one
-    table, chi1 outermost; units and f_values are the tables of c1 c2."""
-    g1, g2 = char_group(c1), char_group(c2)
-    exps2 = list(map(tuple, g2.exponent_vectors.tolist()))
-    rows = np.abs(twisted_mult_table(g1, g2, units, f_values)).tolist()
-    for e1, row in zip(g1.exponent_vectors.tolist(), rows):
+_MODULUS_SUITES = {
+    suite.name: suite
+    for suite in (
+        _ModulusSuite("mellin", _mellin_checks, "modulus {} residual {:.3e}"),
+        _ModulusSuite("parseval", _parseval_checks, "modulus {} residual {:.3e}"),
+        _ModulusSuite(
+            "lemma",
+            _lemma_checks,
+            "modulus {} exps {}: |fhat| = {:.6f}, case formula says {} {:.6f}",
+            prime_powers=True,
+        ),
+    )
+}
+
+
+def _modulus_pass(
+    max_norm: float, tol: float, suites: Sequence[_ModulusSuite]
+) -> list[SuiteResult]:
+    """The given suites in one pass over the moduli of norm <= max_norm,
+    each with its own tally: the group of each modulus is built once, read
+    by every suite that takes it, and dropped before the next modulus."""
+    if not suites:
+        return []
+    tallies = [_Tally(suite.name, tol, suite.message) for suite in suites]
+    prime_powers = (
+        set(prime_power_ideals_up_to_norm(max_norm))
+        if any(suite.prime_powers for suite in suites)
+        else set()
+    )
+    for ideal in ideals_up_to_norm(max_norm):
+        readers = [
+            (suite, tally)
+            for suite, tally in zip(suites, tallies)
+            if not suite.prime_powers or ideal in prime_powers
+        ]
+        if readers:
+            grp = CharGroup(ideal.gen)
+            for suite, tally in readers:
+                for value, fields in suite.checks(grp):
+                    tally.add(value, fields)
+    return [tally.result() for tally in tallies]
+
+
+def _one_modulus_suite(suite: _ModulusSuite) -> Callable[[float, float], SuiteResult]:
+    return lambda max_norm, tol: _modulus_pass(max_norm, tol, [suite])[0]
+
+
+def _twisted_checks(grp1, grp2, units, f_values) -> Iterator[tuple[float, tuple]]:
+    """The twisted residuals of every character pair of (grp1, grp2), from
+    one table, chi1 outermost; units and f_values are the tables of c1 c2."""
+    c1, c2 = grp1.element, grp2.element
+    exps2 = list(map(tuple, grp2.exponent_vectors.tolist()))
+    rows = np.abs(twisted_mult_table(grp1, grp2, units, f_values)).tolist()
+    for e1, row in zip(grp1.exponent_vectors.tolist(), rows):
         for e2, value in zip(exps2, row):
             yield value, (c1, c2, tuple(e1), e2)
-
-
-def _product_tables(c: GaussianInt):
-    """The unit table and F table of the product element c.  A canonical c
-    is itself a modulus of the suite, and the pair (1, c), the first with
-    product c, builds its group anyway: the group's tables serve."""
-    if c == canonical_associate(c):
-        grp = char_group(c)
-        return grp.units, grp.f_values()
-    units = unit_table(c)
-    return units, f_sum_values(c, units)
 
 
 def _suite_twisted(max_norm: float, tol: float) -> SuiteResult:
@@ -141,12 +215,29 @@ def _suite_twisted(max_norm: float, tol: float) -> SuiteResult:
                 break  # the moduli come in order of norm
             if is_coprime(c1, c2):
                 by_product.setdefault(c1 * c2, []).append((c1, c2))
+    # a modulus is in many pairs: its group is built once and dropped
+    # with this call
+    groups: dict[GaussianInt, CharGroup] = {}
+
+    def group(c: GaussianInt) -> CharGroup:
+        if c not in groups:
+            groups[c] = CharGroup(c)
+        return groups[c]
+
+    def product_tables(c: GaussianInt):
+        # a canonical c is itself a modulus, and the pair (1, c), the first
+        # with product c, reads its group: the group's tables serve
+        if c == canonical_associate(c):
+            return group(c).units, group(c).f_values()
+        units = unit_table(c)
+        return units, f_sum_values(c, units)
+
     checks = (
         check
         for c, pairs in by_product.items()
-        for units, f_values in [_product_tables(c)]
+        for units, f_values in [product_tables(c)]
         for c1, c2 in pairs
-        for check in _twisted_checks(c1, c2, units, f_values)
+        for check in _twisted_checks(group(c1), group(c2), units, f_values)
     )
     return _tally("twisted", checks, tol, "moduli {},{} exps {},{} residual {:.3e}")
 
@@ -159,34 +250,16 @@ def lemma_pass(max_norm: float, tol: float) -> tuple[SuiteResult, list[tuple]]:
     """
     if not max_norm >= 2:  # also rejects NaN
         raise DomainError("lemma-check needs max_norm >= 2")
-    worst, fails, rows = 0.0, [], []
-    for ideal in prime_power_ideals_up_to_norm(max_norm):
-        grp = char_group(ideal.gen)
-        modulus = str(grp.element)
-        values, is_bound = local_prediction(grp)
-        got = np.array([abs(f) for f in grp.fhat_table().tolist()])
-        res = np.where(is_bound, np.maximum(0.0, got - values), np.abs(got - values))
-        worst = max(worst, float(res.max()))
-        for exps, cls, g, v, bound, r in zip(
-            grp.exponent_vectors.tolist(),
-            grp.classes(),
-            got.tolist(),
-            values.tolist(),
-            is_bound.tolist(),
-            res.tolist(),
-        ):
-            rel = "<=" if bound else "="
-            if r > tol:
-                fails.append(
-                    f"modulus {modulus} exps {tuple(exps)}: |fhat| = {g:.6f}, "
-                    f"case formula says {rel} {v:.6f}"
-                )
+    rows = []
+
+    def checks(grp: CharGroup) -> Iterator[tuple[float, tuple]]:
+        for r, fields in _lemma_checks(grp):
+            modulus, exps, g, rel, v, cls = fields
             rows.append((modulus, ":".join(map(str, exps)), cls, g, rel, v, r <= tol))
-    return SuiteResult("lemma", len(rows), worst, fails), rows
+            yield r, fields
 
-
-def _suite_lemma(max_norm: float, tol: float) -> SuiteResult:
-    return lemma_pass(max_norm, tol)[0]
+    lemma = _MODULUS_SUITES["lemma"]._replace(checks=checks)
+    return _modulus_pass(max_norm, tol, [lemma])[0], rows
 
 
 def _small_grid_checks(identity, max_norm: float) -> Iterator[tuple[float, tuple]]:
@@ -270,10 +343,10 @@ def _suite_plancherel(max_norm: float, tol: float) -> SuiteResult:
 #: >= 64, which is why the default verify range stops at 60 (the full
 #: range runs in lemma-check and the acceptance tests).
 SUITES: dict[str, Callable[[float, float], SuiteResult]] = {
-    "mellin": _suite_mellin,
-    "parseval": _suite_parseval,
+    "mellin": _one_modulus_suite(_MODULUS_SUITES["mellin"]),
+    "parseval": _one_modulus_suite(_MODULUS_SUITES["parseval"]),
     "twisted": _suite_twisted,
-    "lemma": _suite_lemma,
+    "lemma": _one_modulus_suite(_MODULUS_SUITES["lemma"]),
     "selberg": _suite_selberg,
     "shift": _suite_shift,
     "weil": _suite_weil,
@@ -300,4 +373,7 @@ def verify_all(max_norm: float, tolerance: float, names: Sequence[str] = ("all",
                 raise DomainError(f"unknown suite {name!r}")
             if expanded not in selected:
                 selected.append(expanded)
-    return [SUITES[name](max_norm, tolerance) for name in selected]
+    # the per-modulus suites share one pass; the others run on their own
+    per_modulus = [_MODULUS_SUITES[name] for name in selected if name in _MODULUS_SUITES]
+    results = {r.name: r for r in _modulus_pass(max_norm, tolerance, per_modulus)}
+    return [results[name] if name in results else SUITES[name](max_norm, tolerance) for name in selected]

@@ -53,13 +53,31 @@ def test_tracer_targets_resolve():
     assert callable(characters.char_group.cache_info)
 
 
+def _source_tree(module: str) -> ast.Module:
+    path = Path(__file__).resolve().parents[1] / "src" / "gisieve" / f"{module}.py"
+    return ast.parse(path.read_text())
+
+
+def test_verify_neither_imports_nor_calls_char_group():
+    # the identity suites build their groups in one pass over the moduli
+    # (and the twisted suite in a table of its own call); a use of the
+    # process-wide char_group would keep every group after they return
+    uses = [
+        node
+        for node in ast.walk(_source_tree("verify"))
+        if (isinstance(node, ast.alias) and node.name == "char_group")
+        or (isinstance(node, ast.Name) and node.id == "char_group")
+        or (isinstance(node, ast.Attribute) and node.attr == "char_group")
+    ]
+    assert uses == []
+
+
 def test_sievelab_imports_no_characters_and_no_private_names():
     # sievelab sums its characters as congruences (gauss): an import of
     # gisieve.characters, or of a _-prefixed name of another gisieve
     # module, would bring back the dependency on a lower layer's internals
-    path = Path(__file__).resolve().parents[1] / "src" / "gisieve" / "sievelab.py"
     imported = []
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(_source_tree("sievelab")):
         if isinstance(node, ast.ImportFrom):
             module = node.module or ""
             if node.level:  # relative imports resolve inside the package
