@@ -408,6 +408,13 @@ def bessel_integral_spectral(z, tf: TestFunction, cfg: QuadratureConfig = DEFAUL
     share its series tables, one per _T_BLOCK t-nodes; each z is summed on
     its own, block by block in t order, so a value does not depend on the
     batch it comes in.  A table beyond _TABLE_ENTRIES raises DomainError.
+
+    Off the real axis near the series radius the factors J_{it+-p}(z) grow
+    like I_p(|Im z|) while the kernel is O(1), and the cancellation costs
+    digits: against the weighted form the integral is off by up to 1.5e-7
+    relative at 12i, 1.4e-7 at 11.9i and 5.7e-8 at 6+10i, over (T, P) in
+    {(0.5, 1), (1, 1), (2, 2)}, inside the ~1e-6 agreement of the three
+    representations.
     """
     z = np.asarray(z, dtype=complex)
     flat = z.ravel().tolist()
@@ -630,6 +637,10 @@ def _geometric_integral(z, tf: TestFunction, cfg: QuadratureConfig, weighted: bo
     """
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
+    z_abs = np.abs(flat)
+    bad = np.flatnonzero(~(z_abs < math.inf))  # also catches NaN
+    if bad.size:
+        raise DomainError(f"the kernel integral needs a finite z, got z = {complex(flat[bad[0]])}")
     k_max = int(_THETA_K_PER_P * tf.P + 2)
     k = np.arange(k_max + 1)
     a_wide = np.exp(-((np.arange(-1, k_max + 2) / tf.P) ** 2))  # a_-1 .. a_{k_max+1}
@@ -641,7 +652,6 @@ def _geometric_integral(z, tf: TestFunction, cfg: QuadratureConfig, weighted: bo
     # c_k and c_-k folded together: weight 1 at k = 0, 2 above, sign (-1)^k
     coeffs = np.where(k == 0, 1.0, 2.0) * (-1.0) ** k * np.stack((a, second))
     gl_x, gl_w = _gl_rule(cfg.gl_order)
-    z_abs = np.abs(flat)
     total = np.zeros(flat.size)
     for mid, half, own in _graded_r_panels(z_abs, tf, cfg, max(1, _R_BLOCK // cfg.gl_order)):
         r = (mid[:, None] + half[:, None] * gl_x).ravel()

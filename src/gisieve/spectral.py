@@ -301,6 +301,13 @@ def _smoothed_zeta(
     return values
 
 
+def _check_cutoff(cutoff: float) -> None:
+    if not cutoff < math.inf:  # also rejects NaN
+        raise DomainError(f"the zeta cutoff must be finite, got {cutoff}")
+    if cutoff < 4:
+        raise DomainError("cutoff too small to say anything")
+
+
 def hecke_zeta(
     s: complex,
     p: int,
@@ -327,8 +334,7 @@ def hecke_zeta(
     s = complex(s)
     if p == 0 and abs(s - 1.0) < 1e-12:
         raise PoleError("zeta(s, 0) has a simple pole at s = 1")
-    if cutoff < 4:
-        raise DomainError("cutoff too small to say anything")
+    _check_cutoff(cutoff)
 
     if not smoothed:
         sigma = s.real
@@ -363,8 +369,7 @@ def _omega(t: np.ndarray, p: int, cutoff: float, offsets: np.ndarray | None = No
     default cutoff.  At p = 0, omega -> 0 toward t = 0; the sieve sum skips
     the band |t| < POLE_BAND_HALF_WIDTH rather than modelling it.
     """
-    if cutoff < 4:
-        raise DomainError("cutoff too small to say anything")
+    _check_cutoff(cutoff)
     shifts = None if offsets is None else 2j * offsets
     return 1.0 / np.abs(_smoothed_zeta(1.0 + 2j * t, 2 * p, cutoff, shifts)) ** 2
 

@@ -438,6 +438,28 @@ def test_three_representations_agree(z):
     assert abs(a - c) <= 1e-8 * scale
 
 
+@pytest.mark.parametrize("T,P", [(0.5, 1.0), (1.0, 1.0), (2.0, 2.0)])
+def test_spectral_form_near_the_series_radius_off_the_real_axis(T, P):
+    # both factors J_{it+-p}(z) grow like I_p(|Im z|) while the kernel is
+    # O(1), so near |z| = 12 off the real axis the spectral form loses
+    # digits to cancellation (1.5e-7 relative at 12i, T = P = 1); it stays
+    # inside the ~1e-6 agreement documented for the three representations
+    tf = TestFunction(T, P)
+    z = np.array([12j, 11.9j, 6.0 + 10.0j])
+    want = bessel_integral_weighted(z, tf)
+    got = bessel_integral_spectral(z, tf)
+    assert np.all(np.abs(got - want) <= 1e-6 * np.abs(want))
+
+
+@pytest.mark.parametrize("form", [bessel_integral_weighted, bessel_integral_deriv])
+@pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(math.inf, 0.0), complex(1.0, math.nan)])
+def test_geometric_forms_reject_a_non_finite_z(form, z):
+    with pytest.raises(DomainError, match="finite z"):
+        form(z, TestFunction(1.0, 1.0))
+    with pytest.raises(DomainError, match="finite z"):
+        form(np.array([1.0 + 1.0j, z]), TestFunction(1.0, 1.0))
+
+
 def test_integral_even_in_z():
     tf = TestFunction(1.0, 1.0)
     z = 1.2 + 0.7j

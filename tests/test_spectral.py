@@ -339,6 +339,18 @@ def test_weight_rejects_tiny_cutoff():
         eisenstein_sieve_sum(make_sequence({_ideal(1, 1): 1.0}), 2.0, 1.0, weight_cutoff=3.0)
 
 
+@pytest.mark.parametrize("cutoff", [math.nan, math.inf])
+def test_zeta_and_weight_reject_a_non_finite_cutoff(cutoff):
+    for smoothed in (False, True):
+        with pytest.raises(DomainError, match="cutoff must be finite"):
+            hecke_zeta(2.0, 0, cutoff=cutoff, smoothed=smoothed)
+    with pytest.raises(DomainError, match="cutoff must be finite"):
+        _omega(np.array([1.0]), 1, cutoff)
+    ideals = ideals_up_to_norm(10)
+    with pytest.raises(DomainError, match="cutoff must be finite"):
+        eisenstein_sieve_sums(ideals, np.ones((1, len(ideals))), 2.0, 1.0, weight_cutoff=cutoff)
+
+
 @pytest.mark.parametrize(
     "lo,hi,p",
     [
