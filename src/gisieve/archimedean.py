@@ -418,6 +418,9 @@ def bessel_integral_spectral(z, tf: TestFunction, cfg: QuadratureConfig = DEFAUL
     """
     z = np.asarray(z, dtype=complex)
     flat = z.ravel().tolist()
+    bad = [v for v in flat if not abs(v) < math.inf]  # also catches NaN
+    if bad:
+        raise DomainError(f"the kernel integral needs a finite z, got z = {bad[0]}")
     if 0 in flat:
         raise DomainError("kernel undefined at z = 0")
     terms = [_series_terms(abs(v)) for v in flat]

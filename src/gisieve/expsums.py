@@ -10,13 +10,15 @@ and the twisted variant feeding the character transforms is
 
 Every exponent Re((...)*conj(c))/N(c) is an exact rational with integer
 numerator, so each value is a sum of N(c)-th roots of unity looked up in
-one table of them, built for the modulus and not kept.  Two expressions
+one table of them, built for the sums and not kept.  Two expressions
 that agree in the algebra then agree numerically to ~1e-13, which is
 what lets the identity tests run at 1e-9.
-kloosterman_matrix sums S(m_i, n_j; c) for two lists of arguments over
-the caller's unit table of c, and the identities take lists too; the
-table of F over all units (f_sum_values) is one FFT per modulus, within
-~1e-12 of the direct sums.
+kloosterman_sums sums S(m_i, n_j; c) for two lists of arguments at every
+modulus of a list, a run of consecutive moduli at a time, each on a
+zero-padded row of its own; kloosterman_matrix is its one-modulus case,
+over the caller's unit table of c, and equal to it bit for bit.  The
+identities take lists too; the table of F over all units (f_sum_values)
+is one FFT per modulus, within ~1e-12 of the direct sums.
 
 For a unit modulus the quotient is the zero ring, its one residue class
 is invertible, and every sum degenerates to the single term 1.
@@ -31,6 +33,7 @@ from .gauss import (
     DomainError,
     GIdeal,
     GaussianInt,
+    UnitRun,
     UnitTable,
     divides,
     exact_div,
@@ -39,12 +42,14 @@ from .gauss import (
     moebius,
     reduce_pair,
     residue_box,
+    unit_runs,
     unit_table,
 )
 
 __all__ = [
     "kloosterman",
     "kloosterman_matrix",
+    "kloosterman_sums",
     "f_sum",
     "f_sum_values",
     "selberg_residuals",
@@ -58,29 +63,85 @@ def _exp_table(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(n) / n)
 
 
-def _exponent_rows(xs, ux, uy, c: GaussianInt) -> np.ndarray:
-    """Re(u x conj(c)) for x of xs (rows) and the units u = ux + i uy
-    (columns), with x conj(c) reduced mod N(c) first."""
-    big_n, cbar = c.norm, c.conj()
-    xc = [[z.re % big_n, z.im % big_n] for z in (x * cbar for x in xs)]
-    xc = np.array(xc, dtype=np.int64).reshape(-1, 2)
-    return ux * xc[:, :1] - uy * xc[:, 1:]
+def _cosine_tables(norms) -> tuple[np.ndarray, np.ndarray]:
+    """The real parts of _exp_table(n) for each distinct n of norms,
+    concatenated with one 0.0 after them, and the offset of the table of
+    each entry of norms.  The k-th entry is exp(2 pi i k / n).real from the
+    same complex arithmetic as _exp_table, so it is equal bit for bit."""
+    distinct = sorted(set(norms))
+    starts = np.cumsum([0, *distinct])
+    owner = np.repeat(np.arange(len(distinct)), distinct)
+    k = np.arange(starts[-1]) - starts[:-1][owner]
+    table = np.append(np.exp(2j * np.pi * k / np.array(distinct)[owner]).real, 0.0)
+    at = dict(zip(distinct, starts[:-1].tolist()))
+    return table, np.array([at[n] for n in norms], dtype=np.int64)
+
+
+def _exponent_rows(xs, ux, uy, moduli) -> np.ndarray:
+    """Re(u x conj(c)) for each modulus c of moduli (axis 0), x of xs
+    (axis 1) and the units u = ux + i uy of c (axis 2, padded), with
+    x conj(c) reduced mod N(c) first."""
+    xc = [
+        [(x.re * c.re + x.im * c.im) % n, (x.im * c.re - x.re * c.im) % n]
+        for c, n in zip(moduli, (c.norm for c in moduli))
+        for x in xs
+    ]
+    xc = np.array(xc, dtype=np.int64).reshape(len(moduli), -1, 2)
+    return ux[:, None, :] * xc[:, :, :1] - uy[:, None, :] * xc[:, :, 1:]
+
+
+def _run_sums(ms, ns, run: UnitRun) -> np.ndarray:
+    """S(m_i, n_j; c) for every modulus c of a run, as a float array of
+    shape (moduli, ms, ns).
+
+    S is real by a -> -a: each entry is the real parts of its terms,
+    accumulated in the fixed residue order.  The exponent of a term is
+    Re(a m conj(c)) + Re(a^{-1} n conj(c)) mod N(c), one int64 row per
+    argument on each side; every product stays below N(c)^2 < 2^62.  Each
+    modulus sums on a row of its own, padded after its last term with
+    zeros up to the run's largest unit count, so the cumulative sum at the
+    row's end is its own sum bit for bit.
+    """
+    fields = run.x, run.y, run.inv_x, run.inv_y
+    norms = [c.norm for c in run.moduli]
+    if len(norms) == 1:
+        ux, uy, vx, vy = (f[None, :] for f in fields)
+    else:
+        bounds = np.array(run.bounds)
+        sizes = np.diff(bounds)
+        column = np.arange(sizes.max())
+        pad = column >= sizes[:, None]
+        index = np.where(pad, 0, bounds[:-1, None] + column)
+        ux, uy, vx, vy = (f[index] for f in fields)
+    rows_m = _exponent_rows(ms, ux, uy, run.moduli)
+    rows_n = _exponent_rows(ns, vx, vy, run.moduli)
+    shape = len(norms), 1, 1, 1
+    k = (rows_m[:, :, None, :] + rows_n[:, None, :, :]) % np.reshape(norms, shape)
+    if len(norms) == 1:
+        table = _exp_table(norms[0]).real
+    else:
+        table, at = _cosine_tables(norms)
+        k += at.reshape(shape)
+        k[np.broadcast_to(pad[:, None, None, :], k.shape)] = table.size - 1
+    # a copy, so that a kept sum does not keep the cumulative array
+    return np.cumsum(table[k], axis=-1)[..., -1].copy()
+
+
+def kloosterman_sums(ms, ns, moduli) -> np.ndarray:
+    """S(m_i, n_j; c) for every c of moduli, m_i of ms and n_j of ns, as a
+    float array of shape (moduli, ms, ns): kloosterman_matrix at each c,
+    bit for bit, with the unit tables and the sums of a run of moduli
+    built at once (gauss.unit_runs)."""
+    sums = [_run_sums(ms, ns, run) for run in unit_runs(moduli)]
+    return np.concatenate(sums) if sums else np.zeros((0, len(ms), len(ns)))
 
 
 def kloosterman_matrix(ms, ns, c: GaussianInt, units: UnitTable) -> np.ndarray:
     """S(m_i, n_j; c) for every m_i of ms and n_j of ns, as a float array;
     units is the unit_table of c, built and kept by the caller for as long
-    as it sums mod c.
-
-    S is real by a -> -a: each entry is the real parts of its terms,
-    accumulated in the fixed residue order.  The exponent of a term is
-    Re(a m conj(c)) + Re(a^{-1} n conj(c)) mod N(c), one int64 row per
-    argument on each side; every product stays below N(c)^2 < 2^62.
-    """
-    rows_m = _exponent_rows(ms, units.x, units.y, c)
-    rows_n = _exponent_rows(ns, units.inv_x, units.inv_y, c)
-    k = (rows_m[:, None, :] + rows_n[None, :, :]) % c.norm
-    return np.cumsum(_exp_table(c.norm).real[k], axis=-1)[..., -1]
+    as it sums mod c.  The one-modulus case of kloosterman_sums."""
+    run = UnitRun((c,), [0, len(units.x)], units.x, units.y, units.inv_x, units.inv_y, (units,))
+    return _run_sums(ms, ns, run)[0]
 
 
 def kloosterman(m: GaussianInt, n: GaussianInt, c: GaussianInt) -> float:

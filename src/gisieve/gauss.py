@@ -14,10 +14,13 @@ the Hermite box of the lattice spanned by c and i*c:
 which makes every reduction exact integer arithmetic and gives a fixed,
 deterministic enumeration order used by all downstream sums.
 
-Everything here is pure and exact; floats never appear.  The unit table
-works on int64 arrays, whose products stay exact below MAX_UNIT_NORM; it
-inverts the units through the norm map into Z/d, c cap Z = dZ, and is
-not cached.
+Everything here is pure and exact; floats never appear.  The unit tables
+work on int64 arrays, whose products stay exact below MAX_UNIT_NORM, and
+are built for a run of consecutive moduli at once (unit_runs) from the
+rational structure of Z[i]/(c): the units from coprimality tables over
+the rational primes of N(c), and their inverses through the norm map into
+Z/d, c cap Z = dZ, from one integer inverse table per d.  unit_table is
+the run of one modulus.  Nothing of them is cached.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ import math
 import re as _re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from itertools import accumulate
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -271,14 +275,21 @@ def reduce_pair(x, y, box: tuple[int, int, int]):
 #: every product stays below d^2 < 2^62, which is exact for N(c) below this.
 MAX_UNIT_NORM = 2**31
 
+#: unit_tables builds the tables of consecutive moduli together, as long
+#: as their count times their largest norm stays at most this many
+#: residues; a modulus of larger norm is a run of its own.  It bounds the
+#: arrays of one run, and the padded rows of its Kloosterman sums.
+RUN_RESIDUES = 2**13
+
 
 class UnitTable(NamedTuple):
     """The unit residues of c and their inverses as read-only int64 arrays,
     in the (y, x) raster order of the Hermite box, and the map from box
     index y*d + x to the position of that residue in this order (-1 off
-    the units).  It is built per modulus, by unit_table or by a CharGroup
-    (which inverts on its discrete-log grid), and lives as long as its
-    owner: a CharGroup, or one loop over the moduli."""
+    the units).  unit_tables builds the tables of a run of moduli at once,
+    and a table's arrays are views of its run's arrays; a CharGroup builds
+    its own, inverting on its discrete-log grid.  A table lives as long as
+    its owner: a CharGroup, or one loop over the moduli."""
 
     x: np.ndarray
     y: np.ndarray
@@ -287,80 +298,268 @@ class UnitTable(NamedTuple):
     position: np.ndarray
 
 
-def unit_points(c: GaussianInt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The x, y and position arrays of unit_table(c), without the inverses.
+class UnitRun(NamedTuple):
+    """The unit tables of consecutive moduli as one array per field: the
+    units of moduli[k] and their inverses are x, y, inv_x and inv_y at
+    bounds[k]:bounds[k + 1], and tables[k] is its UnitTable."""
 
-    A residue a is a unit when no Gaussian prime p | c divides it
-    (divides_points).  The arrays are read-only int64; a CharGroup takes
-    its inverses from its discrete-log grid instead.
+    moduli: tuple[GaussianInt, ...]
+    bounds: list[int]
+    x: np.ndarray
+    y: np.ndarray
+    inv_x: np.ndarray
+    inv_y: np.ndarray
+    tables: tuple[UnitTable, ...]
+
+
+def _runs(moduli) -> Iterator[list[GaussianInt]]:
+    """The moduli in consecutive runs of RUN_RESIDUES residues or one modulus."""
+    run: list[GaussianInt] = []
+    top = 0
+    for c in moduli:
+        if c.is_zero():
+            raise DomainError("zero modulus")
+        if c.norm >= MAX_UNIT_NORM:
+            raise DomainError(
+                f"modulus norm {c.norm} is too large for exact unit arithmetic "
+                f"(needs N(c) < {MAX_UNIT_NORM})"
+            )
+        if run and (len(run) + 1) * max(top, c.norm) > RUN_RESIDUES:
+            yield run
+            run, top = [], 0
+        run.append(c)
+        top = max(top, c.norm)
+    if run:
+        yield run
+
+
+def _tables(sizes, build) -> tuple[np.ndarray, list[int]]:
+    """build(n) for each distinct n of sizes, concatenated, and the offset
+    of the table of each entry of sizes."""
+    at: dict[int, int] = {}
+    parts = []
+    for n in sizes:
+        if n not in at:
+            at[n] = sum(map(len, parts))
+            parts.append(build(n))
+    return (parts[0] if len(parts) == 1 else np.concatenate(parts)), [at[n] for n in sizes]
+
+
+def _spreader(counts):
+    """(spread, owner): spread(values) repeats the k-th value counts[k]
+    times, as int64, and owner is the k of each entry; one modulus keeps
+    its value as a scalar and has owner None."""
+    if len(counts) == 1:
+        return (lambda values: values[0]), None
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return (lambda values: np.asarray(values, dtype=np.int64)[owner]), owner
+
+
+def _coprime_table(n: int) -> np.ndarray:
+    """Whether r is prime to n, for 0 <= r < n, sieved over the primes of n."""
+    table = np.ones(n, dtype=bool)
+    for p, _ in factor_int(n):
+        table[::p] = False
+    return table
+
+
+def _primitive_root(p: int, e: int) -> int:
+    """A generator of (Z/p^e)^x for an odd prime p."""
+    cofactors = [(p - 1) // q for q, _ in factor_int(p - 1)]
+    r = next(r for r in range(2, p) if all(pow(r, k, p) != 1 for k in cofactors))
+    # a root mod p generates mod every p^e unless r^(p-1) = 1 mod p^2
+    return r + p if e > 1 and pow(r, p - 1, p * p) == 1 else r
+
+
+def _inverse_table(d: int) -> np.ndarray:
+    """r^{-1} mod d for 0 <= r < d prime to d, and 0 at the other r.
+
+    For an odd prime power q = p^e, with r the powers of a primitive root
+    taken by doubling, the inverse of r^k is r^{-k}; for q = 2^e, Newton's
+    steps b -> b (2 - a b) double the bits of b = a^{-1} mod 8.  The
+    prime powers of d are joined by the CRT.  Every product stays below
+    d^2 < 2^62.
     """
-    if c.is_zero():
-        raise DomainError("zero modulus")
-    if c.norm >= MAX_UNIT_NORM:
-        raise DomainError(
-            f"modulus norm {c.norm} is too large for exact unit arithmetic "
-            f"(needs N(c) < {MAX_UNIT_NORM})"
-        )
-    d, _, g = residue_box(c)
-    y, x = np.divmod(np.arange(d * g, dtype=np.int64), d)
-    unit = np.ones(d * g, dtype=bool)
-    for p, _ in factor(c).factors:
-        unit &= ~divides_points(p.gen, x, y)
-    position = np.cumsum(unit) - 1
+    parts = []
+    for p, e in factor_int(d):
+        q = p**e
+        inverse = np.zeros(q, dtype=np.int64)
+        if p == 2:
+            a = np.arange(1, q, 2, dtype=np.int64)
+            b, bits = a, 3  # a a = 1 mod 8 for odd a
+            while bits < e:
+                b, bits = b * (2 - a * b % q) % q, 2 * bits
+            inverse[a] = b
+        else:
+            phi = q // p * (p - 1)
+            powers = np.empty(phi, dtype=np.int64)
+            powers[0], done, step = 1, 1, _primitive_root(p, e)
+            while done < phi:
+                k = min(done, phi - done)
+                np.remainder(powers[:k] * step, q, out=powers[done : done + k])
+                done, step = done + k, step * step % q
+            inverse[powers] = np.concatenate((powers[:1], powers[:0:-1]))
+        parts.append((q, inverse))
+    if len(parts) < 2:
+        return parts[0][1] if parts else np.zeros(1, dtype=np.int64)
+    # the CRT idempotents m (m^{-1} mod q) are below d, and the q below
+    # d sum to at most d, so the sum stays below d^2 before its reduction
+    r = np.arange(d, dtype=np.int64)
+    out = np.zeros(d, dtype=np.int64)
+    for q, inverse in parts:
+        m = d // q
+        out += inverse[r % q] * (m * pow(m, -1, q) % d)
+    out %= d
+    for p, _ in factor_int(d):
+        out[::p] = 0
+    return out
+
+
+def _run_points(run: list[GaussianInt], boxes):
+    """The units of each modulus of a run, from the rational structure.
+
+    With g = gcd(re c, im c) and c = g c', c' is primitive, so Z[i]/(c')
+    is Z/N' (N' = N(c')) with i -> j = -re(c') im(c')^{-1} mod N'.  A box
+    point x + iy is a unit mod c iff x + jy is prime to N' and
+    x^2 + y^2 = N(x + iy) is prime to g (an odd inert prime, or 1 + i,
+    divides x + iy iff it divides its norm; a split p iff its conjugate
+    divides the norm of x - iy); both are read from coprimality tables.
+    Where every g is 1 the box is Z/N(c), y = 0 and x + jy = x.  One
+    modulus takes x as a row and y as a column of its box.  Returns the
+    units x and y and the positions, each concatenated over the run, and
+    the bounds of each modulus in the units.
+    """
+    sizes = [c.norm for c in run]
+    spread, _ = _spreader(sizes)
+    gs = [g for _, _, g in boxes]
+    cores = [d // g for d, _, g in boxes]
+    cop, at = _tables(cores, _coprime_table)
+    if len(run) == 1:
+        (d, _, g), = boxes
+        x, y = np.arange(d, dtype=np.int64), np.arange(g, dtype=np.int64)[:, None]
+    else:
+        local = np.arange(sum(sizes), dtype=np.int64)
+        local -= spread(np.cumsum(sizes) - sizes)
+        y, x = np.divmod(local, spread([d for d, _, _ in boxes]))
+    if max(gs) == 1:
+        unit = cop if len(run) == 1 else cop[spread(at) + x]
+        y = np.zeros_like(x)
+    else:
+        roots = [
+            -(c.re // g) * pow(c.im // g, -1, n) % n if n > 1 else 0
+            for c, g, n in zip(run, gs, cores)
+        ]
+        unit = cop[spread(at) + (x + spread(roots) * y) % spread(cores)]
+        cop, at = _tables(gs, _coprime_table)
+        unit &= cop[spread(at) + (x * x + y * y) % spread(gs)]
+        unit = unit.ravel()
+    count = np.cumsum(unit)
+    if len(run) == 1:
+        bounds = [0, int(count[-1])]
+        position = count - 1
+        points = np.divmod(np.flatnonzero(unit), d)[::-1]
+    else:
+        bounds = [0, *count[np.cumsum(sizes) - 1].tolist()]
+        position = count - 1 - spread(bounds[:-1])
+        points = x[unit], y[unit]
     position[~unit] = -1
-    points = x[unit], y[unit], position
+    points = *points, position
     for arr in points:
         arr.setflags(write=False)
-    return points
+    return points, bounds
+
+
+#: A unit a has a + t c with N(a + t c) prime to d for some t < 10: each
+#: split prime p | d forbids one class of t mod p >= 5, and d < 2^31 has
+#: at most six of them.  A longer search means a non-unit got in.
+_MAX_SHIFTS = 16
+
+
+def _run_inverses(run: list[GaussianInt], boxes, x, y, bounds):
+    """The inverses of the units x + iy of a run (_run_points), by the norm map.
+
+    With c cap Z = dZ, a^{-1} = conj(a) N(a)^{-1}, N(a) inverted mod d by
+    one _inverse_table per distinct d.  An integer is a unit mod c iff it
+    is prime to d, and N(a) = a conj(a) fails that only where a split
+    prime p | c has conj(p) | a; such an a is replaced by a + t c, t = 1,
+    2, ..., the same class, until its norm is prime to d.  Coordinates are
+    taken mod d, so every product stays below d^2; the inverse is then
+    reduced into the Hermite box, where it is unique.  Where every g is 1
+    a unit is an integer x, and its inverse is read off the table.  For a
+    unit modulus the single class [0] is its own inverse.
+    """
+    ds = [d for d, _, _ in boxes]
+    spread, owner = _spreader([b - a for a, b in zip(bounds, bounds[1:])])
+    table, at = _tables(ds, _inverse_table)
+    if max(g for _, _, g in boxes) == 1:
+        inv_x = table[x] if owner is None else table[spread(at) + x]
+        inv_y = np.zeros_like(y)
+    else:
+        d = spread(ds)
+        # 0 <= x < d and 0 <= y < g <= d, so x^2 + y^2 < 2 d^2 < 2^63
+        inv = table[spread(at) + (x * x + y * y) % d]
+        # the table reads 0 off the units of Z/d, except at d = 1
+        redo = np.flatnonzero((inv == 0) & (d > 1))
+        ax, ay = x, y
+        if redo.size:
+            ax, ay = x.copy(), y.copy()
+            per_modulus = np.array([[c.re, c.im, n, t] for c, n, t in zip(run, ds, at)])
+        for _ in range(_MAX_SHIFTS):
+            if not redo.size:
+                break
+            # a + t c is the same class, and at each split p, conj(p)
+            # divides it for one class of t mod N(p) only: a few rounds
+            cre, cim, dk, atk = per_modulus[0 if owner is None else owner[redo]].T
+            ax[redo] = (ax[redo] + cre) % dk
+            ay[redo] = (ay[redo] + cim) % dk
+            inv[redo] = table[atk + (ax[redo] * ax[redo] + ay[redo] * ay[redo]) % dk]
+            redo = redo[inv[redo] == 0]
+        if redo.size:
+            raise AssertionError(f"no a + t c with t <= {_MAX_SHIFTS} has a norm prime to d")
+        # the box reduction of (X, Y) is ((X - (Y // g) e) mod d, Y mod g)
+        shift, inv_y = np.divmod((d - ay) * inv % d, spread([g for _, _, g in boxes]))
+        inv_x = (ax * inv - shift * spread([e for _, e, _ in boxes])) % d
+    inv_x.setflags(write=False)
+    inv_y.setflags(write=False)
+    return inv_x, inv_y
+
+
+def unit_runs(moduli) -> Iterator[UnitRun]:
+    """The unit tables of moduli, in order, built a run of consecutive
+    moduli at a time (RUN_RESIDUES); a zero modulus, or one of norm
+    MAX_UNIT_NORM or more, raises DomainError when its run is reached.
+    No Gaussian factorisation is made and nothing is cached."""
+    for run in _runs(moduli):
+        boxes = [residue_box(c) for c in run]
+        (x, y, position), bounds = _run_points(run, boxes)
+        inv_x, inv_y = _run_inverses(run, boxes, x, y, bounds)
+        starts = [0, *accumulate(c.norm for c in run)]
+        tables = tuple(
+            UnitTable(x[a:b], y[a:b], inv_x[a:b], inv_y[a:b], position[s:t])
+            for a, b, s, t in zip(bounds, bounds[1:], starts, starts[1:])
+        )
+        yield UnitRun(tuple(run), bounds, x, y, inv_x, inv_y, tables)
+
+
+def unit_tables(moduli) -> Iterator[UnitTable]:
+    """The unit_table of each modulus of moduli, in order (unit_runs)."""
+    for run in unit_runs(moduli):
+        yield from run.tables
+
+
+def unit_points(c: GaussianInt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The x, y and position arrays of unit_table(c), without the inverses:
+    the one-modulus case of _run_points.  The arrays are read-only int64;
+    a CharGroup takes its inverses from its discrete-log grid instead."""
+    (run,) = _runs([c])
+    return _run_points(run, [residue_box(c)])[0]
 
 
 def unit_table(c: GaussianInt) -> UnitTable:
-    """Units mod c (unit_points) and their inverses, by exact int64 array
-    arithmetic.
-
-    The inverse comes from the norm map: with c cap Z = dZ, a^{-1} =
-    conj(a) N(a)^{-1}, N(a) inverted mod d as N(a)^(phi(d) - 1).  An
-    integer is a unit mod c iff it is prime to d, and N(a) = a conj(a)
-    fails that only where a split prime p | c has conj(p) | a; such an a
-    is replaced by a + t c, t = 1, 2, ..., the same class, until its norm
-    is prime to d.  Coordinates are taken mod d, so every product stays
-    below d^2; the inverse is then reduced into the Hermite box, where it
-    is unique.  For a unit modulus the single class [0] is its own
-    inverse.  Nothing is cached.
-    """
-    x, y, position = unit_points(c)
-    box = residue_box(c)
-    d, _, g = box
-    fac_d = factor_int(d)
-    phi_d = math.prod(p ** (e - 1) * (p - 1) for p, e in fac_d)
-
-    def shares_a_prime_with_d(n):
-        bad = np.zeros(n.shape, dtype=bool)
-        for p, _ in fac_d:
-            bad |= n % p == 0
-        return bad
-
-    # 0 <= x < d and 0 <= y < g <= d, so x^2 + y^2 < 2 d^2 < 2^63.  At
-    # g = 1 every residue is an integer x, and x^2 is prime to d with x
-    ax, ay, n = x, y, (x * x + y * y) % d
-    while g > 1 and (bad := shares_a_prime_with_d(n)).any():
-        # a + t c is the same class, and at each split p, conj(p) divides
-        # it for one class of t mod N(p) only: a few rounds of t -> t + 1
-        ax = np.where(bad, (ax + c.re) % d, ax)
-        ay = np.where(bad, (ay + c.im) % d, ay)
-        n = (ax * ax + ay * ay) % d
-
-    inv, k = np.ones_like(n) % d, phi_d - 1
-    while k:
-        if k & 1:
-            np.remainder(np.multiply(inv, n, out=inv), d, out=inv)
-        k >>= 1
-        if k:
-            np.remainder(np.multiply(n, n, out=n), d, out=n)
-    inv_x, inv_y = reduce_pair(ax * inv % d, (d - ay) * inv % d, box)
-    inv_x.setflags(write=False)
-    inv_y.setflags(write=False)
-    return UnitTable(x, y, inv_x, inv_y, position)
+    """Units mod c and their inverses, by exact int64 array arithmetic: the
+    one-modulus case of unit_tables.  Nothing is cached."""
+    (table,) = unit_tables([c])
+    return table
 
 
 def unit_positions(c: GaussianInt, units: UnitTable, x, y) -> np.ndarray:

@@ -59,7 +59,7 @@ from .gauss import (
     factor,
     ideals_up_to_norm,
     unit_positions,
-    unit_table,
+    unit_tables,
 )
 from .spectral import CoefficientSequence, eisenstein_sieve_sum, eisenstein_sieve_sums
 
@@ -293,11 +293,10 @@ def _quad_form_rows(
     my = np.array([mn.im for mn in mns], dtype=np.int64)
     twist = (mx + 1j * my) * complex(theta)
     Q = np.zeros(len(mns), dtype=complex)
-    for c in moduli:
+    for c, units in zip(moduli, unit_tables(moduli)):
         # d mod N(c) is in the class of d mod c (N(c) = c conj(c)), and small
         # enough that d * mn stays exact in int64 for any d
         dx, dy = d.re % c.norm, d.im % c.norm
-        units = unit_table(c)
         pos = unit_positions(c, units, dx * mx - dy * my, dx * my + dy * mx)
         unit = pos >= 0
         # e[mn theta / c] = exp(2 pi i Re(mn theta / c))

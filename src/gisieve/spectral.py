@@ -74,7 +74,7 @@ from .archimedean import (
     plancherel_integral,
     small_z_bound_constant,
 )
-from .expsums import kloosterman_matrix
+from .expsums import kloosterman_sums
 from .gauss import (
     DomainError,
     GIdeal,
@@ -83,7 +83,6 @@ from .gauss import (
     gcd,
     ideal_divisors,
     ideals_up_to_norm,
-    unit_table,
 )
 
 __all__ = [
@@ -603,10 +602,12 @@ def kuznetsov_geometric(
                        of the weighted representation.
 
     S(m, n; -c) = S(m, n; c) by a -> -a, S(m, n; ic) = S(m, -n; c) by
-    a -> ia, S is real and H is even: each ideal takes one kloosterman_matrix
-    row S(m, +-n; c) and two Bessel integrals, at c and at ic, for its four
-    associates.  The Bessel integrals of all ideals are one batch, read
-    from _kuznetsov_h, which keeps the batch of each recent product mn.
+    a -> ia, S is real and H is even: each ideal takes one row S(m, +-n; c)
+    and two Bessel integrals, at c and at ic, for its four associates.  The
+    rows come from kloosterman_sums, which builds the unit tables and sums
+    of a run of consecutive ideals at once and keeps none of them; the
+    Bessel integrals of all ideals are one batch, read from _kuznetsov_h,
+    which keeps the batch of each recent product mn.
     A negative c_norm_max raises DomainError; 0 gives an empty sum.
     """
     if m.is_zero() or n.is_zero():
@@ -616,11 +617,10 @@ def kuznetsov_geometric(
     h_total = plancherel_integral(tf)
     diagonal = h_total / (8.0 * math.pi**3) if (m == n or m == -n) else 0.0
 
-    weights = []
-    for ideal in ideals_up_to_norm(c_norm_max):
-        c = ideal.gen
-        row = kloosterman_matrix([m], [n, -n], c, unit_table(c))[0]  # one table per ideal, dropped here
-        weights.extend(2.0 * kl / ideal.norm for kl in row.tolist())
+    ideals = ideals_up_to_norm(c_norm_max)
+    sums = kloosterman_sums([m], [n, -n], [ideal.gen for ideal in ideals])[:, 0, :]
+    norms = np.array([ideal.norm for ideal in ideals], dtype=float)
+    weights = (2.0 * sums / norms[:, None]).ravel()
     h = _kuznetsov_h(m * n, tf, c_norm_max, cfg)
     term = complex(math.fsum(np.multiply(weights, h)) / (32.0 * math.pi**3))
 

@@ -215,8 +215,17 @@ def _suite_twisted(max_norm: float, tol: float) -> SuiteResult:
                 break  # the moduli come in order of norm
             if is_coprime(c1, c2):
                 by_product.setdefault(c1 * c2, []).append((c1, c2))
-    # a modulus is in many pairs: its group is built once and dropped
-    # with this call
+    # a modulus is in many pairs: its group is built once, and dropped
+    # after the last product whose pairs (or tables) read it
+    last: dict[GaussianInt, int] = {}
+    for t, (c, pairs) in enumerate(by_product.items()):
+        if c == canonical_associate(c):
+            last[c] = t
+        for c1, c2 in pairs:
+            last[c1] = last[c2] = t
+    expiring: dict[int, list[GaussianInt]] = {}
+    for c, t in last.items():
+        expiring.setdefault(t, []).append(c)
     groups: dict[GaussianInt, CharGroup] = {}
 
     def group(c: GaussianInt) -> CharGroup:
@@ -232,14 +241,15 @@ def _suite_twisted(max_norm: float, tol: float) -> SuiteResult:
         units = unit_table(c)
         return units, f_sum_values(c, units)
 
-    checks = (
-        check
-        for c, pairs in by_product.items()
-        for units, f_values in [product_tables(c)]
-        for c1, c2 in pairs
-        for check in _twisted_checks(group(c1), group(c2), units, f_values)
-    )
-    return _tally("twisted", checks, tol, "moduli {},{} exps {},{} residual {:.3e}")
+    def checks() -> Iterator[tuple[float, tuple]]:
+        for t, (c, pairs) in enumerate(by_product.items()):
+            units, f_values = product_tables(c)
+            for c1, c2 in pairs:
+                yield from _twisted_checks(group(c1), group(c2), units, f_values)
+            for done in expiring.get(t, ()):
+                del groups[done]
+
+    return _tally("twisted", checks(), tol, "moduli {},{} exps {},{} residual {:.3e}")
 
 
 def lemma_pass(max_norm: float, tol: float) -> tuple[SuiteResult, list[tuple]]:

@@ -451,9 +451,16 @@ def test_spectral_form_near_the_series_radius_off_the_real_axis(T, P):
     assert np.all(np.abs(got - want) <= 1e-6 * np.abs(want))
 
 
-@pytest.mark.parametrize("form", [bessel_integral_weighted, bessel_integral_deriv])
-@pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(math.inf, 0.0), complex(1.0, math.nan)])
+@pytest.mark.parametrize(
+    "form", [bessel_integral_weighted, bessel_integral_deriv, bessel_integral_spectral]
+)
+@pytest.mark.parametrize(
+    "z",
+    [complex(math.nan, 0.0), complex(math.inf, 0.0), complex(-math.inf, 0.0), complex(1.0, math.nan)],
+)
 def test_geometric_forms_reject_a_non_finite_z(form, z):
+    # all three forms, the spectral one too: a non-finite z is named as
+    # such, not as a point beyond the series radius
     with pytest.raises(DomainError, match="finite z"):
         form(z, TestFunction(1.0, 1.0))
     with pytest.raises(DomainError, match="finite z"):

@@ -93,3 +93,26 @@ def test_sievelab_imports_no_characters_and_no_private_names():
         if "characters" in (module.split(".") + [name]) or name.startswith("_")
     ]
     assert bad == []
+
+
+def test_unit_tables_call_neither_factor_nor_divides_points(monkeypatch):
+    # the unit tables come from the rational structure of Z[i]/(c): a
+    # Gaussian factorisation, or one divides_points pass per prime, on
+    # their path would be the per-modulus work that they replace
+    gauss = importlib.import_module("gisieve.gauss")
+    calls = []
+    for name in ("factor", "divides_points"):
+        original = getattr(gauss, name)
+        monkeypatch.setattr(
+            gauss, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args)
+        )
+    moduli = [
+        c
+        for ideal in gauss.ideals_up_to_norm(400)
+        for c in (ideal.gen, ideal.gen.times_i(), ideal.gen.conj())
+    ]
+    assert len(list(gauss.unit_tables(moduli))) == len(moduli)
+    for c in moduli[::10]:
+        gauss.unit_table(c)
+        gauss.unit_points(c)
+    assert calls == []

@@ -21,11 +21,13 @@ from hypothesis import strategies as st
 
 from conftest import EDGE_MODULI, engine_moduli, with_edge_moduli
 from gisieve.expsums import (
+    _cosine_tables,
     _exp_table,
     f_sum,
     f_sum_values,
     kloosterman,
     kloosterman_matrix,
+    kloosterman_sums,
     selberg_residuals,
     shift_residuals,
     weil_ratios,
@@ -185,6 +187,49 @@ def test_kloosterman_associate_symmetries(c):
         for n in LOOP_ARGS:
             assert abs(kloosterman(m, n, -c) - kloosterman(m, n, c)) < 1e-9
             assert abs(kloosterman(m, n, c.times_i()) - kloosterman(m, -n, c)) < 1e-9
+
+
+def _cumsum_oracle(ms, ns, c):
+    """S(m_i, n_j; c) as one cumulative sum per modulus over its own unit
+    table, the real parts of _exp_table in the residue order: the sums as
+    they were taken before moduli were summed together."""
+    units, big_n = unit_table(c), c.norm
+    sides = []
+    for xs, ux, uy in ((ms, units.x, units.y), (ns, units.inv_x, units.inv_y)):
+        xc = np.array([[(x * c.conj()).re % big_n, (x * c.conj()).im % big_n] for x in xs])
+        sides.append(ux * xc[:, :1] - uy * xc[:, 1:])
+    k = (sides[0][:, None, :] + sides[1][None, :, :]) % big_n
+    return np.cumsum(_exp_table(big_n).real[k], axis=-1)[..., -1]
+
+
+@pytest.mark.parametrize(
+    "m,n", [(GaussianInt(1, 0), GaussianInt(2, 1)), (GaussianInt(2, 2), GaussianInt(6, 0))]
+)
+def test_kloosterman_sums_of_runs_equal_per_modulus_sums(m, n):
+    # every ideal of norm <= 400 and its associate ic, which has g > 1
+    # where c has; the pair (2+2i, 6) shares 1+i with half the moduli.
+    # Runs pad each modulus's row after its last term: the sums equal the
+    # one-modulus cumulative sums bit for bit, and so does the one-modulus
+    # case kloosterman_matrix
+    moduli = [cc for ideal in ideals_up_to_norm(400) for cc in (ideal.gen, ideal.gen.times_i())]
+    assert any(math.gcd(c.re, c.im) > 1 for c in moduli)
+    sums = kloosterman_sums([m, n], [n, -n, ONE], moduli)
+    assert sums.shape == (len(moduli), 2, 3)
+    for c, got in zip(moduli, sums):
+        want = _cumsum_oracle([m, n], [n, -n, ONE], c)
+        assert got.tobytes() == want.tobytes()
+        assert kloosterman_matrix([m, n], [n, -n, ONE], c, unit_table(c)).tobytes() == want.tobytes()
+    assert kloosterman_sums([m], [n], []).shape == (0, 1, 1)
+
+
+def test_cosine_tables_equal_exp_tables():
+    # one concatenated table per run equals _exp_table of each norm bit
+    # for bit, and ends in the 0.0 that the padded terms read
+    norms = [5, 1, 2, 5, 997, 1000, 2, 4096]
+    table, at = _cosine_tables(norms)
+    assert table[-1] == 0.0 and table.size == sum(set(norms)) + 1
+    for n, start in zip(norms, at.tolist()):
+        assert table[start : start + n].tobytes() == _exp_table(n).real.tobytes()
 
 
 @pytest.mark.parametrize(

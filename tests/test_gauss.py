@@ -41,7 +41,9 @@ from gisieve.gauss import (
     residue_box,
     unit_residues,
     unit_positions,
+    unit_runs,
     unit_table,
+    unit_tables,
 )
 
 I = GaussianInt(0, 1)
@@ -271,6 +273,103 @@ def test_unit_table_inverses_at_every_modulus_up_to_2000():
                 inverse = mod_inverse(GaussianInt(int(ax[k]), int(ay[k])), c)
                 assert (int(bx[k]), int(by[k])) == (inverse.re, inverse.im)
     assert shifted_moduli > 2000  # 2,112 of the 6,292 moduli
+
+
+def _oracle_units(c):
+    """The unit mask of c's box from its Gaussian primes (factor and
+    divides_points), independent of the rational structure that the
+    tables read it from."""
+    d, _, g = residue_box(c)
+    y, x = np.divmod(np.arange(d * g, dtype=np.int64), d)
+    unit = np.ones(d * g, dtype=bool)
+    for p, _ in factor(c).factors:
+        unit &= ~divides_points(p.gen, x, y)
+    return x, y, unit
+
+
+def _same_table(got, want):
+    return all(
+        a.dtype == b.dtype and a.flags.writeable == b.flags.writeable and np.array_equal(a, b)
+        for a, b in zip(got, want)
+    )
+
+
+def test_unit_tables_against_prime_oracle_to_norm_2000():
+    # the run-built tables of every ideal of norm <= 2000 and its four
+    # associates: the units are the box points that no Gaussian prime of c
+    # divides, in raster order, and each inverse b is in the box with
+    # a b = 1 mod c, which makes b = mod_inverse(a, c); mod_inverse itself
+    # is called at both ends of every 50th table.  Each table equals the
+    # one-modulus unit_table(c)
+    moduli = [
+        c
+        for ideal in ideals_up_to_norm(2000)
+        for c in (ideal.gen, ideal.gen.times_i(), -ideal.gen, -ideal.gen.times_i())
+    ]
+    for k, (c, table) in enumerate(zip(moduli, unit_tables(moduli), strict=True)):
+        x, y, unit = _oracle_units(c)
+        d, _, g = residue_box(c)
+        position = np.where(unit, np.cumsum(unit) - 1, -1)
+        assert np.array_equal(table.x, x[unit]) and np.array_equal(table.y, y[unit])
+        assert np.array_equal(table.position, position)
+        ax, ay, bx, by = table.x, table.y, table.inv_x, table.inv_y
+        assert ((bx >= 0) & (bx < d) & (by >= 0) & (by < g)).all()
+        assert divides_points(c, ax * bx - ay * by - 1, ax * by + ay * bx).all()
+        if k % 50 == 0 and not c.is_unit():
+            for i in (0, len(ax) - 1):
+                inverse = mod_inverse(GaussianInt(int(ax[i]), int(ay[i])), c)
+                assert (int(bx[i]), int(by[i])) == (inverse.re, inverse.im)
+        if k % 7 == 0:
+            assert _same_table(table, unit_table(c))
+        assert all(a.dtype == np.int64 and not a.flags.writeable for a in table)
+
+
+def test_unit_runs_split_at_the_residue_budget():
+    # a run closes before its count times its largest norm passes
+    # RUN_RESIDUES; a modulus above the budget is a run of its own, also
+    # between small ones; the unit modulus and conjugates ride along, and
+    # every table equals its one-modulus build
+    budget = gauss.RUN_RESIDUES
+    big = GaussianInt(91, 5)
+    assert big.norm > budget
+    near = [ideal.gen for ideal in ideals_up_to_norm(budget // 3) if ideal.norm > budget // 3 - 40]
+    moduli = [ONE, GaussianInt(2, 1), *near, big, GaussianInt(3, 3), GaussianInt(1, -2), big.conj()]
+    runs = list(unit_runs(moduli))
+    assert [c for run in runs for c in run.moduli] == moduli
+    for run in runs:
+        top = max(c.norm for c in run.moduli)
+        assert len(run.moduli) == 1 or len(run.moduli) * top <= budget
+    assert (big,) in [run.moduli for run in runs]
+    assert (big.conj(),) in [run.moduli for run in runs]
+    assert len(runs) >= 4
+    for c, table in zip(moduli, (t for run in runs for t in run.tables), strict=True):
+        assert _same_table(table, unit_table(c))
+    assert [a.tolist() for a in unit_table(ONE)] == [[0]] * 5
+    assert list(unit_runs([])) == [] and list(unit_tables([])) == []
+
+
+def test_unit_tables_do_not_depend_on_order_or_split():
+    # a list cut in two, reversed, or interleaved with other moduli gives
+    # every modulus the same table bit for bit
+    moduli = [c for ideal in ideals_up_to_norm(300) for c in (ideal.gen, ideal.gen.conj())]
+    whole = dict(zip(moduli, unit_tables(moduli)))
+    cut = len(moduli) // 3
+    parts = [*unit_tables(moduli[:cut]), *unit_tables(moduli[cut:])]
+    reverse = list(unit_tables(moduli[::-1]))[::-1]
+    shuffled = [moduli[k] for k in np.random.default_rng(5).permutation(len(moduli))]
+    for c, table in zip(moduli, parts):
+        assert _same_table(table, whole[c])
+    for c, table in zip(moduli, reverse):
+        assert _same_table(table, whole[c])
+    for c, table in zip(shuffled, unit_tables(shuffled)):
+        assert _same_table(table, whole[c])
+
+
+def test_unit_tables_reject_zero_and_oversized_moduli():
+    with pytest.raises(DomainError):
+        list(unit_tables([ONE, ZERO]))
+    with pytest.raises(DomainError):
+        list(unit_tables([GaussianInt(2, 1), GaussianInt(46341, 0)]))
 
 
 @pytest.mark.parametrize("c,a", [((4, 2), (8, 1)), ((2, 16), (34, 1))])
