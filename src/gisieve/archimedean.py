@@ -391,6 +391,15 @@ def plancherel_integral_quadrature(
 # the three kernel-integral representations
 
 
+def _finite_z(z) -> np.ndarray:
+    """z as a flat complex array; DomainError at its first non-finite entry."""
+    flat = np.asarray(z, dtype=complex).ravel()
+    bad = np.flatnonzero(~np.isfinite(flat))  # NaN too
+    if bad.size:
+        raise DomainError(f"the kernel integral needs a finite z, got z = {complex(flat[bad[0]])}")
+    return flat
+
+
 #: t-nodes per series table: the table of one block holds (orders x nodes x
 #: terms) coefficients, 0.4 MiB at P = 2 and |z| = 4.
 _T_BLOCK = 64
@@ -417,10 +426,7 @@ def bessel_integral_spectral(z, tf: TestFunction, cfg: QuadratureConfig = DEFAUL
     representations.
     """
     z = np.asarray(z, dtype=complex)
-    flat = z.ravel().tolist()
-    bad = [v for v in flat if not abs(v) < math.inf]  # also catches NaN
-    if bad:
-        raise DomainError(f"the kernel integral needs a finite z, got z = {bad[0]}")
+    flat = _finite_z(z).tolist()
     if 0 in flat:
         raise DomainError("kernel undefined at z = 0")
     terms = [_series_terms(abs(v)) for v in flat]
@@ -639,11 +645,8 @@ def _geometric_integral(z, tf: TestFunction, cfg: QuadratureConfig, weighted: bo
     product.
     """
     z = np.asarray(z, dtype=complex)
-    flat = z.ravel()
+    flat = _finite_z(z)
     z_abs = np.abs(flat)
-    bad = np.flatnonzero(~(z_abs < math.inf))  # also catches NaN
-    if bad.size:
-        raise DomainError(f"the kernel integral needs a finite z, got z = {complex(flat[bad[0]])}")
     k_max = int(_THETA_K_PER_P * tf.P + 2)
     k = np.arange(k_max + 1)
     a_wide = np.exp(-((np.arange(-1, k_max + 2) / tf.P) ** 2))  # a_-1 .. a_{k_max+1}

@@ -35,6 +35,7 @@ from .gauss import (
     GaussianInt,
     UnitRun,
     UnitTable,
+    _tables,
     divides,
     exact_div,
     ideal_divisors,
@@ -63,20 +64,6 @@ def _exp_table(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(n) / n)
 
 
-def _cosine_tables(norms) -> tuple[np.ndarray, np.ndarray]:
-    """The real parts of _exp_table(n) for each distinct n of norms,
-    concatenated with one 0.0 after them, and the offset of the table of
-    each entry of norms.  The k-th entry is exp(2 pi i k / n).real from the
-    same complex arithmetic as _exp_table, so it is equal bit for bit."""
-    distinct = sorted(set(norms))
-    starts = np.cumsum([0, *distinct])
-    owner = np.repeat(np.arange(len(distinct)), distinct)
-    k = np.arange(starts[-1]) - starts[:-1][owner]
-    table = np.append(np.exp(2j * np.pi * k / np.array(distinct)[owner]).real, 0.0)
-    at = dict(zip(distinct, starts[:-1].tolist()))
-    return table, np.array([at[n] for n in norms], dtype=np.int64)
-
-
 def _exponent_rows(xs, ux, uy, moduli) -> np.ndarray:
     """Re(u x conj(c)) for each modulus c of moduli (axis 0), x of xs
     (axis 1) and the units u = ux + i uy of c (axis 2, padded), with
@@ -99,7 +86,8 @@ def _run_sums(ms, ns, run: UnitRun) -> np.ndarray:
     Re(a m conj(c)) + Re(a^{-1} n conj(c)) mod N(c), one int64 row per
     argument on each side; every product stays below N(c)^2 < 2^62.  Each
     modulus sums on a row of its own, padded after its last term with
-    zeros up to the run's largest unit count, so the cumulative sum at the
+    zeros up to the run's largest unit count (the padding reads a 0.0
+    after the run's _exp_table cosines), so the cumulative sum at the
     row's end is its own sum bit for bit.
     """
     fields = run.x, run.y, run.inv_x, run.inv_y
@@ -117,11 +105,10 @@ def _run_sums(ms, ns, run: UnitRun) -> np.ndarray:
     rows_n = _exponent_rows(ns, vx, vy, run.moduli)
     shape = len(norms), 1, 1, 1
     k = (rows_m[:, :, None, :] + rows_n[:, None, :, :]) % np.reshape(norms, shape)
-    if len(norms) == 1:
-        table = _exp_table(norms[0]).real
-    else:
-        table, at = _cosine_tables(norms)
-        k += at.reshape(shape)
+    table, at = _tables(norms, lambda n: _exp_table(n).real)
+    if len(norms) > 1:
+        table = np.append(table, 0.0)
+        k += np.reshape(at, shape)
         k[np.broadcast_to(pad[:, None, None, :], k.shape)] = table.size - 1
     # a copy, so that a kept sum does not keep the cumulative array
     return np.cumsum(table[k], axis=-1)[..., -1].copy()

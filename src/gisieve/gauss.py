@@ -346,13 +346,12 @@ def _tables(sizes, build) -> tuple[np.ndarray, list[int]]:
 
 
 def _spreader(counts):
-    """(spread, owner): spread(values) repeats the k-th value counts[k]
-    times, as int64, and owner is the k of each entry; one modulus keeps
-    its value as a scalar and has owner None."""
+    """spread(values) repeats the k-th value counts[k] times, as int64; one
+    count keeps its value as a scalar, which broadcasts the same."""
     if len(counts) == 1:
-        return (lambda values: values[0]), None
+        return lambda values: values[0]
     owner = np.repeat(np.arange(len(counts)), counts)
-    return (lambda values: np.asarray(values, dtype=np.int64)[owner]), owner
+    return lambda values: np.asarray(values, dtype=np.int64)[owner]
 
 
 def _coprime_table(n: int) -> np.ndarray:
@@ -424,26 +423,20 @@ def _run_points(run: list[GaussianInt], boxes):
     x^2 + y^2 = N(x + iy) is prime to g (an odd inert prime, or 1 + i,
     divides x + iy iff it divides its norm; a split p iff its conjugate
     divides the norm of x - iy); both are read from coprimality tables.
-    Where every g is 1 the box is Z/N(c), y = 0 and x + jy = x.  One
-    modulus takes x as a row and y as a column of its box.  Returns the
-    units x and y and the positions, each concatenated over the run, and
-    the bounds of each modulus in the units.
+    Where every g is 1 the box is Z/N(c), y = 0 and the first test alone
+    reads x.  Returns the units x and y and the positions, each
+    concatenated over the run, and the bounds of each modulus in the units.
     """
     sizes = [c.norm for c in run]
-    spread, _ = _spreader(sizes)
+    starts = [0, *accumulate(sizes)]
+    spread = _spreader(sizes)
     gs = [g for _, _, g in boxes]
     cores = [d // g for d, _, g in boxes]
+    local = np.arange(starts[-1], dtype=np.int64) - spread(starts)
+    y, x = np.divmod(local, spread([d for d, _, _ in boxes]))
     cop, at = _tables(cores, _coprime_table)
-    if len(run) == 1:
-        (d, _, g), = boxes
-        x, y = np.arange(d, dtype=np.int64), np.arange(g, dtype=np.int64)[:, None]
-    else:
-        local = np.arange(sum(sizes), dtype=np.int64)
-        local -= spread(np.cumsum(sizes) - sizes)
-        y, x = np.divmod(local, spread([d for d, _, _ in boxes]))
     if max(gs) == 1:
-        unit = cop if len(run) == 1 else cop[spread(at) + x]
-        y = np.zeros_like(x)
+        unit = cop[spread(at) + x]
     else:
         roots = [
             -(c.re // g) * pow(c.im // g, -1, n) % n if n > 1 else 0
@@ -452,18 +445,11 @@ def _run_points(run: list[GaussianInt], boxes):
         unit = cop[spread(at) + (x + spread(roots) * y) % spread(cores)]
         cop, at = _tables(gs, _coprime_table)
         unit &= cop[spread(at) + (x * x + y * y) % spread(gs)]
-        unit = unit.ravel()
     count = np.cumsum(unit)
-    if len(run) == 1:
-        bounds = [0, int(count[-1])]
-        position = count - 1
-        points = np.divmod(np.flatnonzero(unit), d)[::-1]
-    else:
-        bounds = [0, *count[np.cumsum(sizes) - 1].tolist()]
-        position = count - 1 - spread(bounds[:-1])
-        points = x[unit], y[unit]
+    bounds = [0, *count[[s - 1 for s in starts[1:]]].tolist()]
+    position = count - 1 - spread(bounds[:-1])
     position[~unit] = -1
-    points = *points, position
+    points = x[unit], y[unit], position
     for arr in points:
         arr.setflags(write=False)
     return points, bounds
@@ -488,40 +474,44 @@ def _run_inverses(run: list[GaussianInt], boxes, x, y, bounds):
     a unit is an integer x, and its inverse is read off the table.  For a
     unit modulus the single class [0] is its own inverse.
     """
-    ds = [d for d, _, _ in boxes]
-    spread, owner = _spreader([b - a for a, b in zip(bounds, bounds[1:])])
+    spread = _spreader([b - a for a, b in zip(bounds, bounds[1:])])
+    ds, es, gs = zip(*boxes)
     table, at = _tables(ds, _inverse_table)
-    if max(g for _, _, g in boxes) == 1:
-        inv_x = table[x] if owner is None else table[spread(at) + x]
-        inv_y = np.zeros_like(y)
+    at = spread(at)
+    if max(gs) == 1:
+        inv_x, inv_y = table[at + x], y
     else:
         d = spread(ds)
         # 0 <= x < d and 0 <= y < g <= d, so x^2 + y^2 < 2 d^2 < 2^63
-        inv = table[spread(at) + (x * x + y * y) % d]
-        # the table reads 0 off the units of Z/d, except at d = 1
-        redo = np.flatnonzero((inv == 0) & (d > 1))
         ax, ay = x, y
-        if redo.size:
-            ax, ay = x.copy(), y.copy()
-            per_modulus = np.array([[c.re, c.im, n, t] for c, n, t in zip(run, ds, at)])
+        inv = table[at + (x * x + y * y) % d]
+        # the table reads 0 off the units of Z/d, except at d = 1
+        bad = (inv == 0) & (d > 1)
         for _ in range(_MAX_SHIFTS):
-            if not redo.size:
+            if not bad.any():
                 break
             # a + t c is the same class, and at each split p, conj(p)
             # divides it for one class of t mod N(p) only: a few rounds
-            cre, cim, dk, atk = per_modulus[0 if owner is None else owner[redo]].T
-            ax[redo] = (ax[redo] + cre) % dk
-            ay[redo] = (ay[redo] + cim) % dk
-            inv[redo] = table[atk + (ax[redo] * ax[redo] + ay[redo] * ay[redo]) % dk]
-            redo = redo[inv[redo] == 0]
-        if redo.size:
+            ax = np.where(bad, (ax + spread([c.re for c in run])) % d, ax)
+            ay = np.where(bad, (ay + spread([c.im for c in run])) % d, ay)
+            inv = table[at + (ax * ax + ay * ay) % d]
+            bad = (inv == 0) & (d > 1)
+        if bad.any():
             raise AssertionError(f"no a + t c with t <= {_MAX_SHIFTS} has a norm prime to d")
         # the box reduction of (X, Y) is ((X - (Y // g) e) mod d, Y mod g)
-        shift, inv_y = np.divmod((d - ay) * inv % d, spread([g for _, _, g in boxes]))
-        inv_x = (ax * inv - shift * spread([e for _, e, _ in boxes])) % d
-    inv_x.setflags(write=False)
-    inv_y.setflags(write=False)
+        shift, inv_y = np.divmod((d - ay) * inv % d, spread(gs))
+        inv_x = (ax * inv - shift * spread(es)) % d
+    for arr in (inv_x, inv_y):
+        arr.setflags(write=False)
     return inv_x, inv_y
+
+
+def _unit_run(run: list[GaussianInt]) -> tuple[list[int], UnitTable]:
+    """The bounds of each modulus of a run in its units, and the run's
+    units, inverses and positions as one UnitTable."""
+    boxes = [residue_box(c) for c in run]
+    (x, y, position), bounds = _run_points(run, boxes)
+    return bounds, UnitTable(x, y, *_run_inverses(run, boxes, x, y, bounds), position)
 
 
 def unit_runs(moduli) -> Iterator[UnitRun]:
@@ -530,9 +520,7 @@ def unit_runs(moduli) -> Iterator[UnitRun]:
     MAX_UNIT_NORM or more, raises DomainError when its run is reached.
     No Gaussian factorisation is made and nothing is cached."""
     for run in _runs(moduli):
-        boxes = [residue_box(c) for c in run]
-        (x, y, position), bounds = _run_points(run, boxes)
-        inv_x, inv_y = _run_inverses(run, boxes, x, y, bounds)
+        bounds, (x, y, inv_x, inv_y, position) = _unit_run(run)
         starts = [0, *accumulate(c.norm for c in run)]
         tables = tuple(
             UnitTable(x[a:b], y[a:b], inv_x[a:b], inv_y[a:b], position[s:t])
@@ -557,9 +545,9 @@ def unit_points(c: GaussianInt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def unit_table(c: GaussianInt) -> UnitTable:
     """Units mod c and their inverses, by exact int64 array arithmetic: the
-    one-modulus case of unit_tables.  Nothing is cached."""
-    (table,) = unit_tables([c])
-    return table
+    one-modulus case of unit_tables, a run of its own.  Nothing is cached."""
+    (run,) = _runs([c])
+    return _unit_run(run)[1]
 
 
 def unit_positions(c: GaussianInt, units: UnitTable, x, y) -> np.ndarray:

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from conftest import EDGE_MODULI, engine_moduli, with_edge_moduli
 from gisieve.expsums import (
-    _cosine_tables,
     _exp_table,
     f_sum,
     f_sum_values,
@@ -220,16 +219,6 @@ def test_kloosterman_sums_of_runs_equal_per_modulus_sums(m, n):
         assert got.tobytes() == want.tobytes()
         assert kloosterman_matrix([m, n], [n, -n, ONE], c, unit_table(c)).tobytes() == want.tobytes()
     assert kloosterman_sums([m], [n], []).shape == (0, 1, 1)
-
-
-def test_cosine_tables_equal_exp_tables():
-    # one concatenated table per run equals _exp_table of each norm bit
-    # for bit, and ends in the 0.0 that the padded terms read
-    norms = [5, 1, 2, 5, 997, 1000, 2, 4096]
-    table, at = _cosine_tables(norms)
-    assert table[-1] == 0.0 and table.size == sum(set(norms)) + 1
-    for n, start in zip(norms, at.tolist()):
-        assert table[start : start + n].tobytes() == _exp_table(n).real.tobytes()
 
 
 @pytest.mark.parametrize(
