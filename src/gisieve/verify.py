@@ -5,19 +5,20 @@ number of checks, the worst residual, and one message per failure.
 ``verify_all`` runs a selection of them; the ``verify`` and
 ``lemma-check`` commands of the CLI report their results.  Most suites
 work on whole tables: mellin and parseval on a group's fhat table,
-twisted on one twisted_mult_table per coprime pair of moduli (the pairs
-with one product share its unit table and F table), lemma on the arrays
-of local_prediction, and selberg, shift and weil on one array of
-residuals per modulus.
+twisted on one twisted_mult_table per coprime pair of moduli, lemma on
+the arrays of local_prediction, and selberg, shift and weil on one
+array of residuals per modulus.
 
-The suites that read one character group per modulus (mellin, parseval
-and lemma, which reads the prime powers other than (1)) run as visitors
-of one pass over the moduli: each group is built once, read by every
-selected suite, and dropped before the next modulus, so the pass holds
-one group at a time.  A suite run alone, and ``lemma_pass``, is the pass
-with that one suite.  The twisted suite builds each group it reads once
-per call and drops them when it returns.  No suite reads the shared
-groups of ``characters.char_group``.
+The suites that read character groups (mellin, parseval, twisted, and
+lemma, which reads the prime powers other than (1)) run as visitors of
+one pass over the moduli: each group is built once per call, read by
+every selected suite, and dropped before the next modulus.  Only the
+twisted visitor keeps groups: at modulus c2 it checks the pairs (c1, c2)
+with c1 earlier and N(c1) N(c2) <= max_norm, so it holds the groups of
+norm <= sqrt(max_norm).  Its failure messages come in pass order, by c2
+and then c1.  A suite run alone, and ``lemma_pass``, is the pass with
+that one suite.  No suite reads the shared groups of
+``characters.char_group``.
 """
 
 from __future__ import annotations
@@ -48,12 +49,11 @@ from .expsums import (
 from .gauss import (
     ONE,
     DomainError,
-    GaussianInt,
-    canonical_associate,
     ideals_up_to_norm,
     is_coprime,
     prime_power_ideals_up_to_norm,
     unit_table,
+    unit_tables,
 )
 
 __all__ = [
@@ -136,61 +136,14 @@ def _lemma_checks(grp: CharGroup) -> Iterator[tuple[float, tuple]]:
 
 
 class _ModulusSuite(NamedTuple):
-    """A suite that reads one character group per modulus: the checks of
-    one group, the failure message, and whether it reads the prime powers
-    other than (1) alone."""
+    """A suite that reads one character group per modulus: visitor(max_norm)
+    gives the checks of one group for one pass, the failure message, and
+    whether it reads the prime powers other than (1) alone."""
 
     name: str
-    checks: Callable[[CharGroup], Iterable[tuple[float, tuple]]]
+    visitor: Callable[[float], Callable[[CharGroup], Iterable[tuple[float, tuple]]]]
     message: str
     prime_powers: bool = False
-
-
-_MODULUS_SUITES = {
-    suite.name: suite
-    for suite in (
-        _ModulusSuite("mellin", _mellin_checks, "modulus {} residual {:.3e}"),
-        _ModulusSuite("parseval", _parseval_checks, "modulus {} residual {:.3e}"),
-        _ModulusSuite(
-            "lemma",
-            _lemma_checks,
-            "modulus {} exps {}: |fhat| = {:.6f}, case formula says {} {:.6f}",
-            prime_powers=True,
-        ),
-    )
-}
-
-
-def _modulus_pass(
-    max_norm: float, tol: float, suites: Sequence[_ModulusSuite]
-) -> list[SuiteResult]:
-    """The given suites in one pass over the moduli of norm <= max_norm,
-    each with its own tally: the group of each modulus is built once, read
-    by every suite that takes it, and dropped before the next modulus."""
-    if not suites:
-        return []
-    tallies = [_Tally(suite.name, tol, suite.message) for suite in suites]
-    prime_powers = (
-        set(prime_power_ideals_up_to_norm(max_norm))
-        if any(suite.prime_powers for suite in suites)
-        else set()
-    )
-    for ideal in ideals_up_to_norm(max_norm):
-        readers = [
-            (suite, tally)
-            for suite, tally in zip(suites, tallies)
-            if not suite.prime_powers or ideal in prime_powers
-        ]
-        if readers:
-            grp = CharGroup(ideal.gen)
-            for suite, tally in readers:
-                for value, fields in suite.checks(grp):
-                    tally.add(value, fields)
-    return [tally.result() for tally in tallies]
-
-
-def _one_modulus_suite(suite: _ModulusSuite) -> Callable[[float, float], SuiteResult]:
-    return lambda max_norm, tol: _modulus_pass(max_norm, tol, [suite])[0]
 
 
 def _twisted_checks(grp1, grp2, units, f_values) -> Iterator[tuple[float, tuple]]:
@@ -204,52 +157,79 @@ def _twisted_checks(grp1, grp2, units, f_values) -> Iterator[tuple[float, tuple]
             yield value, (c1, c2, tuple(e1), e2)
 
 
-def _suite_twisted(max_norm: float, tol: float) -> SuiteResult:
-    # the pairs c1 < c2 grouped by the element c1 c2, in order of first
-    # appearance: each product's unit table and F table serve all its pairs
-    moduli = [ideal.gen for ideal in ideals_up_to_norm(max_norm)]
-    by_product: dict[GaussianInt, list[tuple[GaussianInt, GaussianInt]]] = {}
-    for i, c1 in enumerate(moduli):
-        for c2 in moduli[i + 1 :]:
-            if c1.norm * c2.norm > max_norm:
-                break  # the moduli come in order of norm
-            if is_coprime(c1, c2):
-                by_product.setdefault(c1 * c2, []).append((c1, c2))
-    # a modulus is in many pairs: its group is built once, and dropped
-    # after the last product whose pairs (or tables) read it
-    last: dict[GaussianInt, int] = {}
-    for t, (c, pairs) in enumerate(by_product.items()):
-        if c == canonical_associate(c):
-            last[c] = t
-        for c1, c2 in pairs:
-            last[c1] = last[c2] = t
-    expiring: dict[int, list[GaussianInt]] = {}
-    for c, t in last.items():
-        expiring.setdefault(t, []).append(c)
-    groups: dict[GaussianInt, CharGroup] = {}
+def _twisted_visitor(max_norm: float) -> Callable[[CharGroup], Iterator[tuple[float, tuple]]]:
+    """At c2, the pairs (c1, c2) with c1 every earlier coprime modulus and
+    N(c1) N(c2) <= max_norm, c1 in pass order.  Such a c1 has norm <=
+    sqrt(max_norm), so only those groups are held (the first is (1)); the
+    products c1 c2 of the others take their unit tables from one run."""
+    small: list[CharGroup] = []
 
-    def group(c: GaussianInt) -> CharGroup:
-        if c not in groups:
-            groups[c] = CharGroup(c)
-        return groups[c]
+    def checks(grp2: CharGroup) -> Iterator[tuple[float, tuple]]:
+        c2 = grp2.element
+        if small:  # the pair (1, c2): its product is c2, whose tables grp2 holds
+            yield from _twisted_checks(small[0], grp2, grp2.units, grp2.f_values())
+        others = [
+            grp1
+            for grp1 in small[1:]
+            if grp1.element.norm * c2.norm <= max_norm and is_coprime(grp1.element, c2)
+        ]
+        if c2.norm**2 <= max_norm:
+            small.append(grp2)
+        products = [grp1.element * c2 for grp1 in others]
+        for grp1, c, units in zip(others, products, unit_tables(products)):
+            yield from _twisted_checks(grp1, grp2, units, f_sum_values(c, units))
 
-    def product_tables(c: GaussianInt):
-        # a canonical c is itself a modulus, and the pair (1, c), the first
-        # with product c, reads its group: the group's tables serve
-        if c == canonical_associate(c):
-            return group(c).units, group(c).f_values()
-        units = unit_table(c)
-        return units, f_sum_values(c, units)
+    return checks
 
-    def checks() -> Iterator[tuple[float, tuple]]:
-        for t, (c, pairs) in enumerate(by_product.items()):
-            units, f_values = product_tables(c)
-            for c1, c2 in pairs:
-                yield from _twisted_checks(group(c1), group(c2), units, f_values)
-            for done in expiring.get(t, ()):
-                del groups[done]
 
-    return _tally("twisted", checks(), tol, "moduli {},{} exps {},{} residual {:.3e}")
+_MODULUS_SUITES = {
+    suite.name: suite
+    for suite in (
+        _ModulusSuite("mellin", lambda _: _mellin_checks, "modulus {} residual {:.3e}"),
+        _ModulusSuite("parseval", lambda _: _parseval_checks, "modulus {} residual {:.3e}"),
+        _ModulusSuite("twisted", _twisted_visitor, "moduli {},{} exps {},{} residual {:.3e}"),
+        _ModulusSuite(
+            "lemma",
+            lambda _: _lemma_checks,
+            "modulus {} exps {}: |fhat| = {:.6f}, case formula says {} {:.6f}",
+            prime_powers=True,
+        ),
+    )
+}
+
+
+def _modulus_pass(
+    max_norm: float, tol: float, suites: Sequence[_ModulusSuite]
+) -> list[SuiteResult]:
+    """The given suites in one pass over the moduli of norm <= max_norm,
+    each with its own tally: the group of each modulus is built once, read
+    by every suite that takes it, and dropped before the next modulus
+    unless a visitor keeps it."""
+    if not suites:
+        return []
+    tallies = [_Tally(suite.name, tol, suite.message) for suite in suites]
+    visits = [suite.visitor(max_norm) for suite in suites]
+    prime_powers = (
+        set(prime_power_ideals_up_to_norm(max_norm))
+        if any(suite.prime_powers for suite in suites)
+        else set()
+    )
+    for ideal in ideals_up_to_norm(max_norm):
+        readers = [
+            (visit, tally)
+            for suite, visit, tally in zip(suites, visits, tallies)
+            if not suite.prime_powers or ideal in prime_powers
+        ]
+        if readers:
+            grp = CharGroup(ideal.gen)
+            for visit, tally in readers:
+                for value, fields in visit(grp):
+                    tally.add(value, fields)
+    return [tally.result() for tally in tallies]
+
+
+def _one_modulus_suite(suite: _ModulusSuite) -> Callable[[float, float], SuiteResult]:
+    return lambda max_norm, tol: _modulus_pass(max_norm, tol, [suite])[0]
 
 
 def lemma_pass(max_norm: float, tol: float) -> tuple[SuiteResult, list[tuple]]:
@@ -268,7 +248,7 @@ def lemma_pass(max_norm: float, tol: float) -> tuple[SuiteResult, list[tuple]]:
             rows.append((modulus, ":".join(map(str, exps)), cls, g, rel, v, r <= tol))
             yield r, fields
 
-    lemma = _MODULUS_SUITES["lemma"]._replace(checks=checks)
+    lemma = _MODULUS_SUITES["lemma"]._replace(visitor=lambda _: checks)
     return _modulus_pass(max_norm, tol, [lemma])[0], rows
 
 
@@ -355,7 +335,7 @@ def _suite_plancherel(max_norm: float, tol: float) -> SuiteResult:
 SUITES: dict[str, Callable[[float, float], SuiteResult]] = {
     "mellin": _one_modulus_suite(_MODULUS_SUITES["mellin"]),
     "parseval": _one_modulus_suite(_MODULUS_SUITES["parseval"]),
-    "twisted": _suite_twisted,
+    "twisted": _one_modulus_suite(_MODULUS_SUITES["twisted"]),
     "lemma": _one_modulus_suite(_MODULUS_SUITES["lemma"]),
     "selberg": _suite_selberg,
     "shift": _suite_shift,

@@ -15,7 +15,8 @@ from gisieve.verify import SUITES, lemma_pass, verify_all
 PER_MODULUS = ["mellin", "parseval", "lemma"]
 
 
-def test_each_group_is_built_once_per_pass(monkeypatch):
+def _builds(monkeypatch, names) -> Counter:
+    """The CharGroup builds of verify_all(400, 1e-9, names), per modulus."""
     built = Counter()
     init = CharGroup.__init__
 
@@ -24,7 +25,17 @@ def test_each_group_is_built_once_per_pass(monkeypatch):
         init(self, element)
 
     monkeypatch.setattr(CharGroup, "__init__", counting_init)
-    verify_all(400, 1e-9, PER_MODULUS)
+    verify_all(400, 1e-9, names)
+    return built
+
+
+def test_each_group_is_built_once_per_pass(monkeypatch):
+    assert _builds(monkeypatch, PER_MODULUS) == Counter(ideal.gen for ideal in ideals_up_to_norm(400))
+
+
+def test_twisted_suite_reads_the_groups_of_the_pass(monkeypatch):
+    # the twisted suite is a visitor of the pass: it builds no group of its own
+    built = _builds(monkeypatch, ["charsum", "lemma"])
     assert built == Counter(ideal.gen for ideal in ideals_up_to_norm(400))
 
 
@@ -71,12 +82,23 @@ def test_suites_together_equal_suites_alone(tol):
         assert all(r.failures for r in together)
 
 
+@pytest.mark.parametrize("tol", [1e-9, 1e-15])
+def test_twisted_suite_alone_equals_twisted_in_the_pass(tol):
+    # at 1e-15 it fails at many pairs, so the messages and their order
+    # are compared too
+    alone = SUITES["twisted"](300, tol)
+    assert alone == verify_all(300, tol, ["twisted"])[0]
+    assert alone == verify_all(300, tol, ["charsum", "lemma"])[2]
+    assert alone.name == "twisted" and alone.checked == 41847
+    if tol < 1e-12:
+        assert len(alone.failures) == 3100
+
 
 def test_twisted_suite_drops_each_group_after_its_last_pair(monkeypatch):
-    # the twisted suite reads each group in many pairs and drops it after
-    # the last product that reads it: at its last pair it holds only the
-    # groups that pair needs.  Holding every group to the end, it held
-    # 3.6 MiB there at norm 300; now about 0.4 MiB
+    # the twisted visitor holds only the groups of norm <= sqrt(max_norm),
+    # the only ones that can be the smaller modulus of a pair, besides the
+    # group of the current modulus.  Holding every group to the end, the
+    # suite held 3.6 MiB at its last pair at norm 300
     from gisieve import verify
 
     held = []
