@@ -6,14 +6,14 @@ take a maximal-order generator, recurse on the quotient, and lift the
 quotient generators back.  This works uniformly for split, inert and the
 ramified prime (1+i), where the local unit groups have different shapes,
 without any case analysis.  It runs on int64 arrays over the positions
-of unit_points: the maps x -> x^q for the primes q | phi(c) are index
+of the unit table of c, which the caller builds (unit_table, or a run of
+unit_tables): the maps x -> x^q for the primes q | phi(c) are index
 arrays, so the order of every coset at once is a few compositions and
 membership tests; the coset labels of each quotient (the smallest (x, y)
 of each coset) come by pointer doubling along x -> x g; and the
-discrete-log grid is the product of the generators' power arrays, on
-which the inverse of the unit at k is the unit at -k.  Every array has
-phi(c) entries.  A group keeps its unit table, the roots of
-unity of its exponent and, once asked for, its table of F and the
+discrete-log grid is the product of the generators' power arrays.
+Every array has phi(c) entries.  A group keeps its unit table, the roots
+of unity of its exponent and, once asked for, its table of F and the
 transform of it; nothing else holds them, so they go with the group.
 
 A character is an exponent vector (a_1, ..., a_r) against the stored
@@ -69,7 +69,6 @@ from .gauss import (
     ideal_divisors,
     is_coprime,
     residue_box,
-    unit_points,
     unit_positions,
     unit_table,
 )
@@ -92,7 +91,7 @@ __all__ = [
 
 def _unit_mul(x, y, position, box):
     """The product of unit positions (ints or int arrays, broadcast), by
-    exact int64 arithmetic on the box coordinates of unit_points and the
+    exact int64 arithmetic on the box coordinates of a unit table and the
     Hermite box reduction of reduce_pair."""
     d, e, g = box
 
@@ -208,16 +207,16 @@ class CharGroup:
 
     The group data (residues, generators, discrete logs) depends only on
     the ideal (c); the element is kept because the transform F(.; c) does
-    depend on it.
+    depend on it.  units is the unit_table of element, from the caller.
     """
 
-    def __init__(self, element: GaussianInt):
-        if element.is_zero():
-            raise DomainError("zero modulus")
+    def __init__(self, element: GaussianInt, units: UnitTable):
         self.element = element
         self.modulus = GIdeal.of(element)
-        x, y, position = unit_points(element)
-        mul = _unit_mul(x, y, position, residue_box(element))
+        #: the unit table of element, kept with the group and read by its methods
+        self.units = units
+        x, y = units.x, units.y
+        mul = _unit_mul(x, y, units.position, residue_box(element))
         one = 0  # the unit 1 comes first in the (y, x) raster of the box
         gens = _basis(x, y, mul, one)
 
@@ -239,17 +238,6 @@ class CharGroup:
         self._grid = self.gen_orders or (1,)
         self._flat = np.empty(len(grid), dtype=np.int64)
         self._flat[grid] = np.arange(len(grid))
-        # the inverse of the unit at log point k is the unit at -k
-        negated = grid.reshape(self._grid)
-        for axis, n in enumerate(self.gen_orders):
-            negated = np.take(negated, -np.arange(n) % n, axis=axis)
-        inverse = np.empty_like(grid)
-        inverse[grid] = negated.ravel()
-        inv_x, inv_y = x[inverse], y[inverse]
-        inv_x.setflags(write=False)
-        inv_y.setflags(write=False)
-        #: the unit table of element, kept with the group and read by its methods
-        self.units = UnitTable(x, y, inv_x, inv_y, position)
         #: exponent vectors of all characters, one row each in characters() order
         self.exponent_vectors = np.indices(self.gen_orders, dtype=np.int64).reshape(
             len(gens), len(grid)
@@ -415,7 +403,7 @@ def char_group(element: GaussianInt) -> CharGroup:
     """The group of element, shared across calls.  A group owns its unit
     table and F table, so the bound on the count is what bounds the
     memory; the identity suites build and drop their own groups instead."""
-    return CharGroup(element)
+    return CharGroup(element, unit_table(element))
 
 
 # ---------------------------------------------------------------------------

@@ -287,9 +287,9 @@ class UnitTable(NamedTuple):
     in the (y, x) raster order of the Hermite box, and the map from box
     index y*d + x to the position of that residue in this order (-1 off
     the units).  unit_tables builds the tables of a run of moduli at once,
-    and a table's arrays are views of its run's arrays; a CharGroup builds
-    its own, inverting on its discrete-log grid.  A table lives as long as
-    its owner: a CharGroup, or one loop over the moduli."""
+    and a table's arrays are views of its run's arrays; unit_table is the
+    run of one modulus.  A table lives as long as its owner: the CharGroup
+    it is handed to, or one loop over the moduli."""
 
     x: np.ndarray
     y: np.ndarray
@@ -533,14 +533,6 @@ def unit_tables(moduli) -> Iterator[UnitTable]:
     """The unit_table of each modulus of moduli, in order (unit_runs)."""
     for run in unit_runs(moduli):
         yield from run.tables
-
-
-def unit_points(c: GaussianInt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The x, y and position arrays of unit_table(c), without the inverses:
-    the one-modulus case of _run_points.  The arrays are read-only int64;
-    a CharGroup takes its inverses from its discrete-log grid instead."""
-    (run,) = _runs([c])
-    return _run_points(run, [residue_box(c)])[0]
 
 
 def unit_table(c: GaussianInt) -> UnitTable:

@@ -76,6 +76,7 @@ from .archimedean import (
 )
 from .expsums import kloosterman_sums
 from .gauss import (
+    MAX_UNIT_NORM,
     DomainError,
     GIdeal,
     GaussianInt,
@@ -608,12 +609,13 @@ def kuznetsov_geometric(
     of a run of consecutive ideals at once and keeps none of them; the
     Bessel integrals of all ideals are one batch, read from _kuznetsov_h,
     which keeps the batch of each recent product mn.
-    A negative c_norm_max raises DomainError; 0 gives an empty sum.
+    A negative c_norm_max, or one of MAX_UNIT_NORM or more, raises
+    DomainError; 0 gives an empty sum.
     """
     if m.is_zero() or n.is_zero():
         raise DomainError("kuznetsov_geometric requires nonzero m, n")
-    if c_norm_max < 0:
-        raise DomainError(f"kuznetsov_geometric needs c_norm_max >= 0, got {c_norm_max!r}")
+    if not 0 <= c_norm_max < MAX_UNIT_NORM:
+        raise DomainError(f"kuznetsov_geometric needs c_norm_max >= 0 and below {MAX_UNIT_NORM}")
     h_total = plancherel_integral(tf)
     diagonal = h_total / (8.0 * math.pi**3) if (m == n or m == -n) else 0.0
 

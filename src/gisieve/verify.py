@@ -11,14 +11,14 @@ array of residuals per modulus.
 
 The suites that read character groups (mellin, parseval, twisted, and
 lemma, which reads the prime powers other than (1)) run as visitors of
-one pass over the moduli: each group is built once per call, read by
-every selected suite, and dropped before the next modulus.  Only the
-twisted visitor keeps groups: at modulus c2 it checks the pairs (c1, c2)
-with c1 earlier and N(c1) N(c2) <= max_norm, so it holds the groups of
-norm <= sqrt(max_norm).  Its failure messages come in pass order, by c2
-and then c1.  A suite run alone, and ``lemma_pass``, is the pass with
-that one suite.  No suite reads the shared groups of
-``characters.char_group``.
+one pass over the moduli: each group is built once per call on its unit
+table from a run of unit_tables, read by every selected suite, and
+dropped before the next modulus.  Only the twisted visitor keeps groups:
+at modulus c2 it checks the pairs (c1, c2) with c1 earlier and
+N(c1) N(c2) <= max_norm, so it holds the groups of norm <= sqrt(max_norm).
+Its failure messages come in pass order, by c2 and then c1.  A suite run
+alone, and ``lemma_pass``, is the pass with that one suite.  No suite
+reads the shared groups of ``characters.char_group``.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .expsums import (
     weil_ratios,
 )
 from .gauss import (
+    MAX_UNIT_NORM,
     ONE,
     DomainError,
     ideals_up_to_norm,
@@ -202,9 +203,9 @@ def _modulus_pass(
     max_norm: float, tol: float, suites: Sequence[_ModulusSuite]
 ) -> list[SuiteResult]:
     """The given suites in one pass over the moduli of norm <= max_norm,
-    each with its own tally: the group of each modulus is built once, read
-    by every suite that takes it, and dropped before the next modulus
-    unless a visitor keeps it."""
+    each with its own tally: the group of each modulus is built once, on
+    its table from a run of unit_tables, read by every suite that takes
+    it, and dropped before the next modulus unless a visitor keeps it."""
     if not suites:
         return []
     tallies = [_Tally(suite.name, tol, suite.message) for suite in suites]
@@ -214,15 +215,13 @@ def _modulus_pass(
         if any(suite.prime_powers for suite in suites)
         else set()
     )
-    for ideal in ideals_up_to_norm(max_norm):
-        readers = [
-            (visit, tally)
-            for suite, visit, tally in zip(suites, visits, tallies)
-            if not suite.prime_powers or ideal in prime_powers
-        ]
-        if readers:
-            grp = CharGroup(ideal.gen)
-            for visit, tally in readers:
+    # the moduli with a reader: the prime powers if every suite reads only those
+    every = not all(suite.prime_powers for suite in suites)
+    ideals = [ideal for ideal in ideals_up_to_norm(max_norm) if every or ideal in prime_powers]
+    for ideal, units in zip(ideals, unit_tables([ideal.gen for ideal in ideals])):
+        grp = CharGroup(ideal.gen, units)
+        for suite, visit, tally in zip(suites, visits, tallies):
+            if not suite.prime_powers or ideal in prime_powers:
                 for value, fields in visit(grp):
                     tally.add(value, fields)
     return [tally.result() for tally in tallies]
@@ -238,8 +237,8 @@ def lemma_pass(max_norm: float, tol: float) -> tuple[SuiteResult, list[tuple]]:
     Returns the suite verdict and, per character, the row (modulus,
     exps, class, |fhat|, "=" or "<=", predicted value, within tolerance).
     """
-    if not max_norm >= 2:  # also rejects NaN
-        raise DomainError("lemma-check needs max_norm >= 2")
+    if not 2 <= max_norm < MAX_UNIT_NORM:  # also rejects NaN
+        raise DomainError(f"lemma-check needs max_norm >= 2 and below {MAX_UNIT_NORM}")
     rows = []
 
     def checks(grp: CharGroup) -> Iterator[tuple[float, tuple]]:
@@ -354,8 +353,8 @@ DEFAULT_VERIFY_NORM = 60.0
 
 def verify_all(max_norm: float, tolerance: float, names: Sequence[str] = ("all",)) -> list[SuiteResult]:
     """Run the named identity suites (default all) up to max_norm."""
-    if not max_norm >= 2:  # also rejects NaN
-        raise DomainError("verify needs max_norm >= 2")
+    if not 2 <= max_norm < MAX_UNIT_NORM:  # also rejects NaN
+        raise DomainError(f"verify needs max_norm >= 2 and below {MAX_UNIT_NORM}")
     selected: list[str] = []
     for name in names:
         for expanded in SUITE_GROUPS.get(name, (name,)):

@@ -2,7 +2,9 @@
 
 The array construction of each group's generators and discrete-log grid
 is checked against the scalar construction it replaced (tuple arithmetic
-and a dict of discrete logs), kept here as the oracle.  Also includes an
+and a dict of discrete logs), kept here as the oracle, and the inverses
+of each group's unit table against its discrete-log grid, on which the
+inverse of the unit at k is the unit at -k.  Also includes an
 independent transform oracle (characters applied to the brute-force F
 table from test_expsums) and a frozen truth table for |fhat| at the
 powers of (1+i), where the values were established by that brute-force
@@ -49,6 +51,7 @@ from gisieve.gauss import (
     residue_box,
     unit_residues,
     unit_table,
+    unit_tables,
 )
 
 from conftest import EDGE_MODULI, engine_moduli, ramified_power, with_edge_moduli
@@ -250,7 +253,7 @@ def _scalar_group(c):
 
 
 def _assert_matches_scalar(c):
-    grp = CharGroup(c)
+    grp = CharGroup(c, unit_table(c))
     elements, orders, exps, flat, dlog = _scalar_group(c)
     assert grp.gen_elements == elements, c
     assert grp.gen_orders == orders, c
@@ -272,17 +275,31 @@ def test_basis_matches_scalar_oracle(c):
     _assert_matches_scalar(c)
 
 
-def test_group_units_equal_unit_table_to_norm_2000():
-    # the group inverts each unit on its discrete-log grid, unit_table by
-    # the norm map; at every generator of every ideal, (1) and the moduli
-    # with gcd(re c, im c) > 1 among them, the arrays are the same
-    for ideal in ideals_up_to_norm(2000):
-        c = ideal.gen
-        for _ in range(4):
-            for got, want in zip(CharGroup(c).units, unit_table(c)):
-                assert got.dtype == want.dtype and np.array_equal(got, want), c
-                assert not got.flags.writeable
-            c = c.times_i()
+def _assert_inverses_negate_logs(grp):
+    # the oracle: the inverse of the unit at log point k is the unit at -k
+    unit_at = np.empty(grp.order, dtype=np.int64)
+    unit_at[grp._flat] = np.arange(grp.order)  # the unit at each grid point
+    negated = np.zeros(grp.order, dtype=np.int64)  # the grid point of -k
+    for a, n in zip(grp.exponent_vectors.T, grp._grid):
+        negated = negated * n + (-a) % n
+    inverse = unit_at[negated[grp._flat]]
+    units = grp.units
+    assert np.array_equal(units.inv_x, units.x[inverse]), grp.element
+    assert np.array_equal(units.inv_y, units.y[inverse]), grp.element
+    assert all(arr.dtype == np.int64 and not arr.flags.writeable for arr in units)
+
+
+def test_group_inverses_negate_discrete_logs_to_norm_2000():
+    # the norm-map inverses of the unit tables against the group's
+    # discrete-log grid, at every generator of every ideal, (1) and the
+    # moduli with gcd(re c, im c) > 1 among them
+    moduli = [
+        c
+        for ideal in ideals_up_to_norm(2000)
+        for c in (ideal.gen, ideal.gen.times_i(), -ideal.gen, -ideal.gen.times_i())
+    ]
+    for c, units in zip(moduli, unit_tables(moduli)):
+        _assert_inverses_negate_logs(CharGroup(c, units))
 
 
 def test_group_guard_at_int64_limit():
@@ -297,7 +314,7 @@ def test_group_construction_memory_is_linear():
     c = GaussianInt(231, 0)
     tracemalloc.start()
     try:
-        grp = CharGroup(c)
+        grp = CharGroup(c, unit_table(c))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -399,7 +416,8 @@ def test_conductors_against_weight_search_to_norm_600():
 def test_conductors_memory_is_linear():
     # phi(100+3i) = 10,008: a characters x subgroup weight matrix at d = (1)
     # is phi x phi; one transform per divisor keeps every array at phi entries
-    grp = CharGroup(GaussianInt(100, 3))
+    c = GaussianInt(100, 3)
+    grp = CharGroup(c, unit_table(c))
     tracemalloc.start()
     try:
         conds = grp.conductors()

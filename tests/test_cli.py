@@ -302,6 +302,39 @@ def test_lemma_check_max_norm_too_small(capsys, max_norm):
     assert "max_norm >= 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--max-norm", "1e300"],
+        ["verify", "--max-norm", "2147483648", "lemma"],
+        ["verify", "--max-norm", "1e300", "bessel"],
+        ["lemma-check", "--max-norm", "1e300"],
+        ["kuznetsov-geom", "--m", "1", "--n", "1", "--c-norm-max", "100000000000000000000"],
+    ],
+)
+def test_moduli_bound_beyond_exact_unit_arithmetic(capsys, monkeypatch, argv):
+    # no modulus of norm 2^31 or more has exact unit tables, so such a
+    # bound fails before any enumeration; an enumerator asked for one
+    # raises instead of hanging
+    from gisieve import gauss, spectral, verify
+
+    def bounded(enumerate_up_to):
+        def enumerate_below(limit):
+            assert limit < gauss.MAX_UNIT_NORM, limit
+            return enumerate_up_to(limit)
+
+        return enumerate_below
+
+    for module, name in (
+        (verify, "ideals_up_to_norm"),
+        (verify, "prime_power_ideals_up_to_norm"),
+        (spectral, "ideals_up_to_norm"),
+    ):
+        monkeypatch.setattr(module, name, bounded(getattr(module, name)))
+    assert run(argv) == 2
+    assert "below 2147483648" in capsys.readouterr().err
+
+
 def test_lemma_check_clean_below_first_dyadic_failure(capsys):
     assert run(["lemma-check", "--max-norm", "32"]) == 0
     out = capsys.readouterr().out

@@ -20,9 +20,9 @@ def _builds(monkeypatch, names) -> Counter:
     built = Counter()
     init = CharGroup.__init__
 
-    def counting_init(self, element):
+    def counting_init(self, element, units):
         built[element] += 1
-        init(self, element)
+        init(self, element, units)
 
     monkeypatch.setattr(CharGroup, "__init__", counting_init)
     verify_all(400, 1e-9, names)
@@ -37,6 +37,28 @@ def test_twisted_suite_reads_the_groups_of_the_pass(monkeypatch):
     # the twisted suite is a visitor of the pass: it builds no group of its own
     built = _builds(monkeypatch, ["charsum", "lemma"])
     assert built == Counter(ideal.gen for ideal in ideals_up_to_norm(400))
+
+
+def test_pass_builds_the_unit_tables_in_runs(monkeypatch):
+    # the tables of the groups come from runs of unit_tables: one
+    # _run_points per run of the moduli, and no table of one modulus
+    from gisieve import characters, gauss, verify
+
+    calls = Counter()
+    for module, name in (
+        (gauss, "_run_points"),
+        (gauss, "unit_table"),
+        (characters, "unit_table"),
+        (verify, "unit_table"),
+    ):
+        original = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *args, _f=original, _n=name: calls.update([_n]) or _f(*args)
+        )
+    verify_all(400, 1e-9, PER_MODULUS)
+    moduli = [ideal.gen for ideal in ideals_up_to_norm(400)]
+    assert calls == Counter(_run_points=len(list(gauss._runs(moduli))))
+    assert calls["_run_points"] < len(moduli)
 
 
 def test_no_group_outlives_the_pass():
