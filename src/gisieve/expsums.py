@@ -188,18 +188,17 @@ def _common_divisors(divisors: list[GIdeal], ms, ns) -> np.ndarray:
     return in_m[:, :, None] & in_n[:, None, :]
 
 
-def selberg_residuals(ms, ns, c: GaussianInt) -> np.ndarray:
+def selberg_residuals(ms, ns, c: GaussianInt, units: UnitTable) -> np.ndarray:
     """S(m^2, n^2; c) - sum_{d | (m^2, n^2, c)} N(d) S((mn/d)^2, 1; c/d) for
-    m of ms (rows) and n of ns (columns); zero in exact arithmetic.
+    m of ms (rows) and n of ns (columns); zero in exact arithmetic.  units
+    is the unit_table of c, built by the caller.
 
     The divisors of (m^2, n^2, c) are those of c that divide m^2 and n^2,
     in the same order, so one divisor list serves every pair; a divisor
     that divides no pair adds nothing and builds no table.  The first
-    divisor is (1), whose quotient is c itself: it reads the left side's
-    unit table.
+    divisor is (1), whose quotient is c itself: it reads units.
     """
     squares_m, squares_n = [m * m for m in ms], [n * n for n in ns]
-    units = unit_table(c)
     lhs = kloosterman_matrix(squares_m, squares_n, c, units)
     divisors = ideal_divisors(GIdeal.of(c))
     rhs = np.zeros(lhs.shape)
@@ -230,11 +229,12 @@ def shift_residuals(qs, c: GaussianInt, g: GaussianInt, sums_c: np.ndarray) -> n
     return lhs - moebius(GIdeal.of(g)) * sums_c[: len(qs)]
 
 
-def weil_ratios(ms, ns, c: GaussianInt) -> np.ndarray:
+def weil_ratios(ms, ns, c: GaussianInt, units: UnitTable) -> np.ndarray:
     """|S(m, n; c)| / (tau((c)) sqrt(N((m,n,c))) sqrt(N(c))) for m of ms (rows)
     and n of ns (columns); N((m, n, c)) is the largest norm among the
-    divisors of c that divide both m and n."""
-    val = np.abs(kloosterman_matrix(ms, ns, c, unit_table(c)))
+    divisors of c that divide both m and n.  units is the unit_table of c,
+    built by the caller."""
+    val = np.abs(kloosterman_matrix(ms, ns, c, units))
     divisors = ideal_divisors(GIdeal.of(c))
     norms = np.array([d.norm for d in divisors], dtype=np.int64)[:, None, None]
     g3 = np.max(np.where(_common_divisors(divisors, ms, ns), norms, 1), axis=0)

@@ -546,18 +546,13 @@ def _divisor_tail_over_ideals(cut: float) -> float:
     """
     zf = ZETA_F_32_UPPER
     norms = np.array([ideal.norm for ideal in ideals_up_to_norm(max(cut, 1.0))], float)
-    if norms.size == 0:
-        return zf * zf
-    powers = norms**-1.5
-    partials = np.cumsum(powers)  # norms are nondecreasing by construction
-
-    def g_tail(w: float) -> float:
-        k = int(np.searchsorted(norms, w, side="right"))
-        partial = partials[k - 1] if k else 0.0
-        return max(zf - partial, 0.0)
-
-    head = sum(powers[i] * g_tail(cut / norms[i]) for i in range(len(norms)))
-    return float(head + g_tail(cut) * zf)
+    powers = norms**-1.5  # norms holds (1) at least
+    # G(W) for W = cut / N(d) at every d, then W = cut; norms are nondecreasing
+    k = np.searchsorted(norms, np.append(cut / norms, cut), side="right")
+    partials = np.append(0.0, np.cumsum(powers))[k]
+    g_tail = np.maximum(zf - partials, 0.0)
+    head = sum((powers * g_tail[:-1]).tolist())  # summed left to right
+    return float(head + g_tail[-1] * zf)
 
 
 @lru_cache(maxsize=16)

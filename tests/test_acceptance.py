@@ -113,7 +113,7 @@ def test_criterion_03_selberg_and_shift_identities():
     moduli = [i.gen for i in ideals_up_to_norm(200)]
     selberg_worst, selberg_count = 0.0, 0
     for c in moduli:
-        residuals = np.abs(selberg_residuals(small, small, c))
+        residuals = np.abs(selberg_residuals(small, small, c, unit_table(c)))
         selberg_worst = max(selberg_worst, float(residuals.max()))
         selberg_count += residuals.size
 
@@ -222,7 +222,7 @@ def test_criterion_08_weil_bound_on_selberg_grid():
     small = [i.gen for i in ideals_up_to_norm(10)]
     moduli = [i.gen for i in ideals_up_to_norm(200)]
     # ratios[m, n, c]: argmax finds the first largest ratio in (m, n, c) order
-    ratios = np.stack([weil_ratios(small, small, c) for c in moduli], axis=-1)
+    ratios = np.stack([weil_ratios(small, small, c, unit_table(c)) for c in moduli], axis=-1)
     i, j, k = np.unravel_index(np.argmax(ratios), ratios.shape)
     best = float(ratios[i, j, k])
     best_at = (str(small[i]), str(small[j]), str(moduli[k]))

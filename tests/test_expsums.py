@@ -287,15 +287,16 @@ def test_kloosterman_unit_substitution(m, n, c, idx):
 
 @given(gints, gints, moduli)
 def test_weil_ratio_bounded(m, n, c):
-    assert weil_ratios([m], [n], c)[0, 0] <= 2.0 + 1e-9
+    assert weil_ratios([m], [n], c, unit_table(c))[0, 0] <= 2.0 + 1e-9
 
 
 def test_weil_ratio_attained():
     # the unit modulus gives |S| = 1 = tau * sqrt(N(c)), ratio exactly 1
     one = GaussianInt(1, 0)
-    assert weil_ratios([GaussianInt(3, 1)], [one], one)[0, 0] == pytest.approx(1.0)
+    assert weil_ratios([GaussianInt(3, 1)], [one], one, unit_table(one))[0, 0] == pytest.approx(1.0)
     # prime moduli come close to square-root size: ratio 0.9653 at c = 1+4i
-    near = weil_ratios([one], [GaussianInt(3, 1)], GaussianInt(1, 4))[0, 0]
+    c = GaussianInt(1, 4)
+    near = weil_ratios([one], [GaussianInt(3, 1)], c, unit_table(c))[0, 0]
     assert 0.9 < near <= 2.0
 
 
@@ -422,8 +423,8 @@ def sums_mod(qs, c):
 @with_edge_moduli
 @given(engine_moduli)
 def test_identity_arrays_against_scalar_oracles(c):
-    selberg = selberg_residuals(SMALL, SMALL, c).tolist()
-    weil = weil_ratios(SMALL, SMALL, c).tolist()
+    selberg = selberg_residuals(SMALL, SMALL, c, unit_table(c)).tolist()
+    weil = weil_ratios(SMALL, SMALL, c, unit_table(c)).tolist()
     for i, m in enumerate(SMALL):
         for j, n in enumerate(SMALL):
             assert selberg[i][j] == scalar_selberg_residual(m, n, c).real
@@ -435,7 +436,7 @@ def test_identity_arrays_against_scalar_oracles(c):
 
 @given(nonzero, nonzero, moduli)
 def test_selberg_identity(m, n, c):
-    assert abs(selberg_residuals([m], [n], c)[0, 0]) < 1e-9
+    assert abs(selberg_residuals([m], [n], c, unit_table(c))[0, 0]) < 1e-9
 
 
 @given(nonzero, nonzero, moduli)

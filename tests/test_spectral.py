@@ -649,6 +649,27 @@ def test_kuznetsov_symmetry_and_tail():
     assert wider.tail_bound < a.tail_bound
 
 
+def _divisor_tail_oracle(cut: float) -> float:
+    """The tail bound of kuznetsov_geometric with one G(W) lookup per ideal."""
+    zf = ZETA_F_32_UPPER
+    norms = np.array([ideal.norm for ideal in ideals_up_to_norm(max(cut, 1.0))], float)
+    powers = norms**-1.5
+    partials = np.cumsum(powers)
+
+    def g_tail(w: float) -> float:
+        k = int(np.searchsorted(norms, w, side="right"))
+        partial = partials[k - 1] if k else 0.0
+        return max(zf - partial, 0.0)
+
+    head = sum(powers[i] * g_tail(cut / norms[i]) for i in range(len(norms)))
+    return float(head + g_tail(cut) * zf)
+
+
+@pytest.mark.parametrize("cut", [0.0, 1.0, 200.0, 1600.0, 1e4])
+def test_divisor_tail_equals_the_per_ideal_loop(cut):
+    assert spectral._divisor_tail_over_ideals(cut) == _divisor_tail_oracle(cut)
+
+
 def test_zeta_f_32_upper_is_the_lattice_bound():
     # the literal is the 10^6-norm lattice sum plus its tail bound, bit for
     # bit, and bounds zeta_F(3/2) = zeta(3/2) L(3/2, chi_{-4}) from above

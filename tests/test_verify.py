@@ -1,18 +1,23 @@
-"""The identity suites' pass over the moduli: one character group per
-modulus, read by every selected suite and dropped before the next."""
+"""The identity suites' pass over the moduli: one unit table and at most
+one character group per modulus, read by every selected suite and
+dropped before the next, and the array tallies of their checks."""
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from gisieve.characters import CharGroup, char_group
-from gisieve.gauss import ideals_up_to_norm
-from gisieve.verify import SUITES, lemma_pass, verify_all
+from gisieve.gauss import GaussianInt, ideals_up_to_norm, prime_power_ideals_up_to_norm
+from gisieve.verify import SUITES, _Tally, lemma_pass, verify_all
 
 PER_MODULUS = ["mellin", "parseval", "lemma"]
+#: the suites that read the unit tables of the pass and no group
+TABLE_SUITES = ["selberg", "weil", "shift"]
 
 
 def _builds(monkeypatch, names) -> Counter:
@@ -42,14 +47,14 @@ def test_twisted_suite_reads_the_groups_of_the_pass(monkeypatch):
 def test_pass_builds_the_unit_tables_in_runs(monkeypatch):
     # the tables of the groups come from runs of unit_tables: one
     # _run_points per run of the moduli, and no table of one modulus
-    from gisieve import characters, gauss, verify
+    from gisieve import characters, expsums, gauss
 
     calls = Counter()
     for module, name in (
         (gauss, "_run_points"),
         (gauss, "unit_table"),
         (characters, "unit_table"),
-        (verify, "unit_table"),
+        (expsums, "unit_table"),
     ):
         original = getattr(module, name)
         monkeypatch.setattr(
@@ -93,15 +98,119 @@ def test_pass_peak_memory_is_one_group():
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-15])
 def test_suites_together_equal_suites_alone(tol):
-    # at 1e-15 every suite fails somewhere, so the messages and their
-    # order are compared too
-    together = verify_all(300, tol, PER_MODULUS)
-    assert together == [SUITES[name](300, tol) for name in PER_MODULUS]
-    assert together == [verify_all(300, tol, [name])[0] for name in PER_MODULUS]
-    assert together[::-1] == verify_all(300, tol, PER_MODULUS[::-1])
+    # at 1e-15 every suite but weil fails somewhere, so the messages and
+    # their order are compared too
+    names = PER_MODULUS + TABLE_SUITES
+    together = verify_all(300, tol, names)
+    assert together == [SUITES[name](300, tol) for name in names]
+    assert together == [verify_all(300, tol, [name])[0] for name in names]
+    assert together[::-1] == verify_all(300, tol, names[::-1])
     assert together[2] == lemma_pass(300, tol)[0]
     if tol < 1e-12:
-        assert all(r.failures for r in together)
+        # weil fails above 2 + tol, and its worst ratio is 1
+        assert [r.name for r in together if not r.failures] == ["weil"]
+
+
+def test_table_suites_read_the_tables_of_the_pass(monkeypatch):
+    # selberg, weil and shift build no group, and no table of a modulus
+    # of the pass: what they build is the tables of the quotients c/d
+    # (selberg) and of the products c g (shift).  Each building its own
+    # table of every modulus, they made 926, 314 and 3,225 unit_table calls
+    from gisieve import expsums, gauss
+
+    calls = Counter()
+    for module in (gauss, expsums):
+        original = module.unit_table
+        monkeypatch.setattr(
+            module, "unit_table", lambda c, _f=original: calls.update([c]) or _f(c)
+        )
+    for names, tables in (
+        (["selberg"], 612),
+        (["weil"], 0),
+        (["shift"], 2911),
+        (TABLE_SUITES, 612 + 2911),
+    ):
+        calls.clear()
+        assert _builds(monkeypatch, names) == Counter()
+        assert calls.total() == tables
+    # a group suite beside them builds the groups of its own moduli only
+    prime_powers = prime_power_ideals_up_to_norm(400)
+    assert _builds(monkeypatch, ["weil", "lemma"]) == Counter(i.gen for i in prime_powers)
+
+
+def test_a_nan_check_fails():
+    # a NaN is not above the limit, but it is not within it either
+    for batches in ([[math.nan], [1e-12]], [[1e-12], [math.nan]], [[math.nan, 1e-12]]):
+        tally = _Tally("t", 1e-9, "check {} value {}")
+        for batch in batches:
+            tally.add(np.array(batch), lambda k: (k,))
+        result = tally.result()
+        assert result.checked == 2
+        assert math.isnan(result.worst)
+        assert result.failures == ["check 0 value nan"]
+        assert not result.passed
+
+
+def test_a_nan_residual_fails_its_suite(monkeypatch):
+    # every Weil ratio at c = 3 is NaN: 81 checks that fail
+    from gisieve import expsums
+
+    matrix = expsums.kloosterman_matrix
+
+    def nan_at_3(ms, ns, c, units):
+        return matrix(ms, ns, c, units) * (math.nan if c == GaussianInt(3, 0) else 1.0)
+
+    monkeypatch.setattr(expsums, "kloosterman_matrix", nan_at_3)
+    (weil,) = verify_all(10, 1e-9, ["weil"])
+    assert weil.checked == 9 * 81 and math.isnan(weil.worst)
+    assert len(weil.failures) == 81
+    assert weil.failures[0] == "(m,n,c)=(1,1,3) ratio nan"
+
+
+def _fields_and_residual(message: str) -> tuple:
+    """A failure message as its fields part and its residual, as a number;
+    a lemma message has no residual, and is compared whole."""
+    fields, sep, residual = message.rpartition(" residual ")
+    return (fields, float(residual)) if sep else (message, None)
+
+
+#: verify_all(60, 1e-15): failures, first and last message of each suite
+#: that fails
+PINNED_60 = {
+    "mellin": (25, "modulus 2+3i residual 1.986e-15", "modulus 7+3i residual 2.809e-15"),
+    "parseval": (28, "modulus 1+2i residual 1.332e-15", "modulus 7+3i residual 3.553e-15"),
+    "twisted": (
+        28,
+        "moduli 2,3 exps (0,),(0,) residual 1.003e-15",
+        "moduli 1+i,5+2i exps (),(26,) residual 1.005e-15",
+    ),
+    "lemma": (
+        2,
+        "modulus 3+4i exps (10,): |fhat| = 0.000000, case formula says = 0.000000",
+        "modulus 4+3i exps (16,): |fhat| = 1.250000, case formula says = 1.250000",
+    ),
+    "selberg": (
+        588,
+        "(m,n,c)=(2,2,2+3i) residual 1.776e-15",
+        "(m,n,c)=(3+i,3+i,7+3i) residual 2.665e-15",
+    ),
+    "shift": (
+        898,
+        "(w,c,g)=(1+4i,1,1+4i) residual 1.332e-15",
+        "(w,c,g)=(2+i,7+3i,2+i) residual 1.066e-14",
+    ),
+}
+
+
+def test_failure_messages_are_pinned():
+    results = verify_all(60, 1e-15)
+    assert {r.name for r in results if r.failures} == set(PINNED_60)
+    for r in results:
+        if r.failures:
+            count, first, last = PINNED_60[r.name]
+            assert len(r.failures) == count, r.name
+            got = [_fields_and_residual(m) for m in (r.failures[0], r.failures[-1])]
+            assert got == [_fields_and_residual(first), _fields_and_residual(last)]
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-15])
