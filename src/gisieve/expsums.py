@@ -17,8 +17,12 @@ kloosterman_sums sums S(m_i, n_j; c) for two lists of arguments at every
 modulus of a list, a run of consecutive moduli at a time, each on a
 zero-padded row of its own; kloosterman_matrix is its one-modulus case,
 over the caller's unit table of c, and equal to it bit for bit.  The
-identities take lists too; the table of F over all units (f_sum_values)
-is one FFT per modulus, within ~1e-12 of the direct sums.
+other path is kloosterman_table: S(m, 1; c) at every residue m from one
+FFT of size N(c), within ~1e-12 of the direct sums, which kloosterman_at
+reads at int64 coordinate arrays of arguments.  The F table over all
+units (f_sum_values), both sides of the shift identity and the right
+side of Selberg's are read off such tables; the left side of Selberg's
+and the Weil ratios are direct sums.
 
 For a unit modulus the quotient is the zero ring, its one residue class
 is invertible, and every sum degenerates to the single term 1.
@@ -36,12 +40,9 @@ from .gauss import (
     UnitRun,
     UnitTable,
     _tables,
-    divides,
-    exact_div,
+    divides_points,
     ideal_divisors,
     is_coprime,
-    moebius,
-    reduce_pair,
     residue_box,
     unit_runs,
     unit_table,
@@ -51,10 +52,12 @@ __all__ = [
     "kloosterman",
     "kloosterman_matrix",
     "kloosterman_sums",
+    "kloosterman_table",
+    "kloosterman_at",
     "f_sum",
     "f_sum_values",
     "selberg_residuals",
-    "shift_residuals",
+    "shift_sums",
     "weil_ratios",
 ]
 
@@ -146,46 +149,79 @@ def f_sum(w: GaussianInt, c: GaussianInt) -> complex:
     return complex(value * twist)
 
 
-def f_sum_values(c: GaussianInt, units: UnitTable) -> np.ndarray:
-    """F(alpha; c) for every unit residue alpha of units, the unit_table
-    of c, in enumeration order.
+def kloosterman_table(c: GaussianInt, units: UnitTable) -> np.ndarray:
+    """S(m, 1; c) at every residue m of Z[i]/(c), as a complex (d, g) array
+    indexed by the box coordinates (k1, k2) of m, which kloosterman_at
+    reads; units is the unit_table of c.
 
-    One additive Fourier transform gives S(m, 1; c) for every m at once.
     With (d, e, g) = residue_box(c), Z[i]/(c) is Z/d x Z/g in the
     coordinates X = (x - y e/g) mod d, Y = y, and for mc = m * conj(c)
 
         e[a m / c] = exp(2 pi i (k1 X / d + k2 Y / g)),
         k1 = Re(mc)/g mod d,   k2 = ((e/g) Re(mc) - Im(mc))/d mod g.
 
-    So S(m, 1; c) = N(c) * ifft2(h)[k1, k2] with h = e[b^{-1}/c] at the
-    units b and 0 elsewhere; F(a; c) reads it at m = a^2 and multiplies
-    by e[2a/c].  The result is read-only; the caller keeps it as long as
-    it needs it (CharGroup.f_values keeps it with its group).
+    So the table is N(c) * ifft2(h), with h = e[b^{-1}/c] at the units b
+    and 0 elsewhere: one additive Fourier transform for every m.  S is
+    real; the imaginary parts are the transform's rounding, ~1e-16.
     """
-    box = residue_box(c)
-    d, e, g = box
+    d, e, g = residue_box(c)
     big_n = c.norm
-    tab = _exp_table(big_n)
-    x, y = units.x, units.y
-    # Re(z * conj(c)) = re(z) c.re + im(z) c.im,  Im(z * conj(c)) = im(z) c.re - re(z) c.im
     h = np.zeros((d, g), dtype=np.complex128)
-    h[(x - y * (e // g)) % d, y] = tab[(units.inv_x * c.re + units.inv_y * c.im) % big_n]
-    s = np.fft.ifft2(h) * big_n
-    sx, sy = reduce_pair(x * x - y * y, 2 * x * y, box)
-    mr = sx * c.re + sy * c.im
-    mi = sy * c.re - sx * c.im
-    k1 = (mr // g) % d
+    inv = (units.inv_x * c.re + units.inv_y * c.im) % big_n  # Re(b^{-1} conj(c)) mod N(c)
+    h[(units.x - units.y * (e // g)) % d, units.y] = _exp_table(big_n)[inv]
+    return np.fft.ifft2(h) * big_n
+
+
+def kloosterman_at(table: np.ndarray, c: GaussianInt, x, y) -> np.ndarray:
+    """S(m, 1; c) at the arguments m = x + iy, int64 arrays (broadcast) of
+    any int64 values, read off table, the kloosterman_table of c."""
+    d, e, g = residue_box(c)
+    big_n = c.norm
+    # N(c) lies in (c): reducing by it first keeps every product below N(c)^2
+    x, y = x % big_n, y % big_n
+    mr = x * c.re + y * c.im  # Re(m conj(c)), a multiple of g
+    mi = y * c.re - x * c.im
     k2 = (((e // g) * (mr % big_n) - mi) % big_n) // d  # (e/g) Re(mc) - Im(mc) is 0 mod d
-    out = s[k1, k2] * tab[(2 * (x * c.re + y * c.im)) % big_n]
+    return table[(mr // g) % d, k2]
+
+
+def f_sum_values(c: GaussianInt, units: UnitTable) -> np.ndarray:
+    """F(alpha; c) for every unit residue alpha of units, the unit_table
+    of c, in enumeration order: the kloosterman_table of c read at
+    m = a^2, times e[2a/c].  The result is read-only; the caller keeps it
+    as long as it needs it (CharGroup.f_values keeps it with its group).
+    """
+    x, y = units.x, units.y
+    twist = _exp_table(c.norm)[(2 * (x * c.re + y * c.im)) % c.norm]
+    out = kloosterman_at(kloosterman_table(c, units), c, x * x - y * y, 2 * x * y) * twist
     out.setflags(write=False)
     return out
 
 
+def _points(zs, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinates of the Gaussian integers zs, reduced mod n, as int64 arrays."""
+    return np.array([z.re % n for z in zs], dtype=np.int64), np.array([z.im % n for z in zs], dtype=np.int64)
+
+
+def _times(x1, y1, x2, y2, n: int):
+    """(x1 + i y1)(x2 + i y2) mod n, coordinatewise in [0, n), for int64
+    arrays (broadcast); each factor is reduced mod n first, so every
+    product stays below n^2."""
+    x1, y1, x2, y2 = x1 % n, y1 % n, x2 % n, y2 % n
+    return (x1 * x2 - y1 * y2) % n, (x1 * y2 + y1 * x2) % n
+
+
+def _over(x, y, d: GaussianInt):
+    """(x + iy) / d, exactly, for points that d divides: (x + iy) conj(d) / N(d)."""
+    return (x * d.re + y * d.im) // d.norm, (y * d.re - x * d.im) // d.norm
+
+
 def _common_divisors(divisors: list[GIdeal], ms, ns) -> np.ndarray:
-    """Boolean array: [k, i, j] is whether divisors[k] divides ms[i] and ns[j]."""
-    in_m = np.array([[divides(d.gen, m) for m in ms] for d in divisors], dtype=bool)
-    in_n = np.array([[divides(d.gen, n) for n in ns] for d in divisors], dtype=bool)
-    return in_m[:, :, None] & in_n[:, None, :]
+    """Boolean array: [k, i, j] is whether divisors[k] divides ms[i] and ns[j].
+    The last divisor is the modulus, whose norm every divisor divides."""
+    x, y = _points([*ms, *ns], divisors[-1].norm)
+    inside = np.array([divides_points(d.gen, x, y) for d in divisors]).reshape(len(divisors), -1)
+    return inside[:, : len(ms), None] & inside[:, None, len(ms) :]
 
 
 def selberg_residuals(ms, ns, c: GaussianInt, units: UnitTable) -> np.ndarray:
@@ -193,40 +229,44 @@ def selberg_residuals(ms, ns, c: GaussianInt, units: UnitTable) -> np.ndarray:
     m of ms (rows) and n of ns (columns); zero in exact arithmetic.  units
     is the unit_table of c, built by the caller.
 
-    The divisors of (m^2, n^2, c) are those of c that divide m^2 and n^2,
-    in the same order, so one divisor list serves every pair; a divisor
-    that divides no pair adds nothing and builds no table.  The first
-    divisor is (1), whose quotient is c itself: it reads units.
+    The left side is kloosterman_matrix, the right side is read off the
+    kloosterman_table of each quotient c/d, so the two sides come from
+    different algorithms.  The divisors of (m^2, n^2, c) are those of c
+    that divide m^2 and n^2, in the same order, so one divisor list serves
+    every pair; a divisor that divides no pair adds nothing and builds no
+    table.  The first divisor is (1), whose quotient is c itself: it reads
+    units.  mn/d and its square are int64 arrays.
     """
     squares_m, squares_n = [m * m for m in ms], [n * n for n in ns]
     lhs = kloosterman_matrix(squares_m, squares_n, c, units)
+    (mx, my), (nx, ny) = _points(ms, c.norm), _points(ns, c.norm)
+    # mn mod N(c): N(c) lies in (c), so (mn/d) mod (c/d) is unchanged
+    mn = _times(mx[:, None], my[:, None], nx, ny, c.norm)
     divisors = ideal_divisors(GIdeal.of(c))
     rhs = np.zeros(lhs.shape)
     for d, common in zip(divisors, _common_divisors(divisors, squares_m, squares_n)):
         if not common.any():
             continue
-        w2 = [exact_div(ms[i] * ns[j], d.gen) ** 2 for i, j in zip(*np.nonzero(common))]
-        quotient = exact_div(c, d.gen)
-        table = units if d.norm == 1 else unit_table(quotient)
-        rhs[common] += d.norm * kloosterman_matrix(w2, [ONE], quotient, table)[:, 0]
+        wx, wy = _over(mn[0][common], mn[1][common], d.gen)
+        quotient = GaussianInt(*_over(c.re, c.im, d.gen))
+        table = kloosterman_table(quotient, units if d.norm == 1 else unit_table(quotient))
+        w2 = _times(wx, wy, wx, wy, quotient.norm)
+        rhs[common] += d.norm * kloosterman_at(table, quotient, *w2).real
     return lhs - rhs
 
 
-def shift_residuals(qs, c: GaussianInt, g: GaussianInt, sums_c: np.ndarray) -> np.ndarray:
-    """Residuals of the shifted-argument identity at w = q g, for each q of qs:
+def shift_sums(qx, qy, g: GaussianInt, e: GaussianInt, table: np.ndarray) -> np.ndarray:
+    """S((q g)^2, 1; e) at the points q = qx + i qy, int64 arrays, read off
+    table, the kloosterman_table of e, with q g reduced mod N(e) before it
+    is squared.  The shifted-argument identity at w = q g is
 
-    S(w^2, 1; c*g) = 0                      if gcd(c, g) != (1)
-                   = mu((g)) S(q^2, 1; c)   otherwise.
+        S(w^2, 1; c g) = 0                      if gcd(c, g) != (1)
+                       = mu((g)) S(q^2, 1; c)   otherwise;
 
-    sums_c holds S(q^2, 1; c) for a list of q that qs begins, so one
-    array serves every g at c: the rows of kloosterman_matrix are
-    independent, so its prefix equals the sums of qs alone.
+    its left side is shift_sums at e = c g, its S(q^2, 1; c) at g = 1, e = c.
     """
-    cg = c * g
-    lhs = kloosterman_matrix([(q * g) * (q * g) for q in qs], [ONE], cg, unit_table(cg))[:, 0]
-    if not is_coprime(c, g):
-        return lhs
-    return lhs - moebius(GIdeal.of(g)) * sums_c[: len(qs)]
+    wx, wy = _times(qx, qy, g.re, g.im, e.norm)
+    return kloosterman_at(table, e, *_times(wx, wy, wx, wy, e.norm)).real
 
 
 def weil_ratios(ms, ns, c: GaussianInt, units: UnitTable) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Identity suites: the exact identities of the package checked at scale.
 
-Each suite takes (max_norm, tolerance) and returns a SuiteResult with the
-number of checks, the worst residual, and one message per failure.
-``verify_all`` runs a selection of them; the ``verify`` and
-``lemma-check`` commands of the CLI report their results.
+Each suite takes (max_norm, tolerance), a finite tolerance >= 0, and
+returns a SuiteResult with the number of checks, the worst residual, and
+one message per failure.  ``verify_all`` runs a selection of them; the
+``verify`` and ``lemma-check`` commands of the CLI report their results.
 
 The suites over the moduli (mellin, parseval, twisted, lemma, selberg,
 shift and weil) are visitors of one pass over the moduli of norm <=
@@ -14,7 +14,10 @@ the prime powers other than (1)); both are dropped before the next
 modulus.  Only the twisted visitor keeps groups: at c2 it checks the
 pairs (c1, c2) with c1 earlier and N(c1) N(c2) <= max_norm, holding the
 groups of norm <= sqrt(max_norm), so its messages come by c2, then c1.
-A suite run alone, and ``lemma_pass``, is the pass with that one suite.
+Shift and the right side of selberg read expsums.kloosterman_tables;
+shift builds the table of each element c g once per call, and holds only
+the sums of later visits of the elements it has read.  A suite run
+alone, and ``lemma_pass``, is the pass with that one suite.
 Each visitor tallies whole arrays of residuals.  A check fails unless its
 value is at most the limit, so a NaN fails, and only a failing check has
 its message fields made.
@@ -41,9 +44,9 @@ from .archimedean import (
 from .characters import CharGroup, local_prediction, twisted_mult_table
 from .expsums import (
     f_sum_values,
-    kloosterman_matrix,
+    kloosterman_table,
     selberg_residuals,
-    shift_residuals,
+    shift_sums,
     weil_ratios,
 )
 from .gauss import (
@@ -51,10 +54,13 @@ from .gauss import (
     ONE,
     DomainError,
     GaussianInt,
+    GIdeal,
     UnitTable,
     ideals_up_to_norm,
     is_coprime,
+    moebius,
     prime_power_ideals_up_to_norm,
+    unit_table,
     unit_tables,
 )
 
@@ -189,27 +195,48 @@ def _grid_visitor(identity, max_norm: float) -> Callable[..., Iterator[tuple]]:
 
 def _shift_visitor(max_norm: float) -> Callable[..., Iterator[tuple]]:
     """At c, the triples (q g, c, g) with N(c) N(g)^2 N(q) <= 40 max_norm,
-    g outermost.  S(q^2, 1; c) is summed once at c, on the pass's table,
-    for the longest q-range (g = 1); each g reads a prefix."""
+    g outermost: S((q g)^2, 1; c g) read off the kloosterman_table of the
+    element c g, and S(q^2, 1; c) is the visit (c, 1), whose prefix each g
+    reads.  An element recurs (c g = g c), so the visits are listed up
+    front by element: at its first visit its table is built (on the pass's
+    unit table if it is c), read for every visit of it and dropped; only
+    the later visits' sums are held until they are tallied."""
     cap = max_norm * 40.0
     # one sorted list serves every range: ideals_up_to_norm(x) is its prefix
     # of the ideals of norm <= x
     ideals = ideals_up_to_norm(cap)
     norms = [ideal.norm for ideal in ideals]
     gens = [ideal.gen for ideal in ideals]
+    qx = np.array([q.re for q in gens], dtype=np.int64)
+    qy = np.array([q.im for q in gens], dtype=np.int64)
 
     def upto(limit: float) -> int:
         return bisect.bisect_right(norms, limit)
 
+    def shifts(c: GaussianInt) -> list[tuple[GaussianInt, int]]:  # each g at c, and its q-range
+        return [(g, upto(cap / (c.norm * g.norm**2))) for g in gens[: upto(math.sqrt(cap / c.norm))]]
+
+    visits: dict[GaussianInt, list[tuple]] = {}
+    for c in gens[: upto(max_norm)]:
+        for g, count in shifts(c):
+            visits.setdefault(c * g, []).append((c, g, count))
+    held: dict[tuple, np.ndarray] = {}
+
     def checks(c: GaussianInt, units: UnitTable, _) -> Iterator[tuple]:
-        # dropped before the g loop: at c = 1 they are the squares of every
-        # ideal of norm <= 40 max_norm
-        squares = [q * q for q in gens[: upto(cap / c.norm)]]
-        sums_c = kloosterman_matrix(squares, [ONE], c, units)[:, 0]
-        del squares
-        for g in gens[: upto(math.sqrt(cap / c.norm))]:
-            qs = gens[: upto(cap / (c.norm * g.norm**2))]
-            yield np.abs(shift_residuals(qs, c, g, sums_c)), lambda k: (qs[k] * g, c, g)
+        for g, count in shifts(c):
+            if (c, g) not in held:  # the first visit of the element c g
+                e = c * g
+                table = kloosterman_table(e, units if e == c else unit_table(e))
+                for c2, g2, count2 in visits.pop(e):
+                    held[c2, g2] = shift_sums(qx[:count2], qy[:count2], g2, e, table)
+                del table
+            sums = held.pop((c, g))
+            if g == ONE:
+                sums_c = sums
+            if is_coprime(c, g):  # S((q g)^2, 1; c g) = mu((g)) S(q^2, 1; c)
+                sums = sums - moebius(GIdeal.of(g)) * sums_c[:count]
+            qs = gens[:count]
+            yield np.abs(sums), lambda k: (qs[k] * g, c, g)
 
     return checks
 
@@ -284,14 +311,21 @@ def _one_modulus_suite(suite: _ModulusSuite) -> Callable[[float, float], SuiteRe
     return lambda max_norm, tol: _modulus_pass(max_norm, tol, [suite])[0]
 
 
+def _check_range(command: str, max_norm: float, tol: float) -> None:
+    """DomainError unless 2 <= max_norm < MAX_UNIT_NORM and tol is finite and >= 0."""
+    if not 2 <= max_norm < MAX_UNIT_NORM:  # also rejects NaN
+        raise DomainError(f"{command} needs max_norm >= 2 and below {MAX_UNIT_NORM}")
+    if not 0 <= tol < math.inf:  # also rejects NaN
+        raise DomainError(f"{command} needs a finite tolerance >= 0 (--tolerance), got {tol}")
+
+
 def lemma_pass(max_norm: float, tol: float) -> tuple[SuiteResult, list[tuple]]:
     """|fhat| against the case formulas at every prime-power modulus.
 
     Returns the suite verdict and, per character, the row (modulus,
     exps, class, |fhat|, "=" or "<=", predicted value, within tolerance).
     """
-    if not 2 <= max_norm < MAX_UNIT_NORM:  # also rejects NaN
-        raise DomainError(f"lemma-check needs max_norm >= 2 and below {MAX_UNIT_NORM}")
+    _check_range("lemma-check", max_norm, tol)
     rows = []
 
     def checks(c: GaussianInt, units: UnitTable, group) -> Iterator[tuple]:
@@ -353,8 +387,7 @@ DEFAULT_VERIFY_NORM = 60.0
 
 def verify_all(max_norm: float, tolerance: float, names: Sequence[str] = ("all",)) -> list[SuiteResult]:
     """Run the named identity suites (default all) up to max_norm."""
-    if not 2 <= max_norm < MAX_UNIT_NORM:  # also rejects NaN
-        raise DomainError(f"verify needs max_norm >= 2 and below {MAX_UNIT_NORM}")
+    _check_range("verify", max_norm, tolerance)
     selected: list[str] = []
     for name in names:
         for expanded in SUITE_GROUPS.get(name, (name,)):

@@ -35,8 +35,8 @@ from gisieve.archimedean import (
 )
 from gisieve.characters import char_group, twisted_mult_residual
 from gisieve.verify import verify_all
-from gisieve.expsums import kloosterman_matrix, selberg_residuals, shift_residuals, weil_ratios
-from gisieve.gauss import ONE, GaussianInt, ideals_up_to_norm, is_coprime, unit_table
+from gisieve.expsums import kloosterman_table, selberg_residuals, shift_sums, weil_ratios
+from gisieve.gauss import ONE, GaussianInt, GIdeal, ideals_up_to_norm, is_coprime, moebius, unit_table
 from gisieve.sievelab import (
     eisenstein_experiment,
     eisenstein_ratio,
@@ -123,9 +123,17 @@ def test_criterion_03_selberg_and_shift_identities():
         q_budget = 500.0 / gi.norm**2
         for ci in ideals_up_to_norm(q_budget):
             qs = [qi.gen for qi in ideals_up_to_norm(q_budget / ci.norm)]
-            c = ci.gen
-            sums_c = kloosterman_matrix([q * q for q in qs], [ONE], c, unit_table(c))[:, 0]
-            residuals = np.abs(shift_residuals(qs, c, gi.gen, sums_c))
+            qx = np.array([q.re for q in qs], dtype=np.int64)
+            qy = np.array([q.im for q in qs], dtype=np.int64)
+            c, g = ci.gen, gi.gen
+            # both sides read off the FFT tables of the elements c g and c
+            sums_cg, sums_c = (
+                shift_sums(qx, qy, h, e, kloosterman_table(e, unit_table(e)))
+                for h, e in ((g, c * g), (ONE, c))
+            )
+            if is_coprime(c, g):
+                sums_cg = sums_cg - moebius(GIdeal.of(g)) * sums_c
+            residuals = np.abs(sums_cg)
             shift_worst = max(shift_worst, float(residuals.max()))
             shift_count += residuals.size
 

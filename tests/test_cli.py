@@ -266,7 +266,9 @@ def test_verify_twisted_check_counts(capsys, max_norm):
 
 def test_verify_identity_suites_match_scalar_oracles(capsys):
     # the per-modulus arrays against the scalar identities over the same
-    # grids: the same number of checks and the same worst value, in full repr
+    # grids: the same number of checks and the same worst value, in full
+    # repr for weil (direct sums on both sides) and within rounding for
+    # selberg and shift, whose suites read FFT tables
     small = [i.gen for i in ideals_up_to_norm(10)]
     moduli = [i.gen for i in ideals_up_to_norm(100)]
     selberg = [abs(scalar_selberg_residual(m, n, c)) for c in moduli for m in small for n in small]
@@ -280,9 +282,10 @@ def test_verify_identity_suites_match_scalar_oracles(capsys):
     ]
     rows = _csv_rows(capsys, ["verify", "selberg", "shift", "weil", "--max-norm", "100"])
     want = [("selberg", selberg), ("shift", shift), ("weil", weil)]
-    assert [row[:3] for row in rows] == [
-        [name, str(len(values)), repr(max(values))] for name, values in want
-    ]
+    assert [row[:2] for row in rows] == [[name, str(len(values))] for name, values in want]
+    assert rows[2][2] == repr(max(weil))
+    for row, (_, values) in zip(rows, want[:2]):
+        assert abs(float(row[2]) - max(values)) < 1e-13
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):
@@ -583,6 +586,15 @@ def test_non_finite_numbers_are_usage_errors(capsys, argv, named):
     err = capsys.readouterr().err
     assert named in err
     assert "finite" in err
+
+
+@pytest.mark.parametrize("argv", [["verify", "--max-norm", "10", "weil"], ["lemma-check"]])
+def test_a_negative_tolerance_is_a_usage_error(capsys, argv):
+    # at -1 every weil ratio met its limit 2 + tol = 1, so verify weil
+    # passed; 0 is a valid tolerance
+    assert run([*argv, "--tolerance", "-1"]) == 2
+    assert "--tolerance" in capsys.readouterr().err
+    assert run(["verify", "--max-norm", "10", "--tolerance", "0", "weil"]) == 0
 
 
 def test_exps_matching_no_character(capsys):

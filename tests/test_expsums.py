@@ -4,10 +4,14 @@ The brute-force oracle below shares nothing with the library internals:
 residues are found by scanning an integer box, inverses by scanning,
 and phases are assembled from integer data directly.  The F table, which
 the library builds with one FFT, is also checked against the direct
-O(phi^2) double sum that it replaced, the Kloosterman matrix against the
-real part of the scalar loop that it replaced, and the per-modulus
-Selberg, shift and Weil arrays against the scalar functions that they
-replaced, all bit for bit.
+O(phi^2) double sum that it replaced, and bit for bit against the FFT
+path it took before kloosterman_table; the Kloosterman matrix against
+the real part of the scalar loop that it replaced, and the Weil arrays
+against the scalar function that they replaced, bit for bit.  The
+Selberg and shift arrays read kloosterman_tables, so they are checked
+within rounding against the scalar functions, and the shift arrays
+against the direct-sum path (a unit table per (c, g) and
+kloosterman_matrix) that they replaced.
 """
 
 import cmath
@@ -21,14 +25,17 @@ from hypothesis import strategies as st
 
 from conftest import EDGE_MODULI, engine_moduli, with_edge_moduli
 from gisieve.expsums import (
+    _common_divisors,
     _exp_table,
     f_sum,
     f_sum_values,
     kloosterman,
+    kloosterman_at,
     kloosterman_matrix,
     kloosterman_sums,
+    kloosterman_table,
     selberg_residuals,
-    shift_residuals,
+    shift_sums,
     weil_ratios,
 )
 from gisieve.gauss import (
@@ -36,6 +43,7 @@ from gisieve.gauss import (
     DomainError,
     GaussianInt,
     GIdeal,
+    divides,
     divisor_count,
     exact_div,
     gcd,
@@ -44,9 +52,13 @@ from gisieve.gauss import (
     is_coprime,
     mod_inverse,
     moebius,
+    reduce_pair,
+    residue_box,
     unit_residues,
     unit_table,
+    unit_tables,
 )
+from gisieve.verify import _shift_visitor
 from test_gauss import residues
 
 small = st.integers(min_value=-7, max_value=7)
@@ -281,6 +293,64 @@ def test_kloosterman_unit_substitution(m, n, c, idx):
 
 
 # ---------------------------------------------------------------------------
+# The FFT table of S(., 1; c)
+# ---------------------------------------------------------------------------
+
+
+def test_kloosterman_table_equals_the_direct_sums():
+    # every residue of every ideal of norm <= 300 and its four associates,
+    # read at a representative a multiple of c away from the box
+    for ideal in ideals_up_to_norm(300):
+        c = ideal.gen
+        for cc in (c, c.times_i(), -c, -c.times_i()):
+            d, _, g = residue_box(cc)
+            units = unit_table(cc)
+            table = kloosterman_table(cc, units)
+            assert table.shape == (d, g)
+            x, y = np.divmod(np.arange(cc.norm), g)
+            want = kloosterman_matrix([GaussianInt(a, b) for a, b in zip(x, y)], [ONE], cc, units)
+            far = GaussianInt(5, -3) * cc
+            got = kloosterman_at(table, cc, x + far.re, y + far.im)
+            assert np.max(np.abs(got - want[:, 0])) < 1e-9, cc
+
+
+def _fft_f_values(c, units):
+    """F(a; c) at the units by the one ifft2 of f_sum_values, with the
+    reads at a^2 written out, as it was taken before kloosterman_table."""
+    box = residue_box(c)
+    d, e, g = box
+    big_n = c.norm
+    tab = _exp_table(big_n)
+    x, y = units.x, units.y
+    h = np.zeros((d, g), dtype=np.complex128)
+    h[(x - y * (e // g)) % d, y] = tab[(units.inv_x * c.re + units.inv_y * c.im) % big_n]
+    s = np.fft.ifft2(h) * big_n
+    sx, sy = reduce_pair(x * x - y * y, 2 * x * y, box)
+    mr = sx * c.re + sy * c.im
+    mi = sy * c.re - sx * c.im
+    k1 = (mr // g) % d
+    k2 = (((e // g) * (mr % big_n) - mi) % big_n) // d
+    return s[k1, k2] * tab[(2 * (x * c.re + y * c.im)) % big_n]
+
+
+@with_edge_moduli
+@given(engine_moduli)
+def test_f_sum_values_unchanged_bit_for_bit(c):
+    for cc in (c, c.times_i()):
+        units = unit_table(cc)
+        assert f_sum_values(cc, units).tobytes() == _fft_f_values(cc, units).tobytes()
+
+
+def test_common_divisors_against_scalar_divides():
+    ms = [z * z for z in SMALL] + list(LOOP_ARGS)
+    ns = SMALL + list(LOOP_ARGS)
+    for ideal in ideals_up_to_norm(300):
+        divisors = ideal_divisors(ideal)
+        want = [[[divides(d.gen, m) and divides(d.gen, n) for n in ns] for m in ms] for d in divisors]
+        assert _common_divisors(divisors, ms, ns).tolist() == want
+
+
+# ---------------------------------------------------------------------------
 # Weil bound
 # ---------------------------------------------------------------------------
 
@@ -411,27 +481,75 @@ def scalar_weil_ratio(m, n, c):
     return val / (tau * math.sqrt(g3.norm) * math.sqrt(c.norm))
 
 
+def table_shift_residuals(qs, c, g):
+    """The shift residuals at (c, g) for q of qs, both sides read off the
+    kloosterman_tables of c g and c."""
+    qx = np.array([q.re for q in qs], dtype=np.int64)
+    qy = np.array([q.im for q in qs], dtype=np.int64)
+    sums_cg, sums_c = (
+        shift_sums(qx, qy, h, e, kloosterman_table(e, unit_table(e))) for h, e in ((g, c * g), (ONE, c))
+    )
+    return sums_cg - moebius(GIdeal.of(g)) * sums_c if is_coprime(c, g) else sums_cg
+
+
+def direct_shift_residuals(qs, c, g):
+    """The shift residuals at (c, g) for q of qs by direct sums: a unit
+    table of c g and kloosterman_matrix at the squares (q g)^2, as the
+    shift suite took them before it read tables."""
+    cg = c * g
+    lhs = kloosterman_matrix([(q * g) * (q * g) for q in qs], [ONE], cg, unit_table(cg))[:, 0]
+    if not is_coprime(c, g):
+        return lhs
+    sums_c = kloosterman_matrix([q * q for q in qs], [ONE], c, unit_table(c))[:, 0]
+    return lhs - moebius(GIdeal.of(g)) * sums_c
+
+
 #: The suites' argument grid: the nine ideals of norm <= 10.
 SMALL = [ideal.gen for ideal in ideals_up_to_norm(10)]
-
-
-def sums_mod(qs, c):
-    """S(q^2, 1; c) for q of qs, the sums_c of shift_residuals."""
-    return kloosterman_matrix([q * q for q in qs], [ONE], c, unit_table(c))[:, 0]
 
 
 @with_edge_moduli
 @given(engine_moduli)
 def test_identity_arrays_against_scalar_oracles(c):
+    # weil is a direct sum, bit for bit; selberg's right side and both
+    # sides of shift are read off FFT tables, within rounding
     selberg = selberg_residuals(SMALL, SMALL, c, unit_table(c)).tolist()
     weil = weil_ratios(SMALL, SMALL, c, unit_table(c)).tolist()
     for i, m in enumerate(SMALL):
         for j, n in enumerate(SMALL):
-            assert selberg[i][j] == scalar_selberg_residual(m, n, c).real
+            assert abs(selberg[i][j] - scalar_selberg_residual(m, n, c).real) < 1e-11
             assert weil[i][j] == scalar_weil_ratio(m, n, c)
     for g in SMALL:
-        shift = shift_residuals(SMALL, c, g, sums_mod(SMALL, c)).tolist()
-        assert shift == [scalar_shift_residual(q * g, c, g) for q in SMALL]
+        shift = table_shift_residuals(SMALL, c, g)
+        want = [scalar_shift_residual(q * g, c, g).real for q in SMALL]
+        assert np.max(np.abs(shift - want)) < 1e-11
+
+
+def test_shift_tables_against_direct_sums():
+    # the suite's triples (q g, c, g) with N(c) N(g)^2 N(q) <= 200
+    pairs = 0
+    for gi in ideals_up_to_norm(math.sqrt(200)):
+        for ci in ideals_up_to_norm(200 / gi.norm**2):
+            qs = [qi.gen for qi in ideals_up_to_norm(200 / (ci.norm * gi.norm**2))]
+            got = table_shift_residuals(qs, ci.gen, gi.gen)
+            assert np.max(np.abs(got - direct_shift_residuals(qs, ci.gen, gi.gen))) < 1e-11
+            pairs += 1
+    assert pairs == 229
+
+
+def test_shift_suite_against_direct_sums():
+    # every visit (c, g) of the shift suite at max_norm 5, whose elements
+    # c g and arguments q have norm <= 200, read off its held tables
+    checks = _shift_visitor(5)
+    moduli = [ideal.gen for ideal in ideals_up_to_norm(5)]
+    visits = 0
+    for c, units in zip(moduli, unit_tables(moduli)):
+        for values, fields in checks(c, units, None):
+            _, _, g = fields(0)
+            qs = [exact_div(fields(k)[0], g) for k in range(len(values))]
+            assert np.max(np.abs(values - np.abs(direct_shift_residuals(qs, c, g)))) < 1e-11
+            visits += 1
+    assert visits == 35
 
 
 @given(nonzero, nonzero, moduli)
@@ -441,7 +559,7 @@ def test_selberg_identity(m, n, c):
 
 @given(nonzero, nonzero, moduli)
 def test_shift_vanishing(q, g, c):
-    assert abs(shift_residuals([q], c, g, sums_mod([q], c))[0]) < 1e-9
+    assert abs(table_shift_residuals([q], c, g)[0]) < 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from gisieve.characters import CharGroup, char_group
-from gisieve.gauss import GaussianInt, ideals_up_to_norm, prime_power_ideals_up_to_norm
+from gisieve.gauss import DomainError, GaussianInt, ideals_up_to_norm, prime_power_ideals_up_to_norm
 from gisieve.verify import SUITES, _Tally, lemma_pass, verify_all
 
 PER_MODULUS = ["mellin", "parseval", "lemma"]
@@ -47,7 +47,7 @@ def test_twisted_suite_reads_the_groups_of_the_pass(monkeypatch):
 def test_pass_builds_the_unit_tables_in_runs(monkeypatch):
     # the tables of the groups come from runs of unit_tables: one
     # _run_points per run of the moduli, and no table of one modulus
-    from gisieve import characters, expsums, gauss
+    from gisieve import characters, expsums, gauss, verify
 
     calls = Counter()
     for module, name in (
@@ -55,6 +55,7 @@ def test_pass_builds_the_unit_tables_in_runs(monkeypatch):
         (gauss, "unit_table"),
         (characters, "unit_table"),
         (expsums, "unit_table"),
+        (verify, "unit_table"),
     ):
         original = getattr(module, name)
         monkeypatch.setattr(
@@ -114,12 +115,14 @@ def test_suites_together_equal_suites_alone(tol):
 def test_table_suites_read_the_tables_of_the_pass(monkeypatch):
     # selberg, weil and shift build no group, and no table of a modulus
     # of the pass: what they build is the tables of the quotients c/d
-    # (selberg) and of the products c g (shift).  Each building its own
-    # table of every modulus, they made 926, 314 and 3,225 unit_table calls
-    from gisieve import expsums, gauss
+    # (selberg) and of the elements c g (shift) that are not the modulus
+    # of the visit.  Each building its own table of every modulus, they
+    # made 926, 314 and 3,225 unit_table calls; with one table per visit
+    # (c, g), shift made 2,911
+    from gisieve import expsums, gauss, verify
 
     calls = Counter()
-    for module in (gauss, expsums):
+    for module in (gauss, expsums, verify):
         original = module.unit_table
         monkeypatch.setattr(
             module, "unit_table", lambda c, _f=original: calls.update([c]) or _f(c)
@@ -136,6 +139,67 @@ def test_table_suites_read_the_tables_of_the_pass(monkeypatch):
     # a group suite beside them builds the groups of its own moduli only
     prime_powers = prime_power_ideals_up_to_norm(400)
     assert _builds(monkeypatch, ["weil", "lemma"]) == Counter(i.gen for i in prime_powers)
+
+
+def _shift_visits(max_norm: float) -> list[tuple]:
+    """The visits (c, g) of the shift suite, in pass order."""
+    cap = 40.0 * max_norm
+    return [
+        (ci.gen, gi.gen)
+        for ci in ideals_up_to_norm(max_norm)
+        for gi in ideals_up_to_norm(math.sqrt(cap / ci.norm))
+    ]
+
+
+def test_shift_suite_builds_one_table_per_element(monkeypatch):
+    # 2,911 visits (c, g) at norm 400 read 1,427 elements c g: each
+    # element's table is built once, at its first visit
+    from gisieve import verify
+
+    built = []
+    table = verify.kloosterman_table
+    monkeypatch.setattr(verify, "kloosterman_table", lambda c, units: built.append(c) or table(c, units))
+    result = SUITES["shift"](400, 1e-9)
+    assert result.checked == 98537 and result.failures == []
+    elements = [c * g for c, g in _shift_visits(400)]
+    assert len(elements) == 2911
+    assert built == list(dict.fromkeys(elements))
+    assert len(built) == 1427
+
+
+def test_shift_suite_holds_values_not_tables(monkeypatch):
+    # between visits the shift visitor holds the sums of later visits of
+    # the elements it has read, 37,463 values (0.3 MiB) at most at norm
+    # 300; holding each element's table until its last visit would peak
+    # at 2.3 MiB.  At the last visit nothing is held but the sorted ideals
+    held = []
+    add = _Tally.add
+
+    def measured(self, values, fields):
+        held.append(tracemalloc.get_traced_memory()[0])
+        add(self, values, fields)
+
+    monkeypatch.setattr(_Tally, "add", measured)
+    SUITES["shift"](60, 1e-9)  # first calls of the code paths
+    held.clear()
+    tracemalloc.start()
+    try:
+        result = SUITES["shift"](300, 1e-9)
+    finally:
+        tracemalloc.stop()
+    assert result.checked == 70609 and result.failures == []
+    assert len(held) == len(_shift_visits(300))
+    assert max(held) - held[-1] < 1 << 20
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+def test_a_negative_or_non_finite_tolerance_is_refused(tol):
+    # at -1 the weil limit 2 + tol is 1, which every ratio meets
+    with pytest.raises(DomainError, match="finite tolerance >= 0"):
+        verify_all(10, tol, ["weil"])
+    with pytest.raises(DomainError, match="finite tolerance >= 0"):
+        lemma_pass(10, tol)
+    assert verify_all(10, 0.0, ["weil"])[0].passed
 
 
 def test_a_nan_check_fails():
