@@ -164,12 +164,16 @@ def kloosterman_table(c: GaussianInt, units: UnitTable) -> np.ndarray:
     and 0 elsewhere: one additive Fourier transform for every m.  S is
     real; the imaginary parts are the transform's rounding, ~1e-16.
     """
+    return _kloosterman_table(c, units, _exp_table(c.norm))
+
+
+def _kloosterman_table(c: GaussianInt, units: UnitTable, roots: np.ndarray) -> np.ndarray:
+    """kloosterman_table from roots, the _exp_table of N(c)."""
     d, e, g = residue_box(c)
-    big_n = c.norm
     h = np.zeros((d, g), dtype=np.complex128)
-    inv = (units.inv_x * c.re + units.inv_y * c.im) % big_n  # Re(b^{-1} conj(c)) mod N(c)
-    h[(units.x - units.y * (e // g)) % d, units.y] = _exp_table(big_n)[inv]
-    return np.fft.ifft2(h) * big_n
+    inv = (units.inv_x * c.re + units.inv_y * c.im) % c.norm  # Re(b^{-1} conj(c)) mod N(c)
+    h[(units.x - units.y * (e // g)) % d, units.y] = roots[inv]
+    return np.fft.ifft2(h) * c.norm
 
 
 def kloosterman_at(table: np.ndarray, c: GaussianInt, x, y) -> np.ndarray:
@@ -192,8 +196,9 @@ def f_sum_values(c: GaussianInt, units: UnitTable) -> np.ndarray:
     as long as it needs it (CharGroup.f_values keeps it with its group).
     """
     x, y = units.x, units.y
-    twist = _exp_table(c.norm)[(2 * (x * c.re + y * c.im)) % c.norm]
-    out = kloosterman_at(kloosterman_table(c, units), c, x * x - y * y, 2 * x * y) * twist
+    roots = _exp_table(c.norm)  # one table for the transform and the twist
+    table = _kloosterman_table(c, units, roots)
+    out = kloosterman_at(table, c, x * x - y * y, 2 * x * y) * roots[(2 * (x * c.re + y * c.im)) % c.norm]
     out.setflags(write=False)
     return out
 
